@@ -525,7 +525,6 @@ def main(argv=None):
             errors.RangeExceeded,
             errors.NonFiniteValue,
             errors.GridMismatch,
-            errors.GridTooCoarse,
         )
         if isinstance(exc, usage_kinds):
             print(f"metivier {args.command}: {exc}", file=sys.stderr)

@@ -33,6 +33,7 @@ from .special import (
     theta_radial,
 )
 from .transforms import (
+    _full_grid_mean,
     _matrix_coefficients,
     _multi_indices,
     _synthesize_values,
@@ -465,25 +466,11 @@ def inadmissible_radius_pair(n=1, degree_i=2, index_i=0, index_j=1, r2=1.0):
 
 
 def euclidean_mean(field, r, order=None):
-    """Ordinary spherical mean over |xi| = r (zero twist), full grid, n = 1."""
-    return reduced_mean_untwisted(field, r, order)
-
-
-def reduced_mean_untwisted(field, r, order=None):
-    g = field.grid
-    if g.n != 1:
+    """Ordinary spherical mean over |xi| = r (zero twist) as a field (n = 1):
+    the full-grid mean kernel of reduced_mean at twist 0."""
+    if field.grid.n != 1:
         raise UnsupportedDimension("untwisted full-grid means are implemented for n = 1")
-    from .grids import FieldEvaluator, build_sphere_rule
-
-    order = order or 64
-    rule = build_sphere_rule(1, r, order)
-    axes = g.coordinate_axes()
-    z = np.broadcast_to(axes[0], g.shape).reshape(-1, 1)
-    ev = FieldEvaluator(field)
-    out = np.zeros(z.shape[0], dtype=complex)
-    for gidx in range(rule.nodes.shape[0]):
-        out += rule.weights[gidx] * ev(z - rule.nodes[gidx][None, :])
-    return field.with_values(out.reshape(g.shape))
+    return _full_grid_mean(field, 0.0, r, order)
 
 
 def euclidean_two_radii_invert(mean1, mean2, r1, r2, rho_max=None, rho_count=None):
@@ -597,8 +584,8 @@ def two_radii_reconstruct(pfield, r1, r2, k_max=20, ell_max=2, order=None,
             continue
         result = None
         if ell == 0:
-            m1 = reduced_mean_untwisted(comp, r1, order)
-            m2 = reduced_mean_untwisted(comp, r2, order)
+            m1 = euclidean_mean(comp, r1, order)
+            m2 = euclidean_mean(comp, r2, order)
             recon = euclidean_two_radii_invert(m1, m2, r1, r2)
         else:
             m1 = reduced_mean(comp, [float(ell)], r1, order)

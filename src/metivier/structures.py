@@ -122,15 +122,29 @@ def write_structure(structure, path):
 
 
 def read_structure(path):
-    with open(path, "r") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise MalformedFile(f"structure file is not valid JSON at char {exc.pos}") from exc
+    """Read a structure file written by write_structure.
+
+    Raises MalformedFile when the file is not a UTF-8 JSON object with
+    integer-convertible n and m and a numeric u; the structure's own
+    validation errors (DimensionMismatch, NotSkewSymmetric,
+    DependentStructureMatrices) pass through.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        doc = json.loads(raw.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise MalformedFile(f"structure file is not UTF-8 at byte {exc.start}") from exc
+    except json.JSONDecodeError as exc:
+        raise MalformedFile(f"structure file is not valid JSON at char {exc.pos}") from exc
+    except RecursionError as exc:
+        raise MalformedFile("structure file nests too deeply") from exc
+    if not isinstance(doc, dict):
+        raise MalformedFile("structure file must hold a JSON object")
     try:
         n, m = int(doc["n"]), int(doc["m"])
         u = np.array(doc["u"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise MalformedFile(f"structure file missing or malformed fields: {exc}") from exc
     return MetivierStructure(n, m, u, str(doc.get("name", "")))
 

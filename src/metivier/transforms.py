@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    GridMismatch,
     GridTooCoarse,
     NotHomogeneous,
     NyquistViolation,
@@ -95,26 +96,59 @@ def _grid_points(grid):
     return np.stack(np.broadcast_arrays(*axes), axis=-1).reshape(-1, grid.n)
 
 
+def _full_grid_mean(field, twist, r, order=None):
+    """Full-grid n = 1 sphere mean with phase (i/2) twist Im(z conj(w)).
+
+    The mean commutes with the rotations z -> e^{i phi} z, so angular mode m
+    of the result at s e^{i phi} is e^{i m phi} times the mean of the field's
+    mode m at the base point s.  The field's live modes are therefore
+    evaluated only on the sphere around each radial node, and one inverse
+    angular FFT returns the result to the grid.  twist = 0 is the Euclidean
+    mean.  Beyond r_max the field is zero, as in FieldEvaluator.
+    """
+    g = field.grid
+    rule = build_sphere_rule(1, r, order or DEFAULT_SPHERE_ORDER[1])
+    ev = FieldEvaluator(field)
+    s = g.radial_nodes[0]
+    w = rule.nodes[:, 0]
+    u = s[:, None] - w[None, :]  # (S, K): z - w at the base points z = s
+    rho = np.abs(u).ravel()
+    B = ev._radial_matrix(0, rho)
+    B[rho > g.r_max + ev.extrap_slack] = 0.0
+    fm = (B @ ev.fhat).reshape(u.shape + (-1,))  # (S, K, M)
+    fm = fm * np.exp(1j * np.angle(u)[..., None] * ev.modes[0])
+    phase = np.exp(0.5j * twist * np.imag(s[:, None] * np.conj(w)[None, :])) * rule.weights
+    na = g.angular_counts[0]
+    fhat = np.zeros((len(s), na), dtype=complex)
+    fhat[:, ev.modes[0] % na] = np.einsum("skm,sk->sm", fm, phase)
+    return field.with_values(values_from_mode_coefficients(g, fhat))
+
+
 def reduced_mean(field, lambda_prime, r, order=None):
     """Reduced-twist spherical mean as a field on the same grid (n = 1).
 
-    The n = 2 full-grid mean is unsupported (the node count makes it
-    impractical); use reduced_mean_at or the eigenfunction identity instead.
+    Computed by rotation equivariance: the field is evaluated once per radial
+    node and angular mode, not at every grid angle.  reduced_mean_at is the
+    independent pointwise quadrature oracle.  The n = 2 full-grid mean is
+    unsupported; use reduced_mean_at or the eigenfunction identity instead.
     """
-    g = field.grid
-    if g.n != 1:
+    if field.grid.n != 1:
         raise UnsupportedDimension("full-grid reduced means are implemented for n = 1")
-    vals = reduced_mean_at(field, lambda_prime, r, _grid_points(g), order=order)
-    return field.with_values(vals.reshape(g.shape))
+    return _full_grid_mean(field, _check_twist(lambda_prime, 1)[0], r, order)
 
 
 def twisted_mean(field, structure, lam, r, order=None):
-    """Twisted spherical mean (full structure phase) as a field (n = 1)."""
+    """Twisted spherical mean (full structure phase) as a field (n = 1).
+
+    For n = 1, V_lambda is the skew matrix [[0, a], [-a, 0]] and the phase
+    (i/2) x^T V_lambda xi is the reduced one at twist -a.
+    """
     g = field.grid
     if g.n != 1:
         raise UnsupportedDimension("full-grid twisted means are implemented for n = 1")
-    vals = twisted_mean_at(field, structure, lam, r, _grid_points(g), order=order)
-    return field.with_values(vals.reshape(g.shape))
+    if structure.n != g.n:
+        raise DimensionMismatch("structure and field dimensions differ")
+    return _full_grid_mean(field, -v_lambda(structure, lam)[0, 1], r, order)
 
 
 # spec-facing aliases: the "lambda'-twisted" entry points take the reduced
@@ -527,7 +561,15 @@ def write_spectrum(spectrum, directory):
 
 
 def read_spectrum(directory):
-    """Inverse of write_spectrum."""
+    """Inverse of write_spectrum.
+
+    Raises VersionMismatch for a manifest version other than 1 and
+    MalformedFile for any other departure from the layout: a manifest that
+    is not a JSON object, a missing or ill-typed key (projections a list of
+    objects with an integer k and a string file, k_max a non-negative integer,
+    lambda_prime a list of numbers, normalized a bool), or degrees that are
+    not 0..k_max.  Errors from reading the projection files pass through.
+    """
     import json
     import os
 
@@ -536,25 +578,39 @@ def read_spectrum(directory):
 
     path = os.path.join(directory, "manifest.json")
     try:
-        with open(path) as fh:
-            manifest = json.load(fh)
-    except (OSError, ValueError) as exc:
+        with open(path, "rb") as fh:
+            manifest = json.loads(fh.read().decode("utf-8"))
+    except (OSError, ValueError, RecursionError) as exc:
         raise MalformedFile(f"cannot read spectrum manifest {path}: {exc}") from exc
-    if manifest.get("kind") != "laguerre-spectrum":
+    if not isinstance(manifest, dict) or manifest.get("kind") != "laguerre-spectrum":
         raise MalformedFile(f"{path} is not a spectrum manifest")
     if manifest.get("version") != 1:
         raise VersionMismatch(f"unsupported spectrum manifest version in {path}")
-    entries = sorted(manifest["projections"], key=lambda e: e["k"])
+    entries = manifest.get("projections")
+    lam = manifest.get("lambda_prime")
+    checks = {  # type() rather than isinstance(): a JSON true is not an integer here
+        "projections": isinstance(entries, list) and all(
+            isinstance(e, dict) and type(e.get("k")) is int and isinstance(e.get("file"), str)
+            for e in entries
+        ),
+        "k_max": type(manifest.get("k_max")) is int and manifest["k_max"] >= 0,
+        "lambda_prime": isinstance(lam, list) and all(type(v) in (int, float) for v in lam),
+        "normalized": isinstance(manifest.get("normalized"), bool),
+    }
+    bad = [key for key, ok in checks.items() if not ok]
+    if bad:
+        raise MalformedFile(f"{path} has missing or ill-typed keys: {', '.join(bad)}")
+    entries = sorted(entries, key=lambda e: e["k"])
     if [e["k"] for e in entries] != list(range(manifest["k_max"] + 1)):
         raise MalformedFile(f"{path} lists degrees inconsistent with k_max")
     projections = tuple(
         read_field(os.path.join(directory, e["file"])) for e in entries
     )
     return LaguerreSpectrum(
-        np.asarray(manifest["lambda_prime"], dtype=float),
-        int(manifest["k_max"]),
+        np.asarray(lam, dtype=float),
+        manifest["k_max"],
         projections,
-        bool(manifest["normalized"]),
+        manifest["normalized"],
     )
 
 

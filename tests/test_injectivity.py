@@ -267,6 +267,17 @@ def test_euclidean_mean_of_harmonic_gaussian(g1):
     assert mean.values[0, 0] == pytest.approx(np.exp(-1.0), rel=1e-8)
 
 
+def test_euclidean_mean_of_harmonic_gaussian_at_every_node(g1):
+    # e^{-r^2} e^{-|z|^2} I_0(2 r |z|) at every grid node, not only the origin
+    from scipy.special import i0
+
+    f = sample(lambda z: np.exp(-np.abs(z[..., 0]) ** 2), g1)
+    rz = np.abs(np.broadcast_to(g1.coordinate_axes()[0], g1.shape))
+    for r in (0.8, 1.3, 3.0):
+        want = np.exp(-r**2) * np.exp(-rz**2) * i0(2 * r * rz)
+        assert np.max(np.abs(euclidean_mean(f, r).values - want)) < 1e-12
+
+
 def test_euclidean_two_radii_inversion(g1):
     fn = lambda z: np.exp(-np.abs(z[..., 0]) ** 2) * (1 + z[..., 0])
     f = sample(fn, g1)

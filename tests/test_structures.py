@@ -58,6 +58,26 @@ def test_structure_io_round_trip(tmp_path):
     assert np.array_equal(back.u, st.u)
 
 
+def test_structure_io_any_0xff_byte_is_malformed(tmp_path):
+    # 0xff is never valid UTF-8, wherever it lands
+    path = tmp_path / "structure.json"
+    write_structure(builtin_structure("heisenberg:1"), path)
+    data = path.read_bytes()
+    for i in range(len(data)):
+        path.write_bytes(data[:i] + b"\xff" + data[i + 1:])
+        with pytest.raises(MalformedFile):
+            read_structure(path)
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", "7", '"n"', "null", '{"n": 1e400, "m": 1, "u": []}',
+                                  "[" * 100000])
+def test_structure_io_non_object_or_overflow_is_malformed(tmp_path, text):
+    path = tmp_path / "structure.json"
+    path.write_text(text)
+    with pytest.raises(MalformedFile):
+        read_structure(path)
+
+
 def test_metivier_check_accepts_and_rejects():
     for name in STRUCTURES:
         report = metivier_check(builtin_structure(name))

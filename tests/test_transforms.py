@@ -6,14 +6,25 @@ import pytest
 
 from metivier.errors import (
     DimensionMismatch,
+    GridMismatch,
+    MalformedFile,
     NotHomogeneous,
     NyquistViolation,
     RangeExceeded,
     TruncationDominates,
 )
-from metivier.grids import default_grid, inner_product, polar_grid, sample, sample_periodic
-from metivier.special import mean_factor, psi_alpha_beta, theta_k, theta_radial
+from metivier.grids import (
+    FieldEvaluator,
+    SampledField,
+    default_grid,
+    inner_product,
+    polar_grid,
+    sample,
+    sample_periodic,
+)
+from metivier.special import mean_factor, psi_alpha_beta, special_hermite_1d, theta_k, theta_radial
 from metivier.structures import (
+    MetivierStructure,
     builtin_structure,
     complex_from_real,
     real_from_complex,
@@ -40,6 +51,7 @@ from metivier.transforms import (
     synthesize_expansion,
     twisted_convolution,
     twisted_convolution_at,
+    twisted_mean,
     twisted_mean_at,
     write_spectrum,
 )
@@ -85,6 +97,89 @@ def test_full_grid_mean_matches_pointwise(g1):
     pts = np.broadcast_to(axes[0], g1.shape).reshape(-1, 1)[:: 617]
     at = reduced_mean_at(f, LAM1, 1.2, pts)
     assert np.max(np.abs(mean.values.reshape(-1)[::617] - at)) < 1e-10
+
+
+def _psi_sum_field(grid, lam=1.0, index_max=8, seed=3):
+    """Seeded sum of Psi_{a,b}, a, b <= index_max: 2 index_max + 1 live angular modes."""
+    rng = np.random.default_rng(seed)
+    vals = np.zeros(grid.shape, dtype=complex)
+    for a in range(index_max + 1):
+        for b in range(index_max + 1):
+            prof = special_hermite_1d(a, b, lam, grid.radial_nodes[0].astype(complex))
+            c = complex(rng.normal(), rng.normal())
+            vals += c * np.outer(prof, np.exp(1j * (b - a) * grid.angles(0)))
+    return SampledField(grid, vals)
+
+
+def _seeded_nodes(grid, count, seed, angle_step=1):
+    """`count` distinct grid nodes as (flat index, complex point); angle indices
+    are multiples of angle_step."""
+    rng = np.random.default_rng(seed)
+    nr, na = grid.shape
+    flat = rng.choice(nr * (na // angle_step), count, replace=False)
+    i, j = np.divmod(flat, na // angle_step)
+    j = j * angle_step
+    pts = grid.radial_nodes[0][i] * np.exp(1j * grid.angles(0)[j])
+    return i * na + j, pts[:, None]
+
+
+def test_full_grid_mean_matches_high_order_oracle(g1):
+    # the equivariant full-grid mean against order-1024 pointwise quadrature,
+    # on a field with all 17 angular modes of a, b <= 8 live
+    f = _psi_sum_field(g1)
+    assert FieldEvaluator(f).modes[0].size == 17
+    idx, pts = _seeded_nodes(g1, 40, seed=11)
+    for r in (1.0, 1.7, 3.3):
+        for lam in (np.array([1.0]), np.array([-1.3])):
+            got = reduced_mean(f, lam, r).values.ravel()[idx]
+            want = reduced_mean_at(f, lam, r, pts, order=1024)
+            assert np.max(np.abs(got - want)) < 1e-8 * f.max_abs()
+
+
+def test_full_grid_mean_zero_fill_near_r_max(g1):
+    # a field still large at r_max, means over circles that leave the grid:
+    # beyond r_max both paths treat the field as zero.  At grid angles that
+    # are multiples of 2 pi / order the order-64 rule maps onto itself under
+    # the rotation, so the two paths sum the same terms.
+    f = sample(lambda z: np.exp(-np.abs(z[..., 0]) ** 2 / 50) * (1 + np.conj(z[..., 0]) / 4), g1)
+    assert np.max(np.abs(f.values[-1])) > 0.05 * f.max_abs()
+    step = g1.angular_counts[0] // 64
+    idx, pts = _seeded_nodes(g1, 40, seed=12, angle_step=step)
+    for r in (10.5, 11.9):
+        assert np.count_nonzero(np.abs(pts[:, 0]) + r > g1.r_max) > 20
+        got = reduced_mean(f, LAM1, r, order=64).values.ravel()[idx]
+        want = reduced_mean_at(f, LAM1, r, pts, order=64)
+        assert np.max(np.abs(got - want)) < 1e-12 * f.max_abs()
+
+
+def test_full_grid_mean_is_rotation_equivariant(g1):
+    # rotating the input by a grid angle (a roll of the angular axis) rotates
+    # the mean by the same angle, also for angles off the sphere rule
+    f = _psi_sum_field(g1)
+    for shift in (4, 37):
+        rotated = f.with_values(np.roll(f.values, shift, axis=1))
+        for lam in (np.array([1.0]), np.array([-1.3])):
+            mean = reduced_mean(f, lam, 1.7)
+            got = reduced_mean(rotated, lam, 1.7)
+            want = np.roll(mean.values, shift, axis=1)
+            assert np.max(np.abs(got.values - want)) < 1e-12 * f.max_abs()
+
+
+def test_full_grid_twisted_mean_matches_pointwise(g1):
+    # n = 1 structures V_lambda = [[0, a], [-a, 0]] of either sign
+    f = _psi_sum_field(g1)
+    step = g1.angular_counts[0] // 64
+    idx_rule, pts_rule = _seeded_nodes(g1, 40, seed=13, angle_step=step)
+    idx, pts = _seeded_nodes(g1, 40, seed=14)
+    scaled = MetivierStructure(1, 1, np.array([[[0.0, 2.5], [-2.5, 0.0]]]), "scaled")
+    for st, lam in ((builtin_structure("heisenberg:1"), np.array([0.8])),
+                    (builtin_structure("heisenberg:1"), np.array([-1.3])),
+                    (scaled, np.array([0.6]))):
+        mean = twisted_mean(f, st, lam, 0.9).values.ravel()
+        rule_nodes = twisted_mean_at(f, st, lam, 0.9, pts_rule, order=64)
+        assert np.max(np.abs(mean[idx_rule] - rule_nodes)) < 1e-12 * f.max_abs()
+        high_order = twisted_mean_at(f, st, lam, 0.9, pts, order=1024)
+        assert np.max(np.abs(mean[idx] - high_order)) < 1e-8 * f.max_abs()
 
 
 def test_mean_eigenvalue_matches_direct(g1):
@@ -256,6 +351,69 @@ def test_spectrum_serialization(tmp_path, g1):
     assert back.normalized == spec.normalized
     assert all(np.array_equal(a.values, b.values)
                for a, b in zip(spec.projections, back.projections))
+
+
+def test_twisted_convolution_rejects_mismatched_grids():
+    f = sample(lambda z: np.exp(-np.abs(z[..., 0]) ** 2), polar_grid(1, 16, 16, 6.0))
+    g = sample(lambda z: np.exp(-np.abs(z[..., 0]) ** 2), polar_grid(1, 16, 16, 8.0))
+    with pytest.raises(GridMismatch):
+        twisted_convolution(f, g, LAM1)
+
+
+def _spectrum_dir(tmp_path):
+    g = polar_grid(1, 16, 16, 6.0)
+    spec = decompose(_theta_field(1, LAM1, g), LAM1, 2)
+    write_spectrum(spec, tmp_path / "spec")
+    return tmp_path / "spec"
+
+
+def _rewrite_manifest(directory, edit):
+    import json
+
+    path = directory / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest = edit(manifest)
+    path.write_text(json.dumps(manifest))
+
+
+@pytest.mark.parametrize("key", ["projections", "k_max", "lambda_prime", "normalized"])
+def test_read_spectrum_missing_key_is_malformed(tmp_path, key):
+    directory = _spectrum_dir(tmp_path)
+    _rewrite_manifest(directory, lambda m: {k: v for k, v in m.items() if k != key})
+    with pytest.raises(MalformedFile):
+        read_spectrum(directory)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("projections", {"k": 0}),
+    ("projections", [1, 2, 3]),
+    ("projections", [{"k": "0", "file": "projection_000.field"}]),
+    ("projections", [{"k": 0, "file": 7}]),
+    ("projections", [{"file": "projection_000.field"}]),
+    ("k_max", "2"),
+    ("k_max", 2.0),
+    ("k_max", -1),
+    ("lambda_prime", 1.0),
+    ("lambda_prime", ["1.0"]),
+    ("lambda_prime", [True]),
+    ("normalized", "false"),
+    ("normalized", 0),
+])
+def test_read_spectrum_ill_typed_key_is_malformed(tmp_path, key, value):
+    directory = _spectrum_dir(tmp_path)
+    _rewrite_manifest(directory, lambda m: {**m, key: value})
+    with pytest.raises(MalformedFile):
+        read_spectrum(directory)
+
+
+def test_read_spectrum_rejects_non_object_manifest(tmp_path):
+    directory = _spectrum_dir(tmp_path)
+    _rewrite_manifest(directory, lambda m: [m])
+    with pytest.raises(MalformedFile):
+        read_spectrum(directory)
+    (directory / "manifest.json").write_bytes(b'{"kind": "laguerre-spectrum\xff"}')
+    with pytest.raises(MalformedFile):
+        read_spectrum(directory)
 
 
 def test_hermite_expansion_round_trip(g1):
