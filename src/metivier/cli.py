@@ -19,7 +19,6 @@ import sys
 
 EXIT_OK = 0
 EXIT_USAGE = 1
-EXIT_PRECONDITION = 2
 EXIT_IDENTITY = 3
 
 _THREAD_VARS = (
@@ -34,9 +33,13 @@ _THREAD_VARS = (
 class UsageError(Exception):
     """Bad flags, bad config values, missing or malformed input files."""
 
+    exit_code = EXIT_USAGE
+
 
 class IdentityFailure(Exception):
     """A verification identity exceeded its tolerance."""
+
+    exit_code = EXIT_IDENTITY
 
 
 class _Parser(argparse.ArgumentParser):
@@ -495,44 +498,12 @@ def main(argv=None):
         _apply_thread_cap()
         config = _load_config(args.config)
         return _COMMANDS[args.command](args, config)
-    except UsageError as exc:
+    except Exception as exc:  # noqa: BLE001 - every metivier error carries its exit code
+        code = getattr(exc, "exit_code", None)
+        if code is None:
+            raise
         print(f"metivier {args.command}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except IdentityFailure as exc:
-        print(f"metivier {args.command}: {exc}", file=sys.stderr)
-        return EXIT_IDENTITY
-    except Exception as exc:  # noqa: BLE001 - mapped to exit codes below
-        from . import errors
-
-        usage_kinds = (
-            errors.DimensionMismatch,
-            errors.NotSkewSymmetric,
-            errors.DependentStructureMatrices,
-            errors.MalformedFile,
-            errors.VersionMismatch,
-            errors.UnsupportedDimension,
-            errors.OutOfDomain,
-        )
-        precondition_kinds = (
-            errors.SingularPencil,
-            errors.NonConvergence,
-            errors.NoUsableRadius,
-            errors.InadmissibleRadii,
-            errors.GridTooCoarse,
-            errors.TruncationDominates,
-            errors.NotHomogeneous,
-            errors.NyquistViolation,
-            errors.RangeExceeded,
-            errors.NonFiniteValue,
-            errors.GridMismatch,
-        )
-        if isinstance(exc, usage_kinds):
-            print(f"metivier {args.command}: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        if isinstance(exc, precondition_kinds):
-            print(f"metivier {args.command}: {exc}", file=sys.stderr)
-            return EXIT_PRECONDITION
-        raise
+        return code
 
 
 if __name__ == "__main__":

@@ -33,9 +33,8 @@ from .special import (
     theta_radial,
 )
 from .transforms import (
+    _block_analysis,
     _full_grid_mean,
-    _matrix_coefficients,
-    _multi_indices,
     _synthesize_values,
     angular_mode_coefficients,
     fourier_coefficient_center,
@@ -127,13 +126,24 @@ class ReconstructionResult:
         return 1.0 / abs(self.divisor[k]) if k in self.divisor else float("inf")
 
 
-def _block_coefficients(mean_field, lam, k, alpha_max):
-    g = mean_field.grid
-    betas = [b for b in _multi_indices(g.n, k) if sum(b) == k]
-    alphas = _multi_indices(g.n, alpha_max)
-    pairs = [(a, b) for a in alphas for b in betas]
-    coeffs = _matrix_coefficients(mean_field, pairs, lam)
-    return pairs, coeffs
+def _invert_blocks(template, lam, k_max, blocks):
+    """Sum of the special Hermite blocks |beta| = k of the means, each divided
+    by its scalar, with |alpha| <= k_max + 2n + 4 in every block; blocks maps
+    k -> (mean field, scalar).  One analysis call per distinct mean field and
+    one synthesis call.  Returns the field (on the grid and with the metadata
+    of template), the divisors and the L2 norm of each recovered block."""
+    grid = template.grid
+    coefficients = {}
+    for mean in {id(f): f for f, _ in blocks.values()}.values():
+        degrees = [k for k, (f, _) in blocks.items() if f is mean]
+        coefficients.update(_block_analysis(mean, lam, degrees, k_max + 2 * grid.n + 4))
+    terms, divisor, recovered = [], {}, {}
+    for k, (_, scalar) in blocks.items():
+        pairs, coeffs = coefficients[k]
+        terms += [(a, b, c / scalar) for (a, b), c in zip(pairs, coeffs)]
+        divisor[k] = float(scalar)
+        recovered[k] = float(np.linalg.norm(coeffs) / abs(scalar))
+    return template.with_values(_synthesize_values(grid, lam, terms)), divisor, recovered
 
 
 def _normalize_means(means, radii_hint):
@@ -156,7 +166,7 @@ def _normalize_means(means, radii_hint):
     return radii, means
 
 
-def reconstruct_from_means(means, lambda_prime, k_max, radii=None, alpha_max=None,
+def reconstruct_from_means(means, lambda_prime, k_max, radii=None,
                            threshold=USABLE_RADIUS_THRESHOLD):
     """Recover f from its reduced-twist spherical means at several radii.
 
@@ -169,60 +179,43 @@ def reconstruct_from_means(means, lambda_prime, k_max, radii=None, alpha_max=Non
     rlist, fields = _normalize_means(means, radii)
     if not fields:
         raise DimensionMismatch("need at least one (radius, mean field) pair")
-    grid = fields[0].grid
     lam = np.atleast_1d(np.asarray(lambda_prime, dtype=float))
-    n = grid.n
-    if alpha_max is None:
-        alpha_max = k_max + 2 * n + 4
     rarr = np.array(rlist, dtype=float)
-    used_radius, divisor, recovered, unrecoverable, terms = {}, {}, {}, [], []
+    used_radius, blocks, unrecoverable = {}, {}, []
     for k in range(k_max + 1):
-        ck = mean_factor(k, n)
-        scalars = ck * theta_radial(k, lam, rarr)
+        scalars = mean_factor(k, fields[0].grid.n) * theta_radial(k, lam, rarr)
         best = int(np.argmax(np.abs(scalars)))
         if abs(scalars[best]) < threshold:
             unrecoverable.append(k)
             continue
         used_radius[k] = float(rarr[best])
-        divisor[k] = float(scalars[best])
-        pairs, coeffs = _block_coefficients(fields[best], lam, k, alpha_max)
-        terms += [(a, b, c / scalars[best]) for (a, b), c in zip(pairs, coeffs)]
-        recovered[k] = float(np.linalg.norm(coeffs) / abs(scalars[best]))
-    if not used_radius:
+        blocks[k] = (fields[best], scalars[best])
+    if not blocks:
         raise NoUsableRadius(
             f"every degree up to {k_max} has |c_k theta_k(r)| < {threshold:g} "
             f"at all supplied radii"
         )
-    vals = _synthesize_values(grid, lam, terms)
-    field = SampledField(grid, vals, fields[0].metadata)
+    field, divisor, recovered = _invert_blocks(fields[0], lam, k_max, blocks)
     return ReconstructionResult(field, k_max, used_radius, divisor, recovered,
                                 tuple(unrecoverable), threshold)
 
 
 def reconstruct_from_measure_mean(mean_field, mu, lambda_prime, k_max,
-                                  alpha_max=None, threshold=USABLE_RADIUS_THRESHOLD):
+                                  threshold=USABLE_RADIUS_THRESHOLD):
     """Recover f from a single aggregated mean over a radial measure."""
-    grid = mean_field.grid
     lam = np.atleast_1d(np.asarray(lambda_prime, dtype=float))
-    n = grid.n
-    if alpha_max is None:
-        alpha_max = k_max + 2 * n + 4
-    divisor, recovered, unrecoverable, terms = {}, {}, [], []
+    blocks, unrecoverable = {}, []
     for k in range(k_max + 1):
-        scalar = mean_factor(k, n) * mu_hat_theta(mu, k, lam)
+        scalar = mean_factor(k, mean_field.grid.n) * mu_hat_theta(mu, k, lam)
         if abs(scalar) < threshold:
             unrecoverable.append(k)
             continue
-        divisor[k] = float(scalar)
-        pairs, coeffs = _block_coefficients(mean_field, lam, k, alpha_max)
-        terms += [(a, b, c / scalar) for (a, b), c in zip(pairs, coeffs)]
-        recovered[k] = float(np.linalg.norm(coeffs) / abs(scalar))
-    if not divisor:
+        blocks[k] = (mean_field, scalar)
+    if not blocks:
         raise NoUsableRadius(
             f"the measure annihilates every degree up to {k_max}"
         )
-    vals = _synthesize_values(grid, lam, terms)
-    field = SampledField(grid, vals, mean_field.metadata)
+    field, divisor, recovered = _invert_blocks(mean_field, lam, k_max, blocks)
     return ReconstructionResult(field, k_max, {k: None for k in divisor}, divisor,
                                 recovered, tuple(unrecoverable), threshold)
 
@@ -392,6 +385,13 @@ def _anisotropic_block_zeros(k, lam, r_max, sphere_order=16, scan_points=600):
     return zeros
 
 
+def _ratio_conflicts(ratios, target, tol):
+    """(i, j, relative error) for every ratios[i, j] within relative tol of
+    target, in row-major order."""
+    err = np.abs(ratios - target) / target
+    return [(int(i), int(j), float(err[i, j])) for i, j in np.argwhere(err < tol)]
+
+
 def two_radii_check(r1, r2, n=1, lambda_prime=None, k_max=30, bessel_count=60,
                     tol=1e-9):
     """Check the two-radii admissibility conditions to finite search depth.
@@ -417,37 +417,25 @@ def two_radii_check(r1, r2, n=1, lambda_prime=None, k_max=30, bessel_count=60,
             raise DimensionMismatch(f"lambda_prime must be {n} positive components")
         anisotropic = not np.allclose(lam, lam[0], rtol=0, atol=1e-14)
     target = (r1 / r2) ** 2
-    lag_hits = []
     if not anisotropic:
-        lag_pool = []
-        for k in range(1, k_max + 1):
-            t = laguerre_zeros(k, n - 1)
-            lag_pool += [(k, i, z) for i, z in enumerate(t.zeros)]
-        for ki, i, zi in lag_pool:
-            for kj, j, zj in lag_pool:
-                err = abs(zi / zj - target) / target
-                if err < tol:
-                    lag_hits.append((ki, i, kj, j, float(err)))
+        pool = [(k, i, z) for k in range(1, k_max + 1)
+                for i, z in enumerate(laguerre_zeros(k, n - 1).zeros)]
     else:
         # scan radii out to where the largest-degree kernel has all its
         # sign changes under the smallest twist component
         r_scan = float(np.sqrt(2 * laguerre_zeros(k_max, n - 1).zeros[-1] / lam.min())) * 1.05
-        pool = []
-        for k in range(1, k_max + 1):
-            pool += [(k, i, z) for i, z in enumerate(_anisotropic_block_zeros(k, lam, r_scan))]
-        for ki, i, zi in pool:
-            for kj, j, zj in pool:
-                err = abs((zi / zj) ** 2 - target) / target
-                if err < tol:
-                    lag_hits.append((ki, i, kj, j, float(err)))
+        pool = [(k, i, z) for k in range(1, k_max + 1)
+                for i, z in enumerate(_anisotropic_block_zeros(k, lam, r_scan))]
+    zeros = np.array([z for *_, z in pool], dtype=float)
+    ratios = zeros[:, None] / zeros[None, :]
+    if anisotropic:
+        # these zeros are radii, so their ratio is squared; float_power rounds
+        # as a Python float's ** does (C pow), where an array's ** 2 multiplies
+        ratios = np.float_power(ratios, 2)
+    lag_hits = [pool[i][:2] + pool[j][:2] + (err,)
+                for i, j, err in _ratio_conflicts(ratios, target, tol)]
     bz = bessel_zeros(n - 1, bessel_count).zeros
-    targ_b = r1 / r2
-    bes_hits = []
-    for i, zi in enumerate(bz):
-        for j, zj in enumerate(bz):
-            err = abs(zi / zj - targ_b) / targ_b
-            if err < tol:
-                bes_hits.append((i, j, float(err)))
+    bes_hits = _ratio_conflicts(bz[:, None] / bz[None, :], r1 / r2, tol)
     return RadiiVerdict(float(r1), float(r2), not (lag_hits or bes_hits),
                         tuple(lag_hits), tuple(bes_hits),
                         (k_max, bessel_count, tol), anisotropic)

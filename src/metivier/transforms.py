@@ -21,6 +21,7 @@ and synthesis cheap on product grids.
 """
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import product as iter_product
 
 import numpy as np
@@ -151,14 +152,6 @@ def twisted_mean(field, structure, lam, r, order=None):
     return _full_grid_mean(field, -v_lambda(structure, lam)[0, 1], r, order)
 
 
-# spec-facing aliases: the "lambda'-twisted" entry points take the reduced
-# twist directly; the modified mean takes a symplectic normal form.
-twisted_spherical_mean = twisted_mean
-twisted_spherical_mean_at = twisted_mean_at
-lambda_prime_mean = reduced_mean
-lambda_prime_mean_at = reduced_mean_at
-
-
 def modified_twisted_mean(field, spec, r, order=None):
     """Modified twisted mean: the reduced-twist mean at lambda' = mu(spec)."""
     return reduced_mean(field, spec.mu, r, order=order)
@@ -188,84 +181,17 @@ def twisted_convolution_at(f, gfield, lambda_prime, points):
     return out
 
 
-class RadialConvolver:
-    """Fast twisted convolution of a fixed n = 1 field with radial kernels.
-
-    Precomputes, for every angular mode of f and every pair of radii (s, t),
-    the angular integral
-
-        h_m(s, t) = int f_m(|s - t e^{i d}|) e^{i m arg(s - t e^{i d})}
-                        e^{-(i/2) lam s t sin d} dd / (2 pi) * 2 pi
-
-    so that (f x_lam g)(s e^{i phi}) = sum_m e^{i m phi}
-    sum_t w_t t g(t) h_m(s, t) for any radial g sampled on the grid's radial
-    nodes.  Exact up to interpolation and trapezoid error (both spectral).
-    """
-
-    def __init__(self, field, lambda_prime, angular_order=None):
-        g = field.grid
-        if g.n != 1:
-            raise UnsupportedDimension("RadialConvolver is implemented for n = 1")
-        self.grid = g
-        lam = _check_twist(lambda_prime, 1)
-        self.lam = float(lam[0])
-        nd = angular_order or g.angular_counts[0]
-        ev = FieldEvaluator(field)
-        s = g.radial_nodes[0]
-        t = g.radial_nodes[0]
-        d = 2 * np.pi * np.arange(nd) / nd
-        u = s[:, None, None] - t[None, :, None] * np.exp(1j * d[None, None, :])
-        rho = np.abs(u).ravel()
-        arg = np.angle(u)
-        B = ev._radial_matrix(0, rho)  # (S*T*D, Nr)
-        B[rho > g.r_max] = 0.0  # beyond the grid the field is treated as zero
-        fm = B @ ev.fhat  # (S*T*D, M)
-        fm = fm.reshape(len(s), len(t), nd, -1)
-        phase = np.exp(
-            1j * ev.modes[0][None, None, None, :] * arg[..., None]
-            - 0.5j * self.lam * (s[:, None] * t[None, :])[:, :, None, None]
-            * np.sin(d)[None, None, :, None]
-        )
-        self.h = np.sum(fm * phase, axis=2) * (2 * np.pi / nd)  # (S, T, M)
-        self.modes = ev.modes[0]
-        self.metadata = field.metadata
-
-    def with_radial(self, gvals):
-        """Convolve with the radial kernel sampled at the grid's radial nodes."""
-        g = self.grid
-        gvals = np.asarray(gvals, dtype=complex)
-        if gvals.shape != (len(g.radial_nodes[0]),):
-            raise DimensionMismatch("radial kernel must be sampled at the radial nodes")
-        wt = g.radial_weights[0] * g.radial_nodes[0] * gvals
-        out_m = np.einsum("t,stm->sm", wt, self.h)  # (S, M)
-        na = g.angular_counts[0]
-        fhat = np.zeros((len(g.radial_nodes[0]), na), dtype=complex)
-        fhat[:, self.modes % na] = out_m
-        vals = values_from_mode_coefficients(g, fhat)
-        return SampledField(g, vals, self.metadata)
-
-
-def convolve_radial(field, radial, lambda_prime, angular_order=None):
-    """Twisted convolution (n = 1) of field with a radial kernel.
-
-    `radial` is a callable evaluated at the grid's radial nodes, or an array
-    of samples at those nodes.
-    """
-    conv = RadialConvolver(field, lambda_prime, angular_order)
-    r = field.grid.radial_nodes[0]
-    gvals = radial(r) if callable(radial) else np.asarray(radial)
-    return conv.with_radial(gvals)
-
-
-def twisted_convolution(f, g, lambda_prime, angular_order=None, truncation_tol=1e-6,
-                        mode_tol=1e-13, chunk=8):
+def twisted_convolution(f, g, lambda_prime):
     """Full-grid twisted convolution (f x_lam g) on the shared grid (n = 1).
 
     Works in angular-mode space: an f-mode m and a g-mode q contribute only
     to the output mode m + q, so the convolution splits into per-mode-pair
     kernels over (|z|, |w|, angle difference).  Cost scales with the product
-    of the two fields' angular band counts.
+    of the two fields' angular band counts.  Modes below 1e-13 of a field's
+    largest are dropped; a kernel carrying more than 1e-6 of its peak at
+    r_max raises TruncationDominates.
     """
+    truncation_tol, mode_tol, chunk = 1e-6, 1e-13, 8
     grid = f.grid
     if grid.n != 1:
         raise UnsupportedDimension("full-grid twisted convolution is implemented for n = 1")
@@ -289,26 +215,22 @@ def twisted_convolution(f, g, lambda_prime, angular_order=None, truncation_tol=1
     g_rad = ghat[:, keep]  # (T, Q)
     s = grid.radial_nodes[0]
     t = grid.radial_nodes[0]
-    nd = angular_order or na
-    d = 2 * np.pi * np.arange(nd) / nd
-    wq = np.exp(1j * np.outer(g_modes, d)) * (2 * np.pi / nd)  # (Q, D)
+    d = 2 * np.pi * np.arange(na) / na
+    wq = np.exp(1j * np.outer(g_modes, d)) * (2 * np.pi / na)  # (Q, D)
     wt = grid.radial_weights[0] * t  # measure t dt
-    out_modes = {}
-    for m in ev.modes[0]:
-        for q in g_modes:
-            tot = int(m + q)
-            if abs(tot) > na // 2 - 1:
-                raise NyquistViolation(
-                    f"output mode {tot} exceeds the angular band of the grid"
-                )
-            out_modes.setdefault(tot, np.zeros(len(s), dtype=complex))
+    out_modes = np.add.outer(g_modes, ev.modes[0])  # (Q, Mf)
+    if np.any(np.abs(out_modes) > na // 2 - 1):
+        raise NyquistViolation(
+            f"output mode {np.abs(out_modes).max()} exceeds the angular band of the grid"
+        )
+    fhat = np.zeros((len(s), na), dtype=complex)
     for start in range(0, len(s), chunk):
         sc = s[start : start + chunk]
         u = sc[:, None, None] - t[None, :, None] * np.exp(1j * d[None, None, :])
         rho = np.abs(u).ravel()
         B = ev._radial_matrix(0, rho)
         B[rho > grid.r_max] = 0.0
-        fm = (B @ ev.fhat).reshape(len(sc), len(t), nd, -1)
+        fm = (B @ ev.fhat).reshape(len(sc), len(t), na, -1)
         phase = np.exp(
             1j * ev.modes[0][None, None, None, :] * np.angle(u)[..., None]
             - 0.5j * lam * (sc[:, None] * t[None, :])[:, :, None, None]
@@ -317,12 +239,7 @@ def twisted_convolution(f, g, lambda_prime, angular_order=None, truncation_tol=1
         fm = fm * phase  # (Sc, T, D, Mf)
         h = np.einsum("stdm,qd->stqm", fm, wq, optimize=True)  # (Sc, T, Q, Mf)
         contrib = np.einsum("t,tq,stqm->sqm", wt, g_rad, h, optimize=True)
-        for qi, q in enumerate(g_modes):
-            for mi, m in enumerate(ev.modes[0]):
-                out_modes[int(m + q)][start : start + len(sc)] += contrib[:, qi, mi]
-    fhat = np.zeros((len(s), na), dtype=complex)
-    for tot, vals in out_modes.items():
-        fhat[:, tot % na] += vals
+        np.add.at(fhat, (slice(start, start + len(sc)), out_modes % na), contrib)
     return SampledField(grid, values_from_mode_coefficients(grid, fhat), f.metadata)
 
 
@@ -338,11 +255,26 @@ def _mode_index(m, na):
     return m % na
 
 
-def _radial_profiles(lam_j, radial_nodes, pairs):
-    """Closed-form radial profiles R_{j,k}(s) with Psi_{j,k}(z) = R(|z|) e^{i(k-j) arg z}."""
-    out = {}
-    for (j, k) in pairs:
-        out[(j, k)] = special_hermite_1d(j, k, lam_j, radial_nodes.astype(complex))
+def _separable_terms(grid, lam, index_pairs):
+    """Psi_{alpha,beta}(z) = prod_j R_j(|z_j|) e^{i (beta_j - alpha_j) arg z_j}.
+
+    For each (alpha, beta) returns the index of its angular mode into a mode
+    array (a slice over each radial axis, the FFT index of beta_j - alpha_j on
+    each angular axis) and its radial profiles R_j at the radial nodes.  Each
+    distinct profile is computed once per call.
+    """
+    profiles = {}
+    out = []
+    for a, b in index_pairs:
+        index, radial = (), []
+        for j in range(grid.n):
+            index += (slice(None), _mode_index(b[j] - a[j], grid.angular_counts[j]))
+            key = (j, a[j], b[j])
+            if key not in profiles:
+                profiles[key] = special_hermite_1d(a[j], b[j], lam[j],
+                                                   grid.radial_nodes[j].astype(complex))
+            radial.append(profiles[key])
+        out.append((index, radial))
     return out
 
 
@@ -353,62 +285,35 @@ def matrix_coefficient(field, alpha, beta, lambda_prime):
 
 
 def _matrix_coefficients(field, index_pairs, lambda_prime):
+    """Analysis: (f, Psi_{alpha,beta}) for each pair, from one angular FFT of
+    the field, contracting its mode beta - alpha with the conjugate radial
+    profiles one coordinate at a time."""
     g = field.grid
     lam = np.atleast_1d(np.asarray(lambda_prime, dtype=float))
     if lam.shape != (g.n,):
         raise DimensionMismatch(f"reduced twist must have {g.n} components")
     if np.any(lam <= 0):
         raise RangeExceeded("spectral analysis requires strictly positive reduced twist")
+    terms = _separable_terms(g, lam, index_pairs)
     fhat = angular_mode_coefficients(field)
-    # per-coordinate profile cache
-    needed = [set() for _ in range(g.n)]
-    for a, b in index_pairs:
-        for i in range(g.n):
-            needed[i].add((a[i], b[i]))
-    profiles = [
-        _radial_profiles(lam[i], g.radial_nodes[i], sorted(needed[i])) for i in range(g.n)
-    ]
-    rw = [g.radial_weights[i] * g.radial_nodes[i] for i in range(g.n)]
-    out = []
-    for a, b in index_pairs:
-        if g.n == 1:
-            m = b[0] - a[0]
-            idx = _mode_index(m, g.angular_counts[0])
-            prof = np.conj(profiles[0][(a[0], b[0])]) * rw[0]
-            out.append(2 * np.pi * np.sum(prof * fhat[:, idx]))
-        else:
-            m1 = _mode_index(b[0] - a[0], g.angular_counts[0])
-            m2 = _mode_index(b[1] - a[1], g.angular_counts[1])
-            p1 = np.conj(profiles[0][(a[0], b[0])]) * rw[0]
-            p2 = np.conj(profiles[1][(a[1], b[1])]) * rw[1]
-            out.append((2 * np.pi) ** 2 * np.einsum("i,j,ij->", p1, p2, fhat[:, m1, :, m2]))
-    return np.array(out)
+    # radial measure s ds times the 2 pi of each angular integral
+    rw = [2 * np.pi * g.radial_weights[j] * g.radial_nodes[j] for j in range(g.n)]
+    out = np.empty(len(terms), dtype=complex)
+    for i, (index, radial) in enumerate(terms):
+        c = fhat[index]
+        for w, R in zip(rw, radial):
+            c = np.tensordot(w * np.conj(R), c, axes=1)
+        out[i] = c
+    return out
 
 
 def _synthesize_values(grid, lam, terms):
-    """Accumulate sum c * Psi_{a,b} in angular-mode space and invert the FFT."""
-    needed = [set() for _ in range(grid.n)]
-    for a, b, _ in terms:
-        for i in range(grid.n):
-            needed[i].add((a[i], b[i]))
-    profiles = [
-        _radial_profiles(lam[i], grid.radial_nodes[i], sorted(needed[i]))
-        for i in range(grid.n)
-    ]
-    shape = []
-    for i in range(grid.n):
-        shape += [len(grid.radial_nodes[i]), grid.angular_counts[i]]
-    fhat = np.zeros(shape, dtype=complex)
-    for a, b, c in terms:
-        if grid.n == 1:
-            idx = _mode_index(b[0] - a[0], grid.angular_counts[0])
-            fhat[:, idx] += c * profiles[0][(a[0], b[0])]
-        else:
-            m1 = _mode_index(b[0] - a[0], grid.angular_counts[0])
-            m2 = _mode_index(b[1] - a[1], grid.angular_counts[1])
-            fhat[:, m1, :, m2] += c * np.outer(
-                profiles[0][(a[0], b[0])], profiles[1][(a[1], b[1])]
-            )
+    """Synthesis: the values of sum c Psi_{alpha,beta} over terms (alpha, beta, c),
+    accumulated in angular-mode space, then one inverse angular FFT."""
+    fhat = np.zeros(grid.shape, dtype=complex)
+    separable = _separable_terms(grid, lam, [(a, b) for a, b, _ in terms])
+    for (index, radial), (_, _, c) in zip(separable, terms):
+        fhat[index] += c * reduce(np.multiply.outer, radial)
     return values_from_mode_coefficients(grid, fhat)
 
 
@@ -419,6 +324,29 @@ def _multi_indices(n, total_max):
         if sum(a) <= total_max:
             out.append(a)
     return sorted(out, key=lambda a: (sum(a), a))
+
+
+def _degree_indices(n, k):
+    """All multi-indices in N^n with |beta| = k."""
+    return [b for b in _multi_indices(n, k) if sum(b) == k]
+
+
+def _block_pairs(n, k, alpha_max=None):
+    """(alpha, beta) over the block |beta| = k, |alpha| <= alpha_max (default
+    k + 2n + 4): the block on which the reduced mean acts as one scalar."""
+    if alpha_max is None:
+        alpha_max = k + 2 * n + 4
+    betas = _degree_indices(n, k)
+    return [(a, b) for a in _multi_indices(n, alpha_max) for b in betas]
+
+
+def _block_analysis(field, lam, degrees, alpha_max=None):
+    """Coefficients of the blocks |beta| = k, k in degrees, from one analysis
+    call: {k: (pairs, coefficients)}.  alpha_max as in _block_pairs."""
+    pairs = [_block_pairs(field.grid.n, k, alpha_max) for k in degrees]
+    coeffs = _matrix_coefficients(field, [p for block in pairs for p in block], lam)
+    split = np.split(coeffs, np.cumsum([len(block) for block in pairs])[:-1])
+    return dict(zip(degrees, zip(pairs, split)))
 
 
 @dataclass(frozen=True)
@@ -457,9 +385,7 @@ def expand_special_hermite(field, lambda_prime, k_max, alpha_max=None, tail_tol=
     lam = np.atleast_1d(np.asarray(lambda_prime, dtype=float))
     if alpha_max is None:
         alpha_max = k_max + 2 * g.n
-    alphas = _multi_indices(g.n, alpha_max)
-    betas = _multi_indices(g.n, k_max)
-    pairs = [(a, b) for a in alphas for b in betas]
+    pairs = [p for k in range(k_max + 1) for p in _block_pairs(g.n, k, alpha_max)]
     coeffs = _matrix_coefficients(field, pairs, lam)
     d = {p: c for p, c in zip(pairs, coeffs)}
     captured = float(np.sum(np.abs(coeffs) ** 2))
@@ -505,8 +431,9 @@ def decompose(field, lambda_prime, k_max=None, tail_tol=None):
 
     Computed through the orthonormal special Hermite expansion (the two agree:
     f x_lam theta_k = prod_j (2 pi / lam_j) * projection onto the |beta| = k
-    block).  Raises TruncationDominates when tail_tol is given and the last
-    term still carries more than tail_tol of the field's norm.
+    block): one analysis over every block, then one synthesis per block.
+    Raises TruncationDominates when tail_tol is given and the last term still
+    carries more than tail_tol of the field's norm.
     """
     g = field.grid
     lam = np.atleast_1d(np.asarray(lambda_prime, dtype=float))
@@ -517,11 +444,12 @@ def decompose(field, lambda_prime, k_max=None, tail_tol=None):
             f"truncation {k_max} outside [0, {MAX_TRUNCATION.get(g.n)}] for n={g.n}"
         )
     prefactor = float(np.prod(2 * np.pi / lam))
-    projections = []
-    for k in range(k_max + 1):
-        p = spectral_projection(field, lam, k)
-        projections.append(p.with_values(prefactor * p.values))
-    spectrum = LaguerreSpectrum(lam, k_max, tuple(projections), False)
+    projections = tuple(
+        field.with_values(_synthesize_values(
+            g, lam, [(a, b, prefactor * c) for (a, b), c in zip(pairs, coeffs)]))
+        for pairs, coeffs in _block_analysis(field, lam, range(k_max + 1)).values()
+    )
+    spectrum = LaguerreSpectrum(lam, k_max, projections, False)
     if tail_tol is not None:
         fn = field.norm2()
         tail = projections[-1].norm2() / prefactor
@@ -567,11 +495,14 @@ def read_spectrum(directory):
     MalformedFile for any other departure from the layout: a manifest that
     is not a JSON object, a missing or ill-typed key (projections a list of
     objects with an integer k and a string file, k_max a non-negative integer,
-    lambda_prime a list of numbers, normalized a bool), or degrees that are
-    not 0..k_max.  Errors from reading the projection files pass through.
+    lambda_prime a list of numbers, normalized a bool), degrees that are not
+    0..k_max, projection files on different grids, or a lambda_prime that is
+    not one finite positive component per complex coordinate of that grid.
+    Errors from reading the projection files pass through.
     """
     import json
     import os
+    import sys
 
     from .errors import MalformedFile, VersionMismatch
     from .fieldio import read_field
@@ -600,12 +531,19 @@ def read_spectrum(directory):
     bad = [key for key, ok in checks.items() if not ok]
     if bad:
         raise MalformedFile(f"{path} has missing or ill-typed keys: {', '.join(bad)}")
+    if not all(0 < v <= sys.float_info.max for v in lam):
+        raise MalformedFile(f"{path} has lambda_prime {lam}; components must be finite and positive")
     entries = sorted(entries, key=lambda e: e["k"])
     if [e["k"] for e in entries] != list(range(manifest["k_max"] + 1)):
         raise MalformedFile(f"{path} lists degrees inconsistent with k_max")
     projections = tuple(
         read_field(os.path.join(directory, e["file"])) for e in entries
     )
+    grid = projections[0].grid
+    if any(p.grid != grid for p in projections):
+        raise MalformedFile(f"{path} lists projections on different grids")
+    if len(lam) != grid.n:
+        raise MalformedFile(f"{path} has {len(lam)} lambda_prime components for n = {grid.n}")
     return LaguerreSpectrum(
         np.asarray(lam, dtype=float),
         manifest["k_max"],
@@ -626,22 +564,16 @@ def synthesize(spectrum):
     return first.with_values(scale * acc)
 
 
-def spectral_projection(field, lambda_prime, k, alpha_max=None):
+def spectral_projection(field, lambda_prime, k):
     """Projection of the field onto the k-th Laguerre block (|beta| = k).
 
     Equals (prod lam_j / 2 pi) f x_lam theta_k; computed as the orthonormal
-    expansion over Psi_{alpha,beta} with |beta| = k.
+    expansion over Psi_{alpha,beta} with |beta| = k, |alpha| <= k + 2n + 4.
     """
-    g = field.grid
     lam = np.atleast_1d(np.asarray(lambda_prime, dtype=float))
-    if alpha_max is None:
-        alpha_max = k + 2 * g.n + 4
-    betas = [b for b in _multi_indices(g.n, k) if sum(b) == k]
-    alphas = _multi_indices(g.n, alpha_max)
-    pairs = [(a, b) for a in alphas for b in betas]
-    coeffs = _matrix_coefficients(field, pairs, lam)
+    pairs, coeffs = _block_analysis(field, lam, [k])[k]
     terms = [(a, b, c) for (a, b), c in zip(pairs, coeffs)]
-    return field.with_values(_synthesize_values(g, lam, terms))
+    return field.with_values(_synthesize_values(field.grid, lam, terms))
 
 
 def mean_eigenvalue(k, n, lambda_prime, r):
@@ -654,34 +586,6 @@ def mean_eigenvalue(k, n, lambda_prime, r):
     from .special import theta_radial
 
     return mean_factor(k, lam.size) * float(theta_radial(k, lam, np.array(r)))
-
-
-def homogeneity_modes(field):
-    """Energy by total angular homogeneity degree: dict m -> squared norm share."""
-    g = field.grid
-    fhat = angular_mode_coefficients(field)
-    # energy per joint angular mode via Parseval on each angular axis
-    p = np.abs(fhat) ** 2
-    for i in range(g.n):
-        rw = g.radial_weights[i] * g.radial_nodes[i]
-        shape = [1] * p.ndim
-        shape[2 * i] = rw.size
-        p = p * rw.reshape(shape) * (2 * np.pi)
-    energies = {}
-    if g.n == 1:
-        per_mode = p.sum(axis=0)
-        mnum = np.fft.fftfreq(g.angular_counts[0], 1.0 / g.angular_counts[0]).astype(int)
-        for m, val in zip(mnum, per_mode):
-            energies[int(m)] = energies.get(int(m), 0.0) + float(val)
-    else:
-        per_mode = p.sum(axis=(0, 2))
-        m1 = np.fft.fftfreq(g.angular_counts[0], 1.0 / g.angular_counts[0]).astype(int)
-        m2 = np.fft.fftfreq(g.angular_counts[1], 1.0 / g.angular_counts[1]).astype(int)
-        for i1, a in enumerate(m1):
-            for i2, b in enumerate(m2):
-                tot = int(a + b)
-                energies[tot] = energies.get(tot, 0.0) + float(per_mode[i1, i2])
-    return energies
 
 
 def m_radialize(field, m_index):
@@ -758,9 +662,8 @@ def homogeneous_projection_expand(field, k, lambda_prime, m=None,
         raise NotHomogeneous(
             f"||f - R_m f|| / ||f|| = {off / fn:.3e} for m = {tuple(int(v) for v in m)}"
         )
-    betas = [b for b in _multi_indices(g.n, k) if sum(b) == k]
     pairs = []
-    for b in betas:
+    for b in _degree_indices(g.n, k):
         a = tuple(int(bi - mi) for bi, mi in zip(b, m))
         if all(ai >= 0 for ai in a):
             pairs.append((a, b))

@@ -1,0 +1,48 @@
+"""The benchmark tracer (perfbench/tracer.py) still finds and counts the names
+it wraps, and restores them when uninstalled."""
+
+import os
+import sys
+
+import numpy as np
+
+from metivier import injectivity, transforms
+from metivier.grids import polar_grid, sample
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench")
+
+
+def _import_tracer():
+    sys.path.insert(0, PERFBENCH)
+    try:
+        import tracer
+    finally:
+        sys.path.remove(PERFBENCH)
+    return tracer
+
+
+def test_tracer_counts_analysis_and_synthesis():
+    tracer = _import_tracer()
+    originals = {(home, attr): getattr(sys.modules[f"metivier.{home}"], attr)
+                 for home, attr, *_ in tracer.FUNCTIONS}
+    grid = polar_grid(1, 24, 32, 8.0)
+    f = sample(lambda z: np.exp(-np.abs(z[..., 0]) ** 2) * (1 + z[..., 0]), grid)
+    mu = injectivity.RadialMeasure([1.0], [1.0])
+
+    def job():
+        transforms.decompose(f, [1.0], k_max=4)
+        mean = injectivity.measure_mean(f, mu, [1.0])
+        injectivity.reconstruct_from_measure_mean(mean, mu, [1.0], 4)
+
+    rec = tracer.Recorder().install()
+    try:
+        rec.run_job(0, job)
+    finally:
+        rec.uninstall()
+    counters = rec.jobs[0]["counters"]
+    # blocks k <= 4: decompose takes |alpha| <= k + 6 (45 pairs), the
+    # reconstruction |alpha| <= 10 (55 pairs)
+    assert counters["transforms.analysis.coefficients"] == 100
+    assert counters["transforms.synthesis.terms"] == 100
+    for (home, attr), fn in originals.items():
+        assert getattr(sys.modules[f"metivier.{home}"], attr) is fn

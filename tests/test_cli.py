@@ -202,3 +202,41 @@ def test_thread_cap_env_validation(tmp_path):
     proc2 = run_cli("radii", "--r1", "1.0", "--r2", "2.0", "--k", "4",
                     "--output", str(tmp_path), env_extra={"METIVIER_THREADS": "1"})
     assert proc2.returncode == 0
+
+
+USAGE_ERRORS = {"DimensionMismatch", "NotSkewSymmetric", "DependentStructureMatrices",
+                "MalformedFile", "VersionMismatch", "UnsupportedDimension", "OutOfDomain"}
+PRECONDITION_ERRORS = {"SingularPencil", "NonConvergence", "NoUsableRadius",
+                       "InadmissibleRadii", "GridTooCoarse", "TruncationDominates",
+                       "NotHomogeneous", "NyquistViolation", "RangeExceeded",
+                       "NonFiniteValue", "GridMismatch"}
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def _raising(exc):
+    def command(args, config):
+        raise exc
+    return command
+
+
+def test_every_error_class_carries_its_exit_code(monkeypatch):
+    from metivier import cli, errors
+
+    classes = list(_subclasses(errors.MetivierError))
+    assert {cls.__name__ for cls in classes} == USAGE_ERRORS | PRECONDITION_ERRORS
+    want = {**{name: 1 for name in USAGE_ERRORS}, **{name: 2 for name in PRECONDITION_ERRORS},
+            "UsageError": 1, "IdentityFailure": 3}
+    for cls in classes + [cli.UsageError, cli.IdentityFailure]:
+        assert cls.exit_code == want[cls.__name__]
+        monkeypatch.setitem(cli._COMMANDS, "radii", _raising(cls.__new__(cls)))
+        assert cli.main(["radii"]) == want[cls.__name__]
+    # an exception without exit_code propagates
+    for exc in (ZeroDivisionError(), errors.MetivierError()):
+        monkeypatch.setitem(cli._COMMANDS, "radii", _raising(exc))
+        with pytest.raises(type(exc)):
+            cli.main(["radii"])

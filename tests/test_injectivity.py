@@ -25,7 +25,7 @@ from metivier.injectivity import (
     two_radii_reconstruct,
     weighted_norm,
 )
-from metivier.special import bessel_zeros, laguerre_zeros, theta_k, theta_radial
+from metivier.special import bessel_zeros, laguerre_zeros, psi_alpha_beta, theta_k, theta_radial
 from metivier.structures import builtin_structure, symplectic_spectrum
 from metivier.transforms import reduced_mean
 
@@ -151,6 +151,27 @@ def test_no_usable_radius(g1):
         reconstruct_from_means([zero], LAM1, 2)  # bare list without radii
 
 
+def test_reconstruction_keeps_high_alpha_in_low_blocks(g1):
+    # every block is expanded over |alpha| <= k_max + 2n + 4, not k + 2n + 4
+    f = sample(lambda z: psi_alpha_beta((9,), (0,), LAM1, z)
+               + psi_alpha_beta((2,), (3,), LAM1, z), g1)
+    result = reconstruct_from_means({1.0: reduced_mean(f, LAM1, 1.0)}, LAM1, 4)
+    err = result.field.with_values(result.field.values - f.values).norm2()
+    assert err < 1e-6 * f.norm2()
+
+
+def test_one_atom_measure_matches_single_radius_reconstruction(g1):
+    f = sample(lambda z: np.exp(-np.abs(z[..., 0]) ** 2) * (1 + z[..., 0]), g1)
+    r = 1.3
+    mean = reduced_mean(f, LAM1, r)
+    a = reconstruct_from_measure_mean(mean, RadialMeasure([r], [1.0]), LAM1, 12)
+    b = reconstruct_from_means({r: mean}, LAM1, 12)
+    assert np.array_equal(a.field.values, b.field.values)
+    assert a.divisor == b.divisor
+    assert a.recovered_norm == b.recovered_norm
+    assert a.unrecoverable == b.unrecoverable
+
+
 def test_means_input_forms(g1):
     f = sample(lambda z: np.exp(-np.abs(z[..., 0]) ** 2), g1)
     mean = reduced_mean(f, LAM1, 1.0)
@@ -242,6 +263,43 @@ def test_two_radii_check_anisotropic_best_effort():
     v2 = two_radii_check(1.0, 2.0, n=2, lambda_prime=[1.5, 1.5], k_max=3,
                          bessel_count=20)
     assert not v2.anisotropic_best_effort
+
+
+def _double_loop_conflicts(zeros, target, tol=1e-9, squared=False):
+    hits = []
+    for i, zi in enumerate(zeros):
+        for j, zj in enumerate(zeros):
+            ratio = (zi / zj) ** 2 if squared else zi / zj
+            err = abs(ratio - target) / target
+            if err < tol:
+                hits.append((i, j, float(err)))
+    return hits
+
+
+def test_two_radii_conflicts_match_double_loop():
+    r1, r2 = inadmissible_radius_pair(degree_i=5, index_i=1, index_j=3)
+    verdict = two_radii_check(r1, r2, k_max=12, bessel_count=30)
+    pool = [(k, i, z) for k in range(1, 13) for i, z in enumerate(laguerre_zeros(k, 0).zeros)]
+    want = [pool[i][:2] + pool[j][:2] + (err,)
+            for i, j, err in _double_loop_conflicts([z for *_, z in pool], (r1 / r2) ** 2)]
+    assert want and verdict.laguerre_conflicts == tuple(want)
+    bz = bessel_zeros(0, 30).zeros
+    verdict = two_radii_check(bz[2], bz[5], k_max=4, bessel_count=30)
+    want = _double_loop_conflicts(bz, bz[2] / bz[5])
+    assert want and verdict.bessel_conflicts == tuple(want)
+
+
+def test_two_radii_anisotropic_conflicts_match_double_loop():
+    from metivier.injectivity import _anisotropic_block_zeros
+
+    lam = np.array([1.0, 2.0])
+    r_scan = float(np.sqrt(2 * laguerre_zeros(2, 1).zeros[-1] / lam.min())) * 1.05
+    pool = [(k, i, z) for k in (1, 2) for i, z in enumerate(_anisotropic_block_zeros(k, lam, r_scan))]
+    r1, r2 = pool[0][2], pool[-1][2]
+    verdict = two_radii_check(r1, r2, n=2, lambda_prime=lam, k_max=2, bessel_count=10)
+    want = [pool[i][:2] + pool[j][:2] + (err,) for i, j, err in
+            _double_loop_conflicts([z for *_, z in pool], (r1 / r2) ** 2, squared=True)]
+    assert want and verdict.laguerre_conflicts == tuple(want)
 
 
 def test_radii_verdict_csv(tmp_path):

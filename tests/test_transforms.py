@@ -32,7 +32,6 @@ from metivier.structures import (
     symplectic_spectrum,
 )
 from metivier.transforms import (
-    RadialConvolver,
     apply_twisted_laplacian,
     decompose,
     expand_special_hermite,
@@ -244,15 +243,6 @@ def test_convolution_grid_path_matches_direct_quadrature(g1):
     assert np.max(np.abs(FieldEvaluator(conv)(pts) - direct)) < 1e-8
 
 
-def test_radial_convolver_matches_general_path(g1):
-    f = sample(lambda z: np.exp(-np.abs(z[..., 0]) ** 2 / 2) * (1 + z[..., 0] ** 2), g1)
-    kernel = _theta_field(2, LAM1, g1)
-    conv = twisted_convolution(f, kernel, LAM1)
-    radial = RadialConvolver(f, LAM1)
-    fast = radial.with_radial(theta_radial(2, LAM1, g1.radial_nodes[0]))
-    assert fast.with_values(fast.values - conv.values).norm2() < 1e-8 * conv.norm2()
-
-
 def test_convolution_sides_filter_different_indices(g1):
     # right convolution with theta_k selects |beta| = k; left selects |alpha| = k
     psi = sample(lambda z: psi_alpha_beta((1,), (3,), LAM1, z), g1)
@@ -289,6 +279,43 @@ def test_matrix_coefficients_orthonormal(g1):
                 got = inner_product(sampled[p], sampled[q])
                 want = 1.0 if p == q else 0.0
                 assert abs(got - want) < 1e-10
+
+
+def _psi_sum(grid, lam, terms):
+    return sample(lambda z: sum(c * psi_alpha_beta(a, b, lam, z) for a, b, c in terms), grid)
+
+
+@pytest.mark.parametrize("grid, lam, pairs", [
+    (default_grid(1), [1.3], [((0,), (0,)), ((2,), (1,)), ((1,), (4,)), ((3,), (3,))]),
+    (polar_grid(2, 16, 8, 5.0), [1.3, 0.8],
+     [((0, 1), (1, 0)), ((2, 0), (1, 2)), ((1, 1), (0, 3)), ((0, 0), (0, 0))]),
+], ids=["n1", "n2"])
+def test_matrix_coefficient_matches_grid_quadrature(grid, lam, pairs):
+    # oracle: plain quadrature of f conj(Psi) on the grid, no FFT, no profile table
+    rng = np.random.default_rng(5)
+    coef = rng.normal(size=len(pairs)) + 1j * rng.normal(size=len(pairs))
+    f = _psi_sum(grid, lam, [(a, b, c) for (a, b), c in zip(pairs[:3], coef)])
+    for a, b in pairs:
+        want = inner_product(f, _psi_sum(grid, lam, [(a, b, 1.0)]))
+        assert abs(matrix_coefficient(f, a, b, lam) - want) < 1e-12 * np.linalg.norm(coef)
+
+
+@pytest.mark.parametrize("grid, lam, k_max", [
+    (default_grid(1), [1.0], 6),
+    (polar_grid(2, 16, 32, 6.0), [1.8, 2.1], 2),
+], ids=["n1", "n2"])
+def test_decompose_blocks_are_scaled_spectral_projections(grid, lam, k_max):
+    # a Psi sum with one term in every block |beta| = k <= k_max
+    n = grid.n
+    terms = [((k % 3,) + (1,) * (n - 1), (k,) + (0,) * (n - 1), 1.0 + 0.5j * k)
+             for k in range(k_max + 1)]
+    f = _psi_sum(grid, lam, terms)
+    scale = float(np.prod(2 * np.pi / np.asarray(lam)))
+    spec = decompose(f, lam, k_max)
+    for k, p in enumerate(spec.projections):
+        want = spectral_projection(f, lam, k)
+        err = p.with_values(p.values - scale * want.values).norm2()
+        assert err < 1e-13 * scale * want.norm2()
 
 
 def test_projection_is_convolution_eigenvalue(g1):
@@ -402,6 +429,25 @@ def test_read_spectrum_missing_key_is_malformed(tmp_path, key):
 def test_read_spectrum_ill_typed_key_is_malformed(tmp_path, key, value):
     directory = _spectrum_dir(tmp_path)
     _rewrite_manifest(directory, lambda m: {**m, key: value})
+    with pytest.raises(MalformedFile):
+        read_spectrum(directory)
+
+
+@pytest.mark.parametrize("lam", [[], [1.0, 2.0], [0.0], [-1.0], [float("nan")],
+                                 [float("inf")], [10**400]])
+def test_read_spectrum_rejects_twist_inconsistent_with_projections(tmp_path, lam):
+    directory = _spectrum_dir(tmp_path)
+    _rewrite_manifest(directory, lambda m: {**m, "lambda_prime": lam})
+    with pytest.raises(MalformedFile):
+        read_spectrum(directory)
+
+
+def test_read_spectrum_rejects_projections_on_different_grids(tmp_path):
+    from metivier.fieldio import write_field
+
+    directory = _spectrum_dir(tmp_path)
+    write_field(_theta_field(1, LAM1, polar_grid(1, 16, 16, 7.0)),
+                directory / "projection_001.field")
     with pytest.raises(MalformedFile):
         read_spectrum(directory)
 
