@@ -4,7 +4,17 @@ Symplectic normal forms of skew-symmetric structure pencils, twisted and
 reduced-twist spherical means, Laguerre / special Hermite spectral
 decompositions, and injectivity experiments (blockwise reconstruction from
 means, one-radius counterexamples, two-radii admissibility and recovery).
+
+METIVIER_THREADS, a positive integer, caps the numeric libraries' thread
+pools; it is applied here, before numpy and scipy load.
 """
+
+from ._threads import apply_thread_cap as _apply_thread_cap
+
+try:
+    _apply_thread_cap()
+except ValueError:
+    pass  # metivier.cli reports a bad value as a usage error
 
 from .errors import (
     DependentStructureMatrices,

@@ -8,8 +8,8 @@ timestamps, so identical configs produce byte-identical output.  Exit codes:
 3 identity-verification failure.
 
 The environment variable METIVIER_THREADS caps the numeric libraries' thread
-pools; it is applied before any numerical module is imported, which is why
-every command body imports lazily.
+pools.  Importing the metivier package applies it, before numpy and scipy
+load; a value that is not a positive integer is a usage error here.
 """
 
 import argparse
@@ -17,17 +17,11 @@ import json
 import os
 import sys
 
+from ._threads import apply_thread_cap
+
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_IDENTITY = 3
-
-_THREAD_VARS = (
-    "OMP_NUM_THREADS",
-    "OPENBLAS_NUM_THREADS",
-    "MKL_NUM_THREADS",
-    "NUMEXPR_NUM_THREADS",
-    "VECLIB_MAXIMUM_THREADS",
-)
 
 
 class UsageError(Exception):
@@ -50,17 +44,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _apply_thread_cap():
-    raw = os.environ.get("METIVIER_THREADS")
-    if raw is None:
-        return
     try:
-        count = int(raw)
-        if count < 1:
-            raise ValueError
-    except ValueError:
-        raise UsageError(f"METIVIER_THREADS must be a positive integer, got {raw!r}")
-    for var in _THREAD_VARS:
-        os.environ[var] = str(count)
+        apply_thread_cap()
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _load_config(path):

@@ -130,20 +130,22 @@ def _invert_blocks(template, lam, k_max, blocks):
     """Sum of the special Hermite blocks |beta| = k of the means, each divided
     by its scalar, with |alpha| <= k_max + 2n + 4 in every block; blocks maps
     k -> (mean field, scalar).  One analysis call per distinct mean field and
-    one synthesis call.  Returns the field (on the grid and with the metadata
+    one synthesis call, which reuses the radial profiles of the analyses on
+    the template's grid.  Returns the field (on the grid and with the metadata
     of template), the divisors and the L2 norm of each recovered block."""
     grid = template.grid
-    coefficients = {}
+    coefficients, profiles = {}, {}
     for mean in {id(f): f for f, _ in blocks.values()}.values():
         degrees = [k for k, (f, _) in blocks.items() if f is mean]
-        coefficients.update(_block_analysis(mean, lam, degrees, k_max + 2 * grid.n + 4))
+        coefficients.update(_block_analysis(mean, lam, degrees, k_max + 2 * grid.n + 4,
+                                            profiles if mean.grid == grid else None))
     terms, divisor, recovered = [], {}, {}
     for k, (_, scalar) in blocks.items():
         pairs, coeffs = coefficients[k]
         terms += [(a, b, c / scalar) for (a, b), c in zip(pairs, coeffs)]
         divisor[k] = float(scalar)
         recovered[k] = float(np.linalg.norm(coeffs) / abs(scalar))
-    return template.with_values(_synthesize_values(grid, lam, terms)), divisor, recovered
+    return template.with_values(_synthesize_values(grid, lam, terms, profiles)), divisor, recovered
 
 
 def _normalize_means(means, radii_hint):

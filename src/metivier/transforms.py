@@ -18,6 +18,13 @@ Psi_{alpha,beta} is a pure angular mode (beta_j - alpha_j in each coordinate),
 all inner products reduce to contractions of the field's angular FFT
 coefficients against closed-form radial profiles, which keeps decomposition
 and synthesis cheap on product grids.
+
+Twisted convolution, for any n, is coefficient algebra on that basis:
+Psi_{alpha,beta} x_lam Psi_{beta,delta} = prod_j sqrt(2 pi / lam_j) Psi_{alpha,delta},
+so the coefficient matrix of f x_lam g is prod_j sqrt(2 pi / lam_j) F @ G.
+It raises TruncationDominates when either expansion misses more than
+(1e-6)^2 of its field's squared grid norm.  twisted_convolution_at is the
+independent grid-quadrature oracle.
 """
 
 from dataclasses import dataclass
@@ -181,66 +188,105 @@ def twisted_convolution_at(f, gfield, lambda_prime, points):
     return out
 
 
-def twisted_convolution(f, g, lambda_prime):
-    """Full-grid twisted convolution (f x_lam g) on the shared grid (n = 1).
+def _live_modes(field):
+    """Joint angular modes m of the field whose largest amplitude over the
+    radial nodes is at least 1e-13 of the largest over all modes."""
+    g = field.grid
+    amp = np.abs(angular_mode_coefficients(field)).max(axis=tuple(range(0, 2 * g.n, 2)))
+    freqs = [np.fft.fftfreq(c, 1.0 / c).astype(int) for c in g.angular_counts]
+    live = np.argwhere(amp >= 1e-13 * (amp.max() or 1.0))
+    return [tuple(int(freqs[j][i[j]]) for j in range(g.n)) for i in live]
 
-    Works in angular-mode space: an f-mode m and a g-mode q contribute only
-    to the output mode m + q, so the convolution splits into per-mode-pair
-    kernels over (|z|, |w|, angle difference).  Cost scales with the product
-    of the two fields' angular band counts.  Modes below 1e-13 of a field's
-    largest are dropped; a kernel carrying more than 1e-6 of its peak at
-    r_max raises TruncationDominates.
+
+def _conjugate_coordinates(values, coords):
+    """Values of f(z) with z_j replaced by conj(z_j) for each j in coords:
+    angle index i becomes -i modulo the angle count."""
+    for j in coords:
+        values = np.roll(np.flip(values, axis=2 * j + 1), 1, axis=2 * j + 1)
+    return values
+
+
+def twisted_convolution(f, g, lambda_prime):
+    """Full-grid twisted convolution (f x_lam g) on the shared grid, any n.
+
+    Coefficient algebra on the special Hermite basis: with F, G the matrices
+    of (f, Psi_{alpha,beta}) and (g, Psi_{alpha,beta}), the rule
+    Psi_{alpha,beta} x_lam Psi_{beta,delta} = prod_j sqrt(2 pi / lam_j) Psi_{alpha,delta}
+    gives f x_lam g = sum H_{alpha,delta} Psi_{alpha,delta} with
+    H = prod_j sqrt(2 pi / lam_j) F @ G.  Each field is analysed once over
+    the pairs (alpha, alpha + m), m one of its joint angular modes above 1e-13
+    of its largest, every index at most MAX_TRUNCATION[n] + 2n + 4, and H is
+    synthesized once.  A negative lam_j conjugates coordinate j of both
+    fields and of the result.  twisted_convolution_at is the independent
+    quadrature oracle.
+
+    Raises GridMismatch for fields on different grids, TruncationDominates
+    when g carries more than 1e-6 of its peak on the outer radial node or
+    when either expansion misses more than (1e-6)^2 of the field's squared
+    grid norm (by Bessel's inequality that deficit bounds the error), and
+    NyquistViolation when a sum of live modes of f and g leaves the band.
     """
-    truncation_tol, mode_tol, chunk = 1e-6, 1e-13, 8
+    truncation_tol = 1e-6
     grid = f.grid
-    if grid.n != 1:
-        raise UnsupportedDimension("full-grid twisted convolution is implemented for n = 1")
     if g.grid != grid:
         raise GridMismatch("fields live on different grids")
-    lam = float(_check_twist(lambda_prime, 1)[0])
+    lam = _check_twist(lambda_prime, grid.n)
     gmax = g.max_abs()
-    edge = float(np.max(np.abs(g.values[-1, :])))
+    edge = max(float(np.max(np.abs(np.take(g.values, -1, axis=2 * j)))) for j in range(grid.n))
     if gmax > 0 and edge > truncation_tol * gmax:
         raise TruncationDominates(
             f"kernel carries {edge / gmax:.3e} of its peak at r_max; "
             f"the grid truncates the convolution integrand"
         )
-    ev = FieldEvaluator(f, mode_tol=mode_tol)
-    ghat = np.fft.fft(g.values, axis=1) / grid.angular_counts[0]
-    na = grid.angular_counts[0]
-    mnum = np.fft.fftfreq(na, 1.0 / na).astype(int)
-    amp = np.max(np.abs(ghat), axis=0)
-    keep = np.flatnonzero(amp >= mode_tol * (amp.max() or 1.0))
-    g_modes = mnum[keep]
-    g_rad = ghat[:, keep]  # (T, Q)
-    s = grid.radial_nodes[0]
-    t = grid.radial_nodes[0]
-    d = 2 * np.pi * np.arange(na) / na
-    wq = np.exp(1j * np.outer(g_modes, d)) * (2 * np.pi / na)  # (Q, D)
-    wt = grid.radial_weights[0] * t  # measure t dt
-    out_modes = np.add.outer(g_modes, ev.modes[0])  # (Q, Mf)
-    if np.any(np.abs(out_modes) > na // 2 - 1):
-        raise NyquistViolation(
-            f"output mode {np.abs(out_modes).max()} exceeds the angular band of the grid"
+    flipped = np.flatnonzero(lam < 0)
+    if flipped.size:
+        f, g = (field.with_values(_conjugate_coordinates(field.values, flipped)) for field in (f, g))
+        lam = np.abs(lam)
+    modes = _live_modes(f), _live_modes(g)
+    band = np.array(grid.angular_counts) // 2 - 1
+    for mf, mg in iter_product(*modes):
+        if np.any(np.abs(np.add(mf, mg)) > band):
+            raise NyquistViolation(
+                f"output mode {tuple(np.add(mf, mg))} exceeds the angular band of the grid"
+            )
+    # one row and column per multi-index alpha, every index <= bound
+    bound = MAX_TRUNCATION.get(grid.n, 0) + 2 * grid.n + 4
+    size = (bound + 1,) * grid.n
+    alphas = np.indices(size).reshape(grid.n, -1).T
+    profiles = {}
+    F, G = (_coefficient_matrix(field, field_modes, lam, alphas, profiles, truncation_tol)
+            for field, field_modes in zip((f, g), modes))
+    H = float(np.prod(np.sqrt(2 * np.pi / lam))) * (F @ G)
+    terms = [(tuple(alphas[i]), tuple(alphas[k]), H[i, k]) for i, k in zip(*np.nonzero(H))]
+    values = _synthesize_values(grid, lam, terms, profiles)
+    return SampledField(grid, _conjugate_coordinates(values, flipped), f.metadata)
+
+
+def _coefficient_matrix(field, modes, lam, alphas, profiles, truncation_tol):
+    """The matrix of (f, Psi_{alpha,alpha+m}) over the rows and columns alphas,
+    from one analysis over the joint modes m; TruncationDominates when the
+    coefficients miss more than truncation_tol^2 of the field's squared norm."""
+    bound = int(alphas.max())
+    size = (bound + 1,) * field.grid.n
+    rows, cols = [np.empty(0, dtype=int)], [np.empty(0, dtype=int)]
+    for m in modes:
+        betas = alphas + m
+        inside = np.all((betas >= 0) & (betas <= bound), axis=1)
+        rows.append(np.flatnonzero(inside))
+        cols.append(np.ravel_multi_index(betas[inside].T, size))
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    pairs = [(tuple(alphas[i]), tuple(alphas[k])) for i, k in zip(rows, cols)]
+    coeffs = _matrix_coefficients(field, pairs, lam, profiles)
+    total = field.norm2() ** 2
+    missed = total - float(np.sum(np.abs(coeffs) ** 2))
+    if missed > truncation_tol**2 * total:
+        raise TruncationDominates(
+            f"the special Hermite expansion with indices <= {bound} misses "
+            f"{missed / total:.3e} of the field's squared norm"
         )
-    fhat = np.zeros((len(s), na), dtype=complex)
-    for start in range(0, len(s), chunk):
-        sc = s[start : start + chunk]
-        u = sc[:, None, None] - t[None, :, None] * np.exp(1j * d[None, None, :])
-        rho = np.abs(u).ravel()
-        B = ev._radial_matrix(0, rho)
-        B[rho > grid.r_max] = 0.0
-        fm = (B @ ev.fhat).reshape(len(sc), len(t), na, -1)
-        phase = np.exp(
-            1j * ev.modes[0][None, None, None, :] * np.angle(u)[..., None]
-            - 0.5j * lam * (sc[:, None] * t[None, :])[:, :, None, None]
-            * np.sin(d)[None, None, :, None]
-        )
-        fm = fm * phase  # (Sc, T, D, Mf)
-        h = np.einsum("stdm,qd->stqm", fm, wq, optimize=True)  # (Sc, T, Q, Mf)
-        contrib = np.einsum("t,tq,stqm->sqm", wt, g_rad, h, optimize=True)
-        np.add.at(fhat, (slice(start, start + len(sc)), out_modes % na), contrib)
-    return SampledField(grid, values_from_mode_coefficients(grid, fhat), f.metadata)
+    matrix = np.zeros((len(alphas), len(alphas)), dtype=complex)
+    matrix[rows, cols] = coeffs
+    return matrix
 
 
 # ---------------------------------------------------------------------------
@@ -255,15 +301,17 @@ def _mode_index(m, na):
     return m % na
 
 
-def _separable_terms(grid, lam, index_pairs):
+def _separable_terms(grid, lam, index_pairs, profiles=None):
     """Psi_{alpha,beta}(z) = prod_j R_j(|z_j|) e^{i (beta_j - alpha_j) arg z_j}.
 
     For each (alpha, beta) returns the index of its angular mode into a mode
     array (a slice over each radial axis, the FFT index of beta_j - alpha_j on
     each angular axis) and its radial profiles R_j at the radial nodes.  Each
-    distinct profile is computed once per call.
+    distinct profile is computed once: profiles, keyed (j, alpha_j, beta_j),
+    is the table to read and fill; a caller passes one table to every
+    analysis and synthesis on one grid and twist.
     """
-    profiles = {}
+    profiles = {} if profiles is None else profiles
     out = []
     for a, b in index_pairs:
         index, radial = (), []
@@ -284,17 +332,17 @@ def matrix_coefficient(field, alpha, beta, lambda_prime):
                                 lambda_prime)[0]
 
 
-def _matrix_coefficients(field, index_pairs, lambda_prime):
+def _matrix_coefficients(field, index_pairs, lambda_prime, profiles=None):
     """Analysis: (f, Psi_{alpha,beta}) for each pair, from one angular FFT of
     the field, contracting its mode beta - alpha with the conjugate radial
-    profiles one coordinate at a time."""
+    profiles one coordinate at a time.  profiles as in _separable_terms."""
     g = field.grid
     lam = np.atleast_1d(np.asarray(lambda_prime, dtype=float))
     if lam.shape != (g.n,):
         raise DimensionMismatch(f"reduced twist must have {g.n} components")
     if np.any(lam <= 0):
         raise RangeExceeded("spectral analysis requires strictly positive reduced twist")
-    terms = _separable_terms(g, lam, index_pairs)
+    terms = _separable_terms(g, lam, index_pairs, profiles)
     fhat = angular_mode_coefficients(field)
     # radial measure s ds times the 2 pi of each angular integral
     rw = [2 * np.pi * g.radial_weights[j] * g.radial_nodes[j] for j in range(g.n)]
@@ -307,11 +355,12 @@ def _matrix_coefficients(field, index_pairs, lambda_prime):
     return out
 
 
-def _synthesize_values(grid, lam, terms):
+def _synthesize_values(grid, lam, terms, profiles=None):
     """Synthesis: the values of sum c Psi_{alpha,beta} over terms (alpha, beta, c),
-    accumulated in angular-mode space, then one inverse angular FFT."""
+    accumulated in angular-mode space, then one inverse angular FFT.
+    profiles as in _separable_terms."""
     fhat = np.zeros(grid.shape, dtype=complex)
-    separable = _separable_terms(grid, lam, [(a, b) for a, b, _ in terms])
+    separable = _separable_terms(grid, lam, [(a, b) for a, b, _ in terms], profiles)
     for (index, radial), (_, _, c) in zip(separable, terms):
         fhat[index] += c * reduce(np.multiply.outer, radial)
     return values_from_mode_coefficients(grid, fhat)
@@ -340,11 +389,12 @@ def _block_pairs(n, k, alpha_max=None):
     return [(a, b) for a in _multi_indices(n, alpha_max) for b in betas]
 
 
-def _block_analysis(field, lam, degrees, alpha_max=None):
+def _block_analysis(field, lam, degrees, alpha_max=None, profiles=None):
     """Coefficients of the blocks |beta| = k, k in degrees, from one analysis
-    call: {k: (pairs, coefficients)}.  alpha_max as in _block_pairs."""
+    call: {k: (pairs, coefficients)}.  alpha_max as in _block_pairs, profiles
+    as in _separable_terms."""
     pairs = [_block_pairs(field.grid.n, k, alpha_max) for k in degrees]
-    coeffs = _matrix_coefficients(field, [p for block in pairs for p in block], lam)
+    coeffs = _matrix_coefficients(field, [p for block in pairs for p in block], lam, profiles)
     split = np.split(coeffs, np.cumsum([len(block) for block in pairs])[:-1])
     return dict(zip(degrees, zip(pairs, split)))
 
@@ -444,10 +494,11 @@ def decompose(field, lambda_prime, k_max=None, tail_tol=None):
             f"truncation {k_max} outside [0, {MAX_TRUNCATION.get(g.n)}] for n={g.n}"
         )
     prefactor = float(np.prod(2 * np.pi / lam))
+    profiles = {}
     projections = tuple(
         field.with_values(_synthesize_values(
-            g, lam, [(a, b, prefactor * c) for (a, b), c in zip(pairs, coeffs)]))
-        for pairs, coeffs in _block_analysis(field, lam, range(k_max + 1)).values()
+            g, lam, [(a, b, prefactor * c) for (a, b), c in zip(pairs, coeffs)], profiles))
+        for pairs, coeffs in _block_analysis(field, lam, range(k_max + 1), None, profiles).values()
     )
     spectrum = LaguerreSpectrum(lam, k_max, projections, False)
     if tail_tol is not None:
@@ -571,9 +622,10 @@ def spectral_projection(field, lambda_prime, k):
     expansion over Psi_{alpha,beta} with |beta| = k, |alpha| <= k + 2n + 4.
     """
     lam = np.atleast_1d(np.asarray(lambda_prime, dtype=float))
-    pairs, coeffs = _block_analysis(field, lam, [k])[k]
+    profiles = {}
+    pairs, coeffs = _block_analysis(field, lam, [k], None, profiles)[k]
     terms = [(a, b, c) for (a, b), c in zip(pairs, coeffs)]
-    return field.with_values(_synthesize_values(field.grid, lam, terms))
+    return field.with_values(_synthesize_values(field.grid, lam, terms, profiles))
 
 
 def mean_eigenvalue(k, n, lambda_prime, r):

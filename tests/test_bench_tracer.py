@@ -37,6 +37,7 @@ def test_tracer_counts_analysis_and_synthesis():
     rec = tracer.Recorder().install()
     try:
         rec.run_job(0, job)
+        rec.run_job(1, transforms.twisted_convolution, f, f, [1.0])
     finally:
         rec.uninstall()
     counters = rec.jobs[0]["counters"]
@@ -44,5 +45,17 @@ def test_tracer_counts_analysis_and_synthesis():
     # reconstruction |alpha| <= 10 (55 pairs)
     assert counters["transforms.analysis.coefficients"] == 100
     assert counters["transforms.synthesis.terms"] == 100
+    # each synthesis reuses the radial profiles of its analysis
+    assert counters["special.special_hermite_1d.calls"] == 100
+    # the convolution analyses f twice over its modes 0 and 1 with indices
+    # <= 46 (47 + 46 pairs each) and synthesizes its modes 0, 1, 2
+    # (47 + 46 + 45 terms); both analyses and the synthesis share one
+    # profile table
+    counters = rec.jobs[1]["counters"]
+    assert counters["transforms.twisted_convolution.calls"] == 1
+    assert counters["transforms.analysis.coefficients"] == 2 * 93
+    assert counters["transforms.synthesis.terms"] == 138
+    assert counters["special.special_hermite_1d.distinct_ratio"] == 1.0
+    assert "transforms.twisted_convolution" in rec.jobs[1]["self_s"]
     for (home, attr), fn in originals.items():
         assert getattr(sys.modules[f"metivier.{home}"], attr) is fn

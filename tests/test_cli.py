@@ -204,6 +204,30 @@ def test_thread_cap_env_validation(tmp_path):
     assert proc2.returncode == 0
 
 
+def test_thread_cap_is_set_before_numpy_loads():
+    # OpenBLAS reads OPENBLAS_NUM_THREADS once, when numpy is first imported
+    probe = "\n".join([
+        "import os, sys",
+        "seen = []",
+        "class Probe:",
+        "    def find_spec(self, name, path=None, target=None):",
+        "        if name == 'numpy' and not seen:",
+        "            seen.append(os.environ.get('OPENBLAS_NUM_THREADS'))",
+        "sys.meta_path.insert(0, Probe())",
+        "import metivier.cli",
+        "print(seen)",
+    ])
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_THREADS")}
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**env, "METIVIER_THREADS": "3"})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "['3']"
+    # a bad value is left for the command line to report
+    proc = subprocess.run([sys.executable, "-c", "import metivier"], capture_output=True,
+                          text=True, env={**env, "METIVIER_THREADS": "bogus"})
+    assert proc.returncode == 0, proc.stderr
+
+
 USAGE_ERRORS = {"DimensionMismatch", "NotSkewSymmetric", "DependentStructureMatrices",
                 "MalformedFile", "VersionMismatch", "UnsupportedDimension", "OutOfDomain"}
 PRECONDITION_ERRORS = {"SingularPencil", "NonConvergence", "NoUsableRadius",

@@ -264,6 +264,72 @@ def test_convolution_truncation_guard():
         twisted_convolution(f, slow, LAM1)
 
 
+def _grid_nodes(grid, indices):
+    """Complex points (P, n) of the grid nodes (radial, angular, ...) in indices."""
+    return np.array([[grid.radial_nodes[j][i[2 * j]] * np.exp(1j * grid.angles(j)[i[2 * j + 1]])
+                      for j in range(grid.n)] for i in indices])
+
+
+@pytest.mark.parametrize("grid, lam, alpha, beta, delta, nodes", [
+    (default_grid(1), [1.3], (1,), (3,), (0,), [(5, 17), (20, 100), (33, 250), (47, 3)]),
+    (polar_grid(2, 32, 32, 7.0), [2.0, 1.6], (1, 0), (2, 1), (0, 2),
+     [(3, 5, 7, 30), (10, 20, 2, 9)]),
+], ids=["n1", "n2"])
+def test_convolution_composes_special_hermite_functions(grid, lam, alpha, beta, delta, nodes):
+    # Psi_{alpha,beta} x Psi_{beta,delta} = prod_j sqrt(2 pi / lam_j) Psi_{alpha,delta},
+    # checked on the grid and against grid quadrature at a few nodes
+    f = _psi_sum(grid, lam, [(alpha, beta, 1.0)])
+    g = _psi_sum(grid, lam, [(beta, delta, 1.0)])
+    conv = twisted_convolution(f, g, lam)
+    want = float(np.prod(np.sqrt(2 * np.pi / np.asarray(lam)))) * _psi_sum(grid, lam, [(alpha, delta, 1.0)]).values
+    assert np.max(np.abs(conv.values - want)) < 1e-11 * np.max(np.abs(want))
+    direct = twisted_convolution_at(f, g, lam, _grid_nodes(grid, nodes))
+    assert np.max(np.abs(np.array([conv.values[i] for i in nodes]) - direct)) < 1e-12
+    # Psi_{alpha,beta} x Psi_{beta',delta} = 0 for beta' != beta
+    other = _psi_sum(grid, lam, [(delta, beta, 1.0)])
+    assert twisted_convolution(f, other, lam).norm2() < 1e-11
+
+
+def test_convolution_at_negative_twist_matches_quadrature(g1):
+    lam = [-1.3]
+    f = _psi_sum(g1, [1.3], [((1,), (3,), 1.0), ((2,), (0,), 0.5j)])
+    g = _psi_sum(g1, [1.3], [((3,), (2,), 1.0), ((0,), (1,), -0.3)])
+    conv = twisted_convolution(f, g, lam)
+    nodes = [(5, 17), (20, 100), (33, 250), (47, 3)]
+    direct = twisted_convolution_at(f, g, lam, _grid_nodes(g1, nodes))
+    got = np.array([conv.values[i] for i in nodes])
+    assert np.max(np.abs(got - direct)) < 1e-12 * f.norm2() * g.norm2()
+
+
+def test_laguerre_kernels_are_twisted_idempotents_n2_anisotropic():
+    # theta_j x theta_k = delta_jk prod_j (2 pi / lam_j) theta_k at twist (2, 1.6)
+    grid = polar_grid(2, 32, 8, 8.0)
+    lam = np.array([2.0, 1.6])
+    fields = {k: _theta_field(k, lam, grid) for k in range(3)}
+    scale = float(np.prod(2 * np.pi / lam))
+    for j in range(3):
+        for k in range(3):
+            conv = twisted_convolution(fields[j], fields[k], lam)
+            want = scale * fields[k].values if j == k else 0.0
+            assert conv.with_values(conv.values - want).norm2() < 1e-10 * fields[k].norm2()
+
+
+def test_convolution_nyquist_guard():
+    # live modes 4 and 4 give output mode 8, outside the band |m| <= 7 of 16 angles
+    g = polar_grid(1, 48, 16, 10.0)
+    psi = _psi_sum(g, LAM1, [((0,), (4,), 1.0)])
+    with pytest.raises(NyquistViolation):
+        twisted_convolution(psi, psi, LAM1)
+
+
+def test_convolution_energy_guard(g1):
+    # e^{-4|z|^2} is too narrow for the special Hermite functions at lam = 1
+    # with indices <= 46: the expansion misses about 7.8e-6 of its squared norm
+    f = sample(lambda z: np.exp(-4 * np.abs(z[..., 0]) ** 2), g1)
+    with pytest.raises(TruncationDominates, match="expansion"):
+        twisted_convolution(f, f, LAM1)
+
+
 # ---------------------------------------------------------------------------
 # Spectral decomposition
 # ---------------------------------------------------------------------------
