@@ -103,11 +103,9 @@ from .structures import (
     write_structure,
 )
 from .transforms import (
-    HermiteExpansion,
-    LaguerreSpectrum,
+    HermiteCoefficients,
     apply_twisted_laplacian,
     decompose,
-    expand_special_hermite,
     fourier_coefficient_center,
     homogeneous_projection_expand,
     joint_homogeneity_modes,
@@ -121,7 +119,6 @@ from .transforms import (
     reduced_mean_at,
     spectral_projection,
     synthesize,
-    synthesize_expansion,
     twisted_convolution,
     twisted_convolution_at,
     twisted_mean,

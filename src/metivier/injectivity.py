@@ -33,7 +33,8 @@ from .special import (
     theta_radial,
 )
 from .transforms import (
-    _block_analysis,
+    _analyse,
+    _block_pairs,
     _full_grid_mean,
     _synthesize_values,
     angular_mode_coefficients,
@@ -134,17 +135,18 @@ def _invert_blocks(template, lam, k_max, blocks):
     the template's grid.  Returns the field (on the grid and with the metadata
     of template), the divisors and the L2 norm of each recovered block."""
     grid = template.grid
-    coefficients, profiles = {}, {}
+    spectra, profiles = {}, {}
     for mean in {id(f): f for f, _ in blocks.values()}.values():
-        degrees = [k for k, (f, _) in blocks.items() if f is mean]
-        coefficients.update(_block_analysis(mean, lam, degrees, k_max + 2 * grid.n + 4,
-                                            profiles if mean.grid == grid else None))
+        pairs = [p for k, (f, _) in blocks.items() if f is mean
+                 for p in _block_pairs(grid.n, k, k_max + 2 * grid.n + 4)]
+        spectra[id(mean)] = _analyse(mean, lam, pairs,
+                                     profiles if mean.grid == grid else None).blocks()
     terms, divisor, recovered = [], {}, {}
-    for k, (_, scalar) in blocks.items():
-        pairs, coeffs = coefficients[k]
-        terms += [(a, b, c / scalar) for (a, b), c in zip(pairs, coeffs)]
+    for k, (mean, scalar) in blocks.items():
+        block = spectra[id(mean)][k]
+        terms += [(a, b, c / scalar) for a, b, c in block]
         divisor[k] = float(scalar)
-        recovered[k] = float(np.linalg.norm(coeffs) / abs(scalar))
+        recovered[k] = float(np.linalg.norm([c for *_, c in block]) / abs(scalar))
     return template.with_values(_synthesize_values(grid, lam, terms, profiles)), divisor, recovered
 
 
@@ -405,10 +407,13 @@ def two_radii_check(r1, r2, n=1, lambda_prime=None, k_max=30, bessel_count=60,
     avoid every ratio of positive zeros of J_{n-1}.  Ratios are compared
     within relative tolerance tol.
 
-    For genuinely anisotropic lambda_prime the degree-k block has no exact
-    radial multiplier; the Laguerre scan is then replaced by a best-effort
-    scan over radial sign changes of the sphere-averaged block kernel, and
-    the verdict is flagged anisotropic_best_effort.
+    For genuinely anisotropic lambda_prime the Laguerre scan is replaced by
+    a scan over radial sign changes of the sphere-averaged block kernel, and
+    the verdict is flagged anisotropic_best_effort.  That scan is not the
+    blindness criterion: each Psi_{alpha,beta} has its own radial multiplier
+    m_beta(r), the averaged kernel of block k is the sum of m_beta over
+    |beta| = k, and the block is blind only where a single m_beta vanishes.
+    Anisotropic verdicts can therefore be wrong in either direction.
     """
     if r1 <= 0 or r2 <= 0:
         raise DimensionMismatch("radii must be positive")

@@ -46,6 +46,7 @@ from .errors import (
 from .grids import (
     FieldEvaluator,
     PeriodicField,
+    PolarGrid,
     SampledField,
     angular_mode_coefficients,
     build_sphere_rule,
@@ -188,11 +189,11 @@ def twisted_convolution_at(f, gfield, lambda_prime, points):
     return out
 
 
-def _live_modes(field):
-    """Joint angular modes m of the field whose largest amplitude over the
-    radial nodes is at least 1e-13 of the largest over all modes."""
-    g = field.grid
-    amp = np.abs(angular_mode_coefficients(field)).max(axis=tuple(range(0, 2 * g.n, 2)))
+def _live_modes(g, fhat):
+    """Joint angular modes m of a field on grid g, from its angular mode
+    coefficients fhat, whose largest amplitude over the radial nodes is at
+    least 1e-13 of the largest over all modes."""
+    amp = np.abs(fhat).max(axis=tuple(range(0, 2 * g.n, 2)))
     freqs = [np.fft.fftfreq(c, 1.0 / c).astype(int) for c in g.angular_counts]
     live = np.argwhere(amp >= 1e-13 * (amp.max() or 1.0))
     return [tuple(int(freqs[j][i[j]]) for j in range(g.n)) for i in live]
@@ -215,10 +216,11 @@ def twisted_convolution(f, g, lambda_prime):
     gives f x_lam g = sum H_{alpha,delta} Psi_{alpha,delta} with
     H = prod_j sqrt(2 pi / lam_j) F @ G.  Each field is analysed once over
     the pairs (alpha, alpha + m), m one of its joint angular modes above 1e-13
-    of its largest, every index at most MAX_TRUNCATION[n] + 2n + 4, and H is
-    synthesized once.  A negative lam_j conjugates coordinate j of both
-    fields and of the result.  twisted_convolution_at is the independent
-    quadrature oracle.
+    of its largest, every index at most MAX_TRUNCATION[n] + 2n + 4, from one
+    angular FFT that serves both the modes and the analysis (the two fields'
+    FFTs are never held at once), and H is synthesized once.  A negative
+    lam_j conjugates coordinate j of both fields and of the result.
+    twisted_convolution_at is the independent quadrature oracle.
 
     Raises GridMismatch for fields on different grids, TruncationDominates
     when g carries more than 1e-6 of its peak on the outer radial node or
@@ -242,30 +244,34 @@ def twisted_convolution(f, g, lambda_prime):
     if flipped.size:
         f, g = (field.with_values(_conjugate_coordinates(field.values, flipped)) for field in (f, g))
         lam = np.abs(lam)
-    modes = _live_modes(f), _live_modes(g)
-    band = np.array(grid.angular_counts) // 2 - 1
-    for mf, mg in iter_product(*modes):
-        if np.any(np.abs(np.add(mf, mg)) > band):
-            raise NyquistViolation(
-                f"output mode {tuple(np.add(mf, mg))} exceeds the angular band of the grid"
-            )
     # one row and column per multi-index alpha, every index <= bound
     bound = MAX_TRUNCATION.get(grid.n, 0) + 2 * grid.n + 4
     size = (bound + 1,) * grid.n
     alphas = np.indices(size).reshape(grid.n, -1).T
     profiles = {}
-    F, G = (_coefficient_matrix(field, field_modes, lam, alphas, profiles, truncation_tol)
-            for field, field_modes in zip((f, g), modes))
+    (F, f_modes), (G, g_modes) = (_coefficient_matrix(field, lam, alphas, profiles, truncation_tol)
+                                  for field in (f, g))
+    band = np.array(grid.angular_counts) // 2 - 1
+    for mf, mg in iter_product(f_modes, g_modes):
+        if np.any(np.abs(np.add(mf, mg)) > band):
+            raise NyquistViolation(
+                f"output mode {tuple(np.add(mf, mg))} exceeds the angular band of the grid"
+            )
     H = float(np.prod(np.sqrt(2 * np.pi / lam))) * (F @ G)
     terms = [(tuple(alphas[i]), tuple(alphas[k]), H[i, k]) for i, k in zip(*np.nonzero(H))]
     values = _synthesize_values(grid, lam, terms, profiles)
     return SampledField(grid, _conjugate_coordinates(values, flipped), f.metadata)
 
 
-def _coefficient_matrix(field, modes, lam, alphas, profiles, truncation_tol):
-    """The matrix of (f, Psi_{alpha,alpha+m}) over the rows and columns alphas,
-    from one analysis over the joint modes m; TruncationDominates when the
-    coefficients miss more than truncation_tol^2 of the field's squared norm."""
+def _coefficient_matrix(field, lam, alphas, profiles, truncation_tol):
+    """(matrix, modes): the matrix of (f, Psi_{alpha,alpha+m}) over the rows
+    and columns alphas, m each live joint mode of the field, from one angular
+    FFT that serves both the modes and the analysis; TruncationDominates when
+    the coefficients miss more than truncation_tol^2 of the field's squared
+    norm."""
+    total = field.norm2() ** 2  # before the FFT, so their temporaries do not overlap
+    fhat = angular_mode_coefficients(field)
+    modes = _live_modes(field.grid, fhat)
     bound = int(alphas.max())
     size = (bound + 1,) * field.grid.n
     rows, cols = [np.empty(0, dtype=int)], [np.empty(0, dtype=int)]
@@ -276,8 +282,7 @@ def _coefficient_matrix(field, modes, lam, alphas, profiles, truncation_tol):
         cols.append(np.ravel_multi_index(betas[inside].T, size))
     rows, cols = np.concatenate(rows), np.concatenate(cols)
     pairs = [(tuple(alphas[i]), tuple(alphas[k])) for i, k in zip(rows, cols)]
-    coeffs = _matrix_coefficients(field, pairs, lam, profiles)
-    total = field.norm2() ** 2
+    coeffs = _matrix_coefficients(field, pairs, lam, profiles, fhat)
     missed = total - float(np.sum(np.abs(coeffs) ** 2))
     if missed > truncation_tol**2 * total:
         raise TruncationDominates(
@@ -286,7 +291,7 @@ def _coefficient_matrix(field, modes, lam, alphas, profiles, truncation_tol):
         )
     matrix = np.zeros((len(alphas), len(alphas)), dtype=complex)
     matrix[rows, cols] = coeffs
-    return matrix
+    return matrix, modes
 
 
 # ---------------------------------------------------------------------------
@@ -332,10 +337,11 @@ def matrix_coefficient(field, alpha, beta, lambda_prime):
                                 lambda_prime)[0]
 
 
-def _matrix_coefficients(field, index_pairs, lambda_prime, profiles=None):
+def _matrix_coefficients(field, index_pairs, lambda_prime, profiles=None, fhat=None):
     """Analysis: (f, Psi_{alpha,beta}) for each pair, from one angular FFT of
     the field, contracting its mode beta - alpha with the conjugate radial
-    profiles one coordinate at a time.  profiles as in _separable_terms."""
+    profiles one coordinate at a time.  profiles as in _separable_terms;
+    fhat is the field's angular FFT when the caller already holds it."""
     g = field.grid
     lam = np.atleast_1d(np.asarray(lambda_prime, dtype=float))
     if lam.shape != (g.n,):
@@ -343,7 +349,8 @@ def _matrix_coefficients(field, index_pairs, lambda_prime, profiles=None):
     if np.any(lam <= 0):
         raise RangeExceeded("spectral analysis requires strictly positive reduced twist")
     terms = _separable_terms(g, lam, index_pairs, profiles)
-    fhat = angular_mode_coefficients(field)
+    if fhat is None:
+        fhat = angular_mode_coefficients(field)
     # radial measure s ds times the 2 pi of each angular integral
     rw = [2 * np.pi * g.radial_weights[j] * g.radial_nodes[j] for j in range(g.n)]
     out = np.empty(len(terms), dtype=complex)
@@ -389,174 +396,142 @@ def _block_pairs(n, k, alpha_max=None):
     return [(a, b) for a in _multi_indices(n, alpha_max) for b in betas]
 
 
-def _block_analysis(field, lam, degrees, alpha_max=None, profiles=None):
-    """Coefficients of the blocks |beta| = k, k in degrees, from one analysis
-    call: {k: (pairs, coefficients)}.  alpha_max as in _block_pairs, profiles
-    as in _separable_terms."""
-    pairs = [_block_pairs(field.grid.n, k, alpha_max) for k in degrees]
-    coeffs = _matrix_coefficients(field, [p for block in pairs for p in block], lam, profiles)
-    split = np.split(coeffs, np.cumsum([len(block) for block in pairs])[:-1])
-    return dict(zip(degrees, zip(pairs, split)))
-
-
 @dataclass(frozen=True)
-class HermiteExpansion:
-    """Truncated special Hermite expansion of a field.
+class HermiteCoefficients:
+    """Special Hermite coefficients (f, Psi_{alpha,beta}) of a field over a
+    list of index pairs, with the grid, twist and metadata of the field.
 
-    coefficients maps (alpha, beta) index tuples to (f, Psi_{alpha,beta}).
-    The spectral degree of a term is |beta|: twisted convolution on the right
-    (and in particular the reduced spherical mean) acts by a scalar on each
-    fixed-|beta| block.
+    The spectral degree of a pair is |beta|: twisted convolution on the right,
+    and in particular the reduced spherical mean, acts by one scalar on each
+    block of fixed |beta|.  total_energy is the squared grid norm of the
+    analysed field; by Bessel's inequality captured_energy does not exceed it
+    up to the grid rule's error.
     """
 
+    grid: PolarGrid
     lambda_prime: np.ndarray
-    k_max: int
-    alpha_max: int
-    coefficients: dict
-    captured_energy: float
+    pairs: tuple  # ((alpha, beta), ...), alpha and beta tuples of n indices
+    coefficients: np.ndarray  # complex, one per pair
     total_energy: float
+    metadata: str
 
-    def degree_energy(self, k):
-        return float(
-            sum(abs(c) ** 2 for (_, b), c in self.coefficients.items() if sum(b) == k)
-        )
+    @property
+    def captured_energy(self):
+        return float(np.sum(np.abs(self.coefficients) ** 2))
 
-    def degree_terms(self, k):
-        return [(a, b, c) for (a, b), c in self.coefficients.items() if sum(b) == k]
+    @property
+    def k_max(self):
+        """The largest degree |beta| among the pairs, -1 when there are none."""
+        return max((sum(b) for _, b in self.pairs), default=-1)
 
+    def blocks(self):
+        """{k: [(alpha, beta, coefficient), ...]} over the degrees k = |beta|
+        of the pairs, each block in pair order."""
+        out = {}
+        for (a, b), c in zip(self.pairs, self.coefficients):
+            out.setdefault(sum(b), []).append((a, b, c))
+        return out
 
-def expand_special_hermite(field, lambda_prime, k_max, alpha_max=None, tail_tol=None):
-    """Expand a field over Psi_{alpha,beta} with |beta| <= k_max, |alpha| <= alpha_max.
-
-    When tail_tol is given, raises TruncationDominates if the expansion
-    captures less than (1 - tail_tol) of the field's squared norm.
-    """
-    g = field.grid
-    lam = np.atleast_1d(np.asarray(lambda_prime, dtype=float))
-    if alpha_max is None:
-        alpha_max = k_max + 2 * g.n
-    pairs = [p for k in range(k_max + 1) for p in _block_pairs(g.n, k, alpha_max)]
-    coeffs = _matrix_coefficients(field, pairs, lam)
-    d = {p: c for p, c in zip(pairs, coeffs)}
-    captured = float(np.sum(np.abs(coeffs) ** 2))
-    total = field.norm2() ** 2
-    if tail_tol is not None and captured < (1 - tail_tol) * total:
-        raise TruncationDominates(
-            f"expansion captures {captured:.6e} of {total:.6e}; "
-            f"raise k_max/alpha_max or loosen tail_tol"
-        )
-    return HermiteExpansion(lam, k_max, alpha_max, d, captured, total)
+    def projection(self, k):
+        """The Laguerre projection f x_lam theta_k, synthesized on the grid:
+        prod_j (2 pi / lam_j) times the sum of block k."""
+        if not 0 <= k <= self.k_max:
+            raise RangeExceeded(f"degree {k} outside [0, {self.k_max}]")
+        prefactor = float(np.prod(2 * np.pi / self.lambda_prime))
+        terms = [(a, b, prefactor * c) for a, b, c in self.blocks().get(k, [])]
+        return SampledField(self.grid, _synthesize_values(self.grid, self.lambda_prime, terms),
+                            self.metadata)
 
 
-def synthesize_expansion(expansion, grid, metadata=""):
-    """Field synthesis of a HermiteExpansion on the given grid."""
-    terms = [(a, b, c) for (a, b), c in expansion.coefficients.items()]
-    return SampledField(grid, _synthesize_values(grid, expansion.lambda_prime, terms), metadata)
+def _analyse(field, lam, pairs, profiles=None):
+    """HermiteCoefficients of the field over pairs, from one analysis call.
+    profiles as in _separable_terms."""
+    lam = np.atleast_1d(np.asarray(lam, dtype=float))
+    coeffs = _matrix_coefficients(field, pairs, lam, profiles)
+    return HermiteCoefficients(field.grid, lam, tuple(pairs), coeffs, field.norm2() ** 2,
+                               field.metadata)
 
 
 MAX_TRUNCATION = {1: 40, 2: 12}
 
 
-@dataclass(frozen=True)
-class LaguerreSpectrum:
-    """Laguerre spectral projections of a field: the terms of the series
-    f = (prod lam_j / 2 pi) sum_k f x_lam theta_k.
+def decompose(field, lambda_prime, k_max, tail_tol=None):
+    """Special Hermite coefficients of the blocks |beta| = k <= k_max, with
+    |alpha| <= k + 2n + 4 in block k, from one analysis.
 
-    projections[k] holds f x_lam theta_k (normalized=False, the raw series
-    term) or its (prod lam_j / 2 pi) multiple (normalized=True).
-    """
-
-    lambda_prime: np.ndarray
-    k_max: int
-    projections: tuple
-    normalized: bool
-
-    def __post_init__(self):
-        if self.k_max != len(self.projections) - 1:
-            raise DimensionMismatch("need exactly k_max + 1 projections")
-
-
-def decompose(field, lambda_prime, k_max=None, tail_tol=None):
-    """All Laguerre projections f x_lam theta_k for k <= k_max.
-
-    Computed through the orthonormal special Hermite expansion (the two agree:
-    f x_lam theta_k = prod_j (2 pi / lam_j) * projection onto the |beta| = k
-    block): one analysis over every block, then one synthesis per block.
-    Raises TruncationDominates when tail_tol is given and the last term still
-    carries more than tail_tol of the field's norm.
+    The Laguerre projections f x_lam theta_k = prod_j (2 pi / lam_j) times
+    the block |beta| = k are synthesized on demand by projection(k), and
+    synthesize sums the series.  Raises TruncationDominates when tail_tol is
+    given and the last block still carries more than tail_tol of the
+    field's norm.
     """
     g = field.grid
-    lam = np.atleast_1d(np.asarray(lambda_prime, dtype=float))
-    if k_max is None:
-        k_max = 30 if g.n == 1 else 10
     if k_max < 0 or k_max > MAX_TRUNCATION.get(g.n, 0):
         raise RangeExceeded(
             f"truncation {k_max} outside [0, {MAX_TRUNCATION.get(g.n)}] for n={g.n}"
         )
-    prefactor = float(np.prod(2 * np.pi / lam))
-    profiles = {}
-    projections = tuple(
-        field.with_values(_synthesize_values(
-            g, lam, [(a, b, prefactor * c) for (a, b), c in zip(pairs, coeffs)], profiles))
-        for pairs, coeffs in _block_analysis(field, lam, range(k_max + 1), None, profiles).values()
-    )
-    spectrum = LaguerreSpectrum(lam, k_max, projections, False)
+    pairs = [p for k in range(k_max + 1) for p in _block_pairs(g.n, k)]
+    spectrum = _analyse(field, lambda_prime, pairs)
     if tail_tol is not None:
-        fn = field.norm2()
-        tail = projections[-1].norm2() / prefactor
+        fn = np.sqrt(spectrum.total_energy)
+        tail = float(np.linalg.norm([c for *_, c in spectrum.blocks()[k_max]]))
         if fn > 0 and tail > tail_tol * fn:
             raise TruncationDominates(
-                f"last projection carries {tail / fn:.3e} of the field norm; "
+                f"last block carries {tail / fn:.3e} of the field norm; "
                 f"raise k_max or loosen tail_tol"
             )
     return spectrum
 
 
+SPECTRUM_VERSION = 2
+
+
 def write_spectrum(spectrum, directory):
-    """Serialize a LaguerreSpectrum: one field file per projection plus a JSON
-    manifest (lambda_prime, normalization flag, per-degree file name and norm)."""
+    """Serialize HermiteCoefficients as directory/manifest.json: the grid,
+    lambda_prime, the index pairs, [re, im] of each coefficient,
+    total_energy and metadata.  Floats are written exactly."""
     import json
     import os
 
-    from .fieldio import write_field
+    from .fieldio import _grid_header
 
     os.makedirs(directory, exist_ok=True)
-    entries = []
-    for k, p in enumerate(spectrum.projections):
-        name = f"projection_{k:03d}.field"
-        write_field(p, os.path.join(directory, name))
-        entries.append({"k": k, "file": name, "norm": p.norm2()})
     manifest = {
-        "version": 1,
+        "version": SPECTRUM_VERSION,
         "kind": "laguerre-spectrum",
+        "grid": _grid_header(spectrum.grid),
         "lambda_prime": [float(v) for v in spectrum.lambda_prime],
-        "k_max": spectrum.k_max,
-        "normalized": spectrum.normalized,
-        "projections": entries,
+        "pairs": [[[int(v) for v in a], [int(v) for v in b]] for a, b in spectrum.pairs],
+        "coefficients": [[float(c.real), float(c.imag)] for c in spectrum.coefficients],
+        "total_energy": float(spectrum.total_energy),
+        "metadata": spectrum.metadata,
     }
     with open(os.path.join(directory, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+        json.dump(manifest, fh, sort_keys=True)
         fh.write("\n")
 
 
 def read_spectrum(directory):
     """Inverse of write_spectrum.
 
-    Raises VersionMismatch for a manifest version other than 1 and
+    Raises VersionMismatch for a manifest version other than 2 and
     MalformedFile for any other departure from the layout: a manifest that
-    is not a JSON object, a missing or ill-typed key (projections a list of
-    objects with an integer k and a string file, k_max a non-negative integer,
-    lambda_prime a list of numbers, normalized a bool), degrees that are not
-    0..k_max, projection files on different grids, or a lambda_prime that is
-    not one finite positive component per complex coordinate of that grid.
-    Errors from reading the projection files pass through.
+    is not a JSON object, a missing or ill-typed key (pairs a list of
+    [alpha, beta] integer lists, coefficients a list of [re, im] numbers,
+    lambda_prime a list of numbers, total_energy a number, metadata a
+    string), a grid the header cannot describe, an index list that is not n
+    non-negative integers, a repeated pair, a pair whose angular mode
+    beta_j - alpha_j lies outside the grid's band, a coefficient count
+    other than the pair count, a coefficient or total_energy that is not
+    finite (or a negative total_energy), or a lambda_prime that is not one
+    finite positive component per complex coordinate of the grid.
     """
     import json
     import os
     import sys
 
     from .errors import MalformedFile, VersionMismatch
-    from .fieldio import read_field
+    from .fieldio import _grid_from_header
 
     path = os.path.join(directory, "manifest.json")
     try:
@@ -566,53 +541,60 @@ def read_spectrum(directory):
         raise MalformedFile(f"cannot read spectrum manifest {path}: {exc}") from exc
     if not isinstance(manifest, dict) or manifest.get("kind") != "laguerre-spectrum":
         raise MalformedFile(f"{path} is not a spectrum manifest")
-    if manifest.get("version") != 1:
+    if manifest.get("version") != SPECTRUM_VERSION:
         raise VersionMismatch(f"unsupported spectrum manifest version in {path}")
-    entries = manifest.get("projections")
-    lam = manifest.get("lambda_prime")
-    checks = {  # type() rather than isinstance(): a JSON true is not an integer here
-        "projections": isinstance(entries, list) and all(
-            isinstance(e, dict) and type(e.get("k")) is int and isinstance(e.get("file"), str)
-            for e in entries
+    pairs, coeffs, lam, energy = (manifest.get(key) for key in
+                                  ("pairs", "coefficients", "lambda_prime", "total_energy"))
+
+    def is_number(v):  # type() rather than isinstance(): a JSON true is not a number here
+        return type(v) in (int, float)
+
+    checks = {
+        "pairs": isinstance(pairs, list) and all(
+            isinstance(p, list) and len(p) == 2
+            and all(isinstance(i, list) and all(type(v) is int for v in i) for i in p)
+            for p in pairs
         ),
-        "k_max": type(manifest.get("k_max")) is int and manifest["k_max"] >= 0,
-        "lambda_prime": isinstance(lam, list) and all(type(v) in (int, float) for v in lam),
-        "normalized": isinstance(manifest.get("normalized"), bool),
+        "coefficients": isinstance(coeffs, list) and all(
+            isinstance(c, list) and len(c) == 2 and all(is_number(v) for v in c) for c in coeffs
+        ),
+        "lambda_prime": isinstance(lam, list) and all(is_number(v) for v in lam),
+        "total_energy": is_number(energy),
+        "metadata": isinstance(manifest.get("metadata"), str),
     }
     bad = [key for key, ok in checks.items() if not ok]
     if bad:
         raise MalformedFile(f"{path} has missing or ill-typed keys: {', '.join(bad)}")
-    if not all(0 < v <= sys.float_info.max for v in lam):
-        raise MalformedFile(f"{path} has lambda_prime {lam}; components must be finite and positive")
-    entries = sorted(entries, key=lambda e: e["k"])
-    if [e["k"] for e in entries] != list(range(manifest["k_max"] + 1)):
-        raise MalformedFile(f"{path} lists degrees inconsistent with k_max")
-    projections = tuple(
-        read_field(os.path.join(directory, e["file"])) for e in entries
-    )
-    grid = projections[0].grid
-    if any(p.grid != grid for p in projections):
-        raise MalformedFile(f"{path} lists projections on different grids")
-    if len(lam) != grid.n:
-        raise MalformedFile(f"{path} has {len(lam)} lambda_prime components for n = {grid.n}")
-    return LaguerreSpectrum(
-        np.asarray(lam, dtype=float),
-        manifest["k_max"],
-        projections,
-        manifest["normalized"],
-    )
+    grid = _grid_from_header(manifest.get("grid"))
+    pairs = tuple((tuple(a), tuple(b)) for a, b in pairs)
+    if not all(len(i) == grid.n and min(i) >= 0 for p in pairs for i in p):
+        raise MalformedFile(f"{path} has pairs that are not {grid.n} non-negative indices each")
+    if len(set(pairs)) != len(pairs):
+        raise MalformedFile(f"{path} repeats an index pair")
+    if any(abs(bj - aj) > na // 2 - 1
+           for a, b in pairs for aj, bj, na in zip(a, b, grid.angular_counts)):
+        raise MalformedFile(f"{path} has a pair whose angular mode exceeds the grid's band")
+    if len(coeffs) != len(pairs):
+        raise MalformedFile(f"{path} has {len(coeffs)} coefficients for {len(pairs)} pairs")
+    big = sys.float_info.max
+    if not (all(-big <= v <= big for c in coeffs for v in c) and 0 <= energy <= big):
+        raise MalformedFile(f"{path} has a non-finite coefficient or total_energy")
+    if len(lam) != grid.n or not all(0 < v <= big for v in lam):
+        raise MalformedFile(
+            f"{path} has lambda_prime {lam}; need {grid.n} finite positive components"
+        )
+    return HermiteCoefficients(grid, np.asarray(lam, dtype=float), pairs,
+                               np.array([complex(re, im) for re, im in coeffs], dtype=complex),
+                               float(energy), manifest["metadata"])
 
 
 def synthesize(spectrum):
-    """Sum the Laguerre series, applying the prod(lam_j)/2pi prefactor if pending."""
-    scale = 1.0 if spectrum.normalized else float(
-        np.prod(spectrum.lambda_prime / (2 * np.pi))
-    )
-    first = spectrum.projections[0]
-    acc = np.zeros(first.grid.shape, dtype=complex)
-    for p in spectrum.projections:
-        acc += p.values
-    return first.with_values(scale * acc)
+    """Sum the Laguerre series: the field sum c Psi_{alpha,beta} over every
+    pair of the spectrum, from one synthesis."""
+    terms = [(a, b, c) for (a, b), c in zip(spectrum.pairs, spectrum.coefficients)]
+    return SampledField(spectrum.grid,
+                        _synthesize_values(spectrum.grid, spectrum.lambda_prime, terms),
+                        spectrum.metadata)
 
 
 def spectral_projection(field, lambda_prime, k):
@@ -621,11 +603,10 @@ def spectral_projection(field, lambda_prime, k):
     Equals (prod lam_j / 2 pi) f x_lam theta_k; computed as the orthonormal
     expansion over Psi_{alpha,beta} with |beta| = k, |alpha| <= k + 2n + 4.
     """
-    lam = np.atleast_1d(np.asarray(lambda_prime, dtype=float))
     profiles = {}
-    pairs, coeffs = _block_analysis(field, lam, [k], None, profiles)[k]
-    terms = [(a, b, c) for (a, b), c in zip(pairs, coeffs)]
-    return field.with_values(_synthesize_values(field.grid, lam, terms, profiles))
+    spectrum = _analyse(field, lambda_prime, _block_pairs(field.grid.n, k), profiles)
+    return field.with_values(_synthesize_values(field.grid, spectrum.lambda_prime,
+                                                spectrum.blocks()[k], profiles))
 
 
 def mean_eigenvalue(k, n, lambda_prime, r):
@@ -682,8 +663,10 @@ def joint_homogeneity_modes(field):
     return energies
 
 
-def homogeneous_projection_expand(field, k, lambda_prime, m=None,
-                                  homogeneity_tol=1e-8):
+HOMOGENEITY_TOL = 1e-8
+
+
+def homogeneous_projection_expand(field, k, lambda_prime, m=None):
     """Sparse spectral projection of a jointly homogeneous field.
 
     When f(e^{i theta} z) = e^{i m.theta} f(z) only the basis functions with
@@ -694,7 +677,7 @@ def homogeneous_projection_expand(field, k, lambda_prime, m=None,
 
     with terms where beta - m has a negative component skipped.  m is inferred
     from the dominant joint angular mode when omitted; raises NotHomogeneous
-    if ||f - R_m f|| exceeds homogeneity_tol * ||f||.  Returns (coefficient
+    if ||f - R_m f|| exceeds HOMOGENEITY_TOL * ||f||.  Returns (coefficient
     dict keyed by (alpha, beta), reconstructed projection field).
     """
     g = field.grid
@@ -710,7 +693,7 @@ def homogeneous_projection_expand(field, k, lambda_prime, m=None,
     radial = m_radialize(field, m)
     fn = field.norm2()
     off = field.with_values(field.values - radial.values).norm2()
-    if fn > 0 and off > homogeneity_tol * fn:
+    if fn > 0 and off > HOMOGENEITY_TOL * fn:
         raise NotHomogeneous(
             f"||f - R_m f|| / ||f|| = {off / fn:.3e} for m = {tuple(int(v) for v in m)}"
         )
@@ -719,18 +702,24 @@ def homogeneous_projection_expand(field, k, lambda_prime, m=None,
         a = tuple(int(bi - mi) for bi, mi in zip(b, m))
         if all(ai >= 0 for ai in a):
             pairs.append((a, b))
-    coeffs = _matrix_coefficients(field, pairs, lam) if pairs else np.zeros(0, complex)
-    terms = [(a, b, c) for (a, b), c in zip(pairs, coeffs)]
+    profiles = {}
+    spectrum = _analyse(field, lam, pairs, profiles)
     prefactor = float(np.prod(2 * np.pi / lam))
-    recon = field.with_values(prefactor * _synthesize_values(g, lam, terms))
-    return {p: c for p, c in zip(pairs, coeffs)}, recon
+    terms = spectrum.blocks().get(k, [])
+    recon = field.with_values(prefactor * _synthesize_values(g, lam, terms, profiles))
+    return dict(zip(spectrum.pairs, spectrum.coefficients)), recon
 
 
-def apply_twisted_laplacian(field, lambda_prime, points=None, h=1.0 / 64, check_tol=1e-3):
+LAPLACIAN_STEP = 1.0 / 64
+LAPLACIAN_CHECK_TOL = 1e-3
+
+
+def apply_twisted_laplacian(field, lambda_prime, points=None):
     """Apply L = -Delta + (1/4) sum lam_j^2 |z_j|^2 + i sum lam_j (x_j d_{y_j} - y_j d_{x_j}).
 
-    Finite differences of step h on the interpolated field, with a Richardson
-    consistency check at h/2 (GridTooCoarse on disagreement).  Psi_{alpha,beta}
+    Finite differences of step LAPLACIAN_STEP on the interpolated field,
+    with a Richardson consistency check at half the step (GridTooCoarse when
+    the two differ by more than LAPLACIAN_CHECK_TOL of the result).  Psi_{alpha,beta}
     is an eigenfunction with eigenvalue sum_j (2 alpha_j + 1) lam_j.
 
     With points=None (n = 1 only) returns a field on the grid; otherwise
@@ -766,11 +755,11 @@ def apply_twisted_laplacian(field, lambda_prime, points=None, h=1.0 / 64, check_
         pot = 0.25 * (np.abs(pts) ** 2 @ lam**2) * f0
         return -lap + pot + 1j * rot
 
-    coarse = apply_at(h)
-    fine = apply_at(h / 2)
+    coarse = apply_at(LAPLACIAN_STEP)
+    fine = apply_at(LAPLACIAN_STEP / 2)
     scale = max(np.max(np.abs(fine)), 1e-300)
     disagreement = float(np.max(np.abs(fine - coarse)) / scale)
-    if disagreement > check_tol:
+    if disagreement > LAPLACIAN_CHECK_TOL:
         raise GridTooCoarse(
             f"finite-difference halving changed the result by {disagreement:.3e}"
         )

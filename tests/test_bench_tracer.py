@@ -41,10 +41,10 @@ def test_tracer_counts_analysis_and_synthesis():
     finally:
         rec.uninstall()
     counters = rec.jobs[0]["counters"]
-    # blocks k <= 4: decompose takes |alpha| <= k + 6 (45 pairs), the
-    # reconstruction |alpha| <= 10 (55 pairs)
+    # blocks k <= 4: decompose takes |alpha| <= k + 6 (45 pairs) and does
+    # not synthesize, the reconstruction |alpha| <= 10 (55 pairs)
     assert counters["transforms.analysis.coefficients"] == 100
-    assert counters["transforms.synthesis.terms"] == 100
+    assert counters["transforms.synthesis.terms"] == 55
     # each synthesis reuses the radial profiles of its analysis
     assert counters["special.special_hermite_1d.calls"] == 100
     # the convolution analyses f twice over its modes 0 and 1 with indices
@@ -53,9 +53,28 @@ def test_tracer_counts_analysis_and_synthesis():
     # profile table
     counters = rec.jobs[1]["counters"]
     assert counters["transforms.twisted_convolution.calls"] == 1
+    # one forward angular FFT per field, shared by its modes and its
+    # analysis, and one inverse for the synthesis
+    assert counters["grids.angular_fft.calls"] == 3
     assert counters["transforms.analysis.coefficients"] == 2 * 93
     assert counters["transforms.synthesis.terms"] == 138
     assert counters["special.special_hermite_1d.distinct_ratio"] == 1.0
     assert "transforms.twisted_convolution" in rec.jobs[1]["self_s"]
     for (home, attr), fn in originals.items():
         assert getattr(sys.modules[f"metivier.{home}"], attr) is fn
+
+
+def test_round_trip_makes_one_analysis_and_one_synthesis():
+    tracer = _import_tracer()
+    grid = polar_grid(2, 12, 32, 6.0)
+    f = sample(lambda z: np.exp(-np.sum(np.abs(z) ** 2, axis=-1)) * (1 + z[..., 0]), grid)
+    rec = tracer.Recorder().install()
+    try:
+        rec.run_job(0, lambda: transforms.synthesize(transforms.decompose(f, [1.8, 2.1], k_max=1)))
+    finally:
+        rec.uninstall()
+    counters = rec.jobs[0]["counters"]
+    assert counters["transforms.analysis.calls"] == 1
+    assert counters["transforms.synthesis.calls"] == 1
+    # the analysis's forward and the synthesis's inverse transform
+    assert counters["grids.angular_fft.calls"] == 2

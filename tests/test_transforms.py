@@ -3,6 +3,8 @@ radialization, homogeneous expansions, the twisted Laplacian, center Fourier."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metivier.errors import (
     DimensionMismatch,
@@ -12,6 +14,7 @@ from metivier.errors import (
     NyquistViolation,
     RangeExceeded,
     TruncationDominates,
+    VersionMismatch,
 )
 from metivier.grids import (
     FieldEvaluator,
@@ -34,7 +37,6 @@ from metivier.structures import (
 from metivier.transforms import (
     apply_twisted_laplacian,
     decompose,
-    expand_special_hermite,
     fourier_coefficient_center,
     homogeneous_projection_expand,
     joint_homogeneity_modes,
@@ -47,7 +49,6 @@ from metivier.transforms import (
     reduced_mean_at,
     spectral_projection,
     synthesize,
-    synthesize_expansion,
     twisted_convolution,
     twisted_convolution_at,
     twisted_mean,
@@ -378,7 +379,8 @@ def test_decompose_blocks_are_scaled_spectral_projections(grid, lam, k_max):
     f = _psi_sum(grid, lam, terms)
     scale = float(np.prod(2 * np.pi / np.asarray(lam)))
     spec = decompose(f, lam, k_max)
-    for k, p in enumerate(spec.projections):
+    for k in range(k_max + 1):
+        p = spec.projection(k)
         want = spectral_projection(f, lam, k)
         err = p.with_values(p.values - scale * want.values).norm2()
         assert err < 1e-13 * scale * want.norm2()
@@ -408,7 +410,7 @@ def test_decompose_synthesize_theta3(g1):
     f = _theta_field(3, LAM1, g1)
     spec = decompose(f, LAM1, 6)
     # spectrum concentrated at degree 3
-    norms = [p.norm2() for p in spec.projections]
+    norms = [spec.projection(k).norm2() for k in range(spec.k_max + 1)]
     assert norms[3] > 1e-6
     assert max(n for i, n in enumerate(norms) if i != 3) < 1e-9 * norms[3]
     recon = synthesize(spec)
@@ -425,7 +427,7 @@ def test_decompose_synthesize_gaussian(g1):
 def test_decompose_zero_field(g1):
     f = sample(lambda z: np.zeros(z.shape[:-1]), g1)
     spec = decompose(f, LAM1, 4)
-    assert all(p.norm2() == 0.0 for p in spec.projections)
+    assert all(spec.projection(k).norm2() == 0.0 for k in range(spec.k_max + 1))
 
 
 def test_decompose_guards(g1):
@@ -440,10 +442,13 @@ def test_spectrum_serialization(tmp_path, g1):
     spec = decompose(_theta_field(2, LAM1, g1), LAM1, 4)
     write_spectrum(spec, tmp_path / "spec")
     back = read_spectrum(tmp_path / "spec")
+    assert back.grid == spec.grid and back.pairs == spec.pairs
+    assert np.array_equal(back.coefficients, spec.coefficients)
+    assert np.array_equal(back.lambda_prime, spec.lambda_prime)
+    assert (back.total_energy, back.metadata) == (spec.total_energy, spec.metadata)
     assert back.k_max == spec.k_max
-    assert back.normalized == spec.normalized
-    assert all(np.array_equal(a.values, b.values)
-               for a, b in zip(spec.projections, back.projections))
+    assert all(np.array_equal(spec.projection(k).values, back.projection(k).values)
+               for k in range(spec.k_max + 1))
 
 
 def test_twisted_convolution_rejects_mismatched_grids():
@@ -469,7 +474,8 @@ def _rewrite_manifest(directory, edit):
     path.write_text(json.dumps(manifest))
 
 
-@pytest.mark.parametrize("key", ["projections", "k_max", "lambda_prime", "normalized"])
+@pytest.mark.parametrize("key", ["grid", "pairs", "coefficients", "lambda_prime",
+                                 "total_energy", "metadata"])
 def test_read_spectrum_missing_key_is_malformed(tmp_path, key):
     directory = _spectrum_dir(tmp_path)
     _rewrite_manifest(directory, lambda m: {k: v for k, v in m.items() if k != key})
@@ -478,23 +484,55 @@ def test_read_spectrum_missing_key_is_malformed(tmp_path, key):
 
 
 @pytest.mark.parametrize("key, value", [
-    ("projections", {"k": 0}),
-    ("projections", [1, 2, 3]),
-    ("projections", [{"k": "0", "file": "projection_000.field"}]),
-    ("projections", [{"k": 0, "file": 7}]),
-    ("projections", [{"file": "projection_000.field"}]),
-    ("k_max", "2"),
-    ("k_max", 2.0),
-    ("k_max", -1),
+    ("pairs", {"alpha": [0], "beta": [1]}),
+    ("pairs", [1, 2, 3]),
+    ("pairs", [[["0"], [1]]]),
+    ("pairs", [[[0.0], [1]]]),
+    ("pairs", [[[0]]]),
+    ("pairs", [[[True], [1]]]),
+    ("coefficients", [["1.0", 0.0]]),
+    ("coefficients", [[1.0]]),
     ("lambda_prime", 1.0),
     ("lambda_prime", ["1.0"]),
     ("lambda_prime", [True]),
-    ("normalized", "false"),
-    ("normalized", 0),
+    ("coefficients", [[True, 0.0]]),
+    ("total_energy", "2.0"),
+    ("total_energy", False),
+    ("metadata", 0),
 ])
 def test_read_spectrum_ill_typed_key_is_malformed(tmp_path, key, value):
     directory = _spectrum_dir(tmp_path)
     _rewrite_manifest(directory, lambda m: {**m, key: value})
+    with pytest.raises(MalformedFile):
+        read_spectrum(directory)
+
+
+def _edit_first(key, value):
+    def edit(m):
+        m[key][0] = value
+        return m
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    _edit_first("pairs", [[-1], [1]]),
+    _edit_first("pairs", [[0, 0], [1, 0]]),
+    _edit_first("pairs", [[], []]),
+    lambda m: {**m, "pairs": m["pairs"][:1] * 2 + m["pairs"][2:]},
+    _edit_first("pairs", [[0], [40]]),
+    lambda m: {**m, "coefficients": m["coefficients"][:-1]},
+    _edit_first("coefficients", [float("nan"), 0.0]),
+    _edit_first("coefficients", [0.0, float("inf")]),
+    _edit_first("coefficients", [10**400, 0.0]),
+    lambda m: {**m, "total_energy": float("nan")},
+    lambda m: {**m, "total_energy": -1.0},
+], ids=["negative-index", "index-length", "empty-index", "repeated-pair", "mode-beyond-band",
+        "short-coefficients",
+        "nan-coefficient", "inf-coefficient", "overflowing-coefficient", "nan-energy",
+        "negative-energy"])
+def test_read_spectrum_rejects_inconsistent_pairs_and_values(tmp_path, edit):
+    directory = _spectrum_dir(tmp_path)
+    _rewrite_manifest(directory, edit)
     with pytest.raises(MalformedFile):
         read_spectrum(directory)
 
@@ -508,14 +546,63 @@ def test_read_spectrum_rejects_twist_inconsistent_with_projections(tmp_path, lam
         read_spectrum(directory)
 
 
-def test_read_spectrum_rejects_projections_on_different_grids(tmp_path):
-    from metivier.fieldio import write_field
-
+@pytest.mark.parametrize("key, value", [
+    ("radial_nodes", [[]]),
+    ("radial_weights", [[1.0]]),
+    ("n", 1e400),
+    ("angular_counts", [6]),
+    ("r_max", "wide"),
+])
+def test_read_spectrum_rejects_bad_grid_header(tmp_path, key, value):
     directory = _spectrum_dir(tmp_path)
-    write_field(_theta_field(1, LAM1, polar_grid(1, 16, 16, 7.0)),
-                directory / "projection_001.field")
-    with pytest.raises(MalformedFile):
+    _rewrite_manifest(directory, lambda m: {**m, "grid": {**m["grid"], key: value}})
+    with pytest.raises(MalformedFile, match="invalid grid header"):
         read_spectrum(directory)
+
+
+def test_read_spectrum_version_1_manifest_is_version_mismatch(tmp_path):
+    directory = _spectrum_dir(tmp_path)
+    _rewrite_manifest(directory, lambda m: {
+        "version": 1, "kind": "laguerre-spectrum", "lambda_prime": [1.0], "k_max": 0,
+        "normalized": False, "projections": [{"k": 0, "file": "projection_000.field"}],
+    })
+    with pytest.raises(VersionMismatch):
+        read_spectrum(directory)
+
+
+@pytest.fixture(scope="module")
+def small_manifest(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("spec")
+    write_spectrum(decompose(_theta_field(1, LAM1, polar_grid(1, 8, 16, 6.0)), LAM1, 1),
+                   directory)
+    return (directory / "manifest.json").read_bytes()
+
+
+def test_read_spectrum_every_truncation_is_malformed(tmp_path, small_manifest):
+    directory = tmp_path / "spec"
+    directory.mkdir()
+    # every cut before the final newline loses the closing brace
+    for k in range(len(small_manifest) - 1):
+        (directory / "manifest.json").write_bytes(small_manifest[:k])
+        with pytest.raises(MalformedFile):
+            read_spectrum(directory)
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(data=st.data())
+def test_read_spectrum_corruption_gives_a_typed_error(tmp_path_factory, small_manifest, data):
+    raw = small_manifest
+    at = data.draw(st.integers(0, len(raw) - 1))
+    if data.draw(st.booleans()):
+        corrupt = raw[:at]
+    else:
+        corrupt = raw[:at] + bytes([data.draw(st.integers(0, 255))]) + raw[at + 1:]
+    directory = tmp_path_factory.mktemp("corrupt")
+    (directory / "manifest.json").write_bytes(corrupt)
+    try:
+        read_spectrum(directory)
+    except (MalformedFile, VersionMismatch):
+        pass
 
 
 def test_read_spectrum_rejects_non_object_manifest(tmp_path):
@@ -530,8 +617,8 @@ def test_read_spectrum_rejects_non_object_manifest(tmp_path):
 
 def test_hermite_expansion_round_trip(g1):
     f = sample(lambda z: np.exp(-np.abs(z[..., 0]) ** 2 / 2) * z[..., 0], g1)
-    exp = expand_special_hermite(f, LAM1, 8, alpha_max=8)
-    recon = synthesize_expansion(exp, g1)
+    exp = decompose(f, LAM1, 8)
+    recon = synthesize(exp)
     # the tail beyond degree 8 decays geometrically (ratio 1/3 per degree)
     assert recon.with_values(recon.values - f.values).norm2() < 1e-3 * f.norm2()
     assert exp.captured_energy == pytest.approx(exp.total_energy, rel=1e-6)
