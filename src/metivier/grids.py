@@ -152,7 +152,15 @@ class SampledField:
         return SampledField(self.grid, values, self.metadata if metadata is None else metadata)
 
     def norm2(self):
-        return float(np.sqrt(inner_product(self, self).real))
+        """L2 norm by the grid rule, contracting |f|^2 one axis at a time
+        (last axis first) with that axis's weights."""
+        g = self.grid
+        e = np.abs(self.values)
+        np.square(e, out=e)
+        for j in reversed(range(g.n)):
+            e = e @ np.full(g.angular_counts[j], 2 * np.pi / g.angular_counts[j])
+            e = e @ (g.radial_weights[j] * g.radial_nodes[j])
+        return float(np.sqrt(e))
 
     def max_abs(self):
         return float(np.max(np.abs(self.values)))
@@ -246,15 +254,16 @@ class FieldEvaluator:
         self.fill = fill
         self.extrap_slack = float(extrap_slack)
         n = self.grid.n
-        fhat = field.values.astype(complex)
+        fhat = field.values
         for j in range(n):
             fhat = np.fft.fft(fhat, axis=2 * j + 1) / self.grid.angular_counts[j]
         self.modes = []
-        gmax = np.max(np.abs(fhat)) or 1.0
         for j in range(n):
             na = self.grid.angular_counts[j]
             axis = 2 * j + 1
             amp = np.max(np.abs(fhat), axis=tuple(a for a in range(fhat.ndim) if a != axis))
+            if j == 0:
+                gmax = np.max(amp) or 1.0  # before any mode is dropped
             keep = np.flatnonzero(amp >= mode_tol * gmax)
             if keep.size == 0:
                 keep = np.array([0])

@@ -12,8 +12,10 @@ r1/r2 avoids all ratios of Bessel J_{n-1} zeros (the untwisted central mode).
 """
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
+from scipy.optimize import brentq
 from scipy.special import logsumexp
 
 from .errors import (
@@ -23,7 +25,7 @@ from .errors import (
     RangeExceeded,
     UnsupportedDimension,
 )
-from .grids import SampledField, default_grid, sample
+from .grids import SampledField, build_sphere_rule, default_grid
 from .special import (
     bessel_j,
     bessel_zeros,
@@ -241,8 +243,11 @@ def one_radius_counterexample(l, lambda_prime, n=1, zero_index=0, grid=None,
 
     The mean at that radius multiplies the whole block by c_l theta_l(r) = 0,
     so the returned nonzero field has identically vanishing mean; its residual
-    is measured at seeded probe points.  Requires l >= 1 (theta_0 has no
-    radial zero) and isotropic lambda_prime.
+    is measured at seeded probe points by sphere-rule quadrature of the
+    sampled values.  Requires l >= 1 (theta_0 has no radial zero) and
+    isotropic lambda_prime, where theta_l depends on |z| alone: the field is
+    sampled on the radial nodes (|z|^2 summed over the coordinates' nodes)
+    and broadcast over the angles.
     """
     if l < 1:
         raise RangeExceeded("counterexample degree must be at least 1")
@@ -257,8 +262,12 @@ def one_radius_counterexample(l, lambda_prime, n=1, zero_index=0, grid=None,
     x0 = table.zeros[zero_index]
     r = float(np.sqrt(2 * x0 / lam[0]))
     grid = grid or default_grid(n)
-    field = sample(lambda z: theta_k(l, lam, z), grid,
-                   metadata=f"laguerre block {l}")
+    radius2 = reduce(np.add.outer, [nodes**2 for nodes in grid.radial_nodes])
+    profile = theta_radial(l, lam, np.sqrt(radius2))
+    # one angular axis of length 1 after each radial axis, broadcast to the grid
+    profile = profile.reshape(tuple(x for s in profile.shape for x in (s, 1)))
+    field = SampledField(grid, np.broadcast_to(profile, grid.shape),
+                         metadata=f"laguerre block {l}")
     rng = np.random.default_rng(seed)
     pts = rng.uniform(0.2, 0.5 * grid.r_max, (probe_count, n)) * np.exp(
         1j * rng.uniform(0, 2 * np.pi, (probe_count, n))
@@ -364,28 +373,49 @@ class RadiiVerdict:
                 fh.write(f"bessel,,{i},,{j},{err!r}\n")
 
 
-def _anisotropic_block_zeros(k, lam, r_max, sphere_order=16, scan_points=600):
-    """Radial sign changes of the sphere-average of theta_k for anisotropic
-    reduced twist, by bracketing + bisection on a dense radial scan."""
-    from scipy.optimize import brentq
+def _sphere_average_profile(k, lam, sphere_order=16):
+    """r -> the order-`sphere_order` sphere-rule average of theta_k over
+    |w| = r, vectorised in r.
 
-    from .grids import build_sphere_rule
-    from .special import theta_k as _theta_k
-
-    n = lam.size
+    theta_k depends on w only through the moduli |w_j|, so the unit rule is
+    reduced to its T^n orbits: one node per distinct moduli tuple, carrying
+    the summed weight of the orbit (9 nodes at n = 2, order 16).  Moduli are
+    matched after rounding to 12 decimals, as the nodes of one orbit agree
+    only to rounding.  Scaling the moduli by r gives the same quadrature as
+    the rule built at radius r.
+    """
+    rule = build_sphere_rule(lam.size, 1.0, sphere_order)
+    moduli = np.abs(rule.nodes)
+    _, first, orbit = np.unique(np.round(moduli, 12), axis=0, return_index=True,
+                                return_inverse=True)
+    weights = np.bincount(orbit.ravel(), weights=rule.weights)
+    moduli = moduli[first]
 
     def profile(r):
-        rule = build_sphere_rule(n, float(r), sphere_order)
-        return float(np.real(np.sum(rule.weights * _theta_k(k, lam, rule.nodes))))
+        r = np.asarray(r, dtype=float)
+        return theta_k(k, lam, r[..., None, None] * moduli) @ weights
 
+    return profile
+
+
+def _anisotropic_block_zeros(k, lam, r_max, sphere_order=16, scan_points=600):
+    """Radial sign changes of the sphere average of theta_k for anisotropic
+    reduced twist, by bracketing on a dense radial scan and bisection.
+
+    The average is the T^n-orbit reduction of the order-`sphere_order` rule
+    (`_sphere_average_profile`): the same quadrature as the full rule, built
+    once per call.  It is still the averaged-kernel criterion described in
+    `two_radii_check`, not the per-multi-index one."""
+    profile = _sphere_average_profile(k, lam, sphere_order)
     rs = np.linspace(r_max / scan_points, r_max, scan_points)
-    vals = np.array([profile(r) for r in rs])
+    vals = profile(rs)
     zeros = []
     for i in range(len(rs) - 1):
         if vals[i] == 0.0:
             zeros.append(float(rs[i]))
         elif vals[i] * vals[i + 1] < 0:
-            zeros.append(float(brentq(profile, rs[i], rs[i + 1], xtol=1e-12)))
+            zeros.append(float(brentq(lambda r: float(profile(r)), rs[i], rs[i + 1],
+                                      xtol=1e-12)))
     return zeros
 
 

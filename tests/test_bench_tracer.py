@@ -78,3 +78,31 @@ def test_round_trip_makes_one_analysis_and_one_synthesis():
     assert counters["transforms.synthesis.calls"] == 1
     # the analysis's forward and the synthesis's inverse transform
     assert counters["grids.angular_fft.calls"] == 2
+
+
+def test_admissibility_builds_one_sphere_rule_per_degree_and_samples_no_grid():
+    tracer = _import_tracer()
+    originals = {(home, attr): getattr(sys.modules[f"metivier.{home}"], attr)
+                 for home, attr, *_ in tracer.FUNCTIONS}
+    rec = tracer.Recorder().install()
+    try:
+        rec.run_job(0, lambda: injectivity.two_radii_check(
+            1.0, 1.7, n=2, lambda_prime=(1.0, 2.0), k_max=3, bessel_count=10))
+        rec.run_job(1, lambda: injectivity.one_radius_counterexample(
+            1, [1.1, 1.1], n=2, grid=polar_grid(2, 16, 8, 6.0)))
+    finally:
+        rec.uninstall()
+    # the anisotropic scan builds one unit rule per degree and reduces it to
+    # its torus orbits, for the scan and the root refinement alike
+    counters = rec.jobs[0]["counters"]
+    assert counters["grids.build_sphere_rule.calls"] == 3
+    assert counters["injectivity.two_radii_check.calls"] == 1
+    # the witness samples theta_l on the radial nodes only; its residual's
+    # sphere means build one rule
+    counters = rec.jobs[1]["counters"]
+    assert counters["injectivity.one_radius_counterexample.calls"] == 1
+    assert counters.get("grids.sample.calls", 0) == 0
+    assert counters["grids.build_sphere_rule.calls"] == 1
+    for (home, attr), fn in originals.items():
+        assert getattr(sys.modules[f"metivier.{home}"], attr) is fn
+    assert injectivity.build_sphere_rule is originals[("grids", "build_sphere_rule")]

@@ -111,6 +111,26 @@ def test_evaluator_n2():
     assert np.max(np.abs(ev(pts) - fn(pts))) < 1e-9
 
 
+def test_evaluator_band_is_relative_to_the_field_peak():
+    # the kept angular modes are those above mode_tol of the largest mode
+    # amplitude, so scaling the field keeps the same band
+    g = polar_grid(2, 12, 16, 6.0)
+    f = sample(lambda z: np.exp(-np.sum(np.abs(z) ** 2, axis=-1) / 2)
+               * (1 + z[..., 0] ** 3 + 1e-6 * np.conj(z[..., 1]) ** 2), g)
+    want = [m.tolist() for m in FieldEvaluator(f).modes]
+    assert want == [[0, 3], [0, -2]]
+    for scale in (1e-9, 1e9):
+        assert [m.tolist() for m in FieldEvaluator(f.with_values(scale * f.values)).modes] == want
+
+
+def test_norm2_matches_the_product_rule():
+    g = polar_grid(2, 10, 8, 5.0)
+    f = sample(lambda z: np.exp(-np.sum(np.abs(z) ** 2, axis=-1) / 3) * (z[..., 0] + 2j * z[..., 1] ** 2), g)
+    want = np.sqrt(np.sum(g.quadrature_weights() * np.abs(f.values) ** 2))
+    assert f.norm2() == pytest.approx(want, rel=1e-14)
+    assert f.norm2() == pytest.approx(np.sqrt(inner_product(f, f).real), rel=1e-14)
+
+
 def test_sphere_rule_circle_moments():
     # n = 1: the rule is the uniform circle measure; angular monomials average
     # to zero and |w|^2 is constant

@@ -302,6 +302,69 @@ def test_two_radii_anisotropic_conflicts_match_double_loop():
     assert want and verdict.laguerre_conflicts == tuple(want)
 
 
+@pytest.mark.parametrize("lam", [(1.0, 2.0), (0.7, 1.9)])
+def test_sphere_average_profile_equals_full_sphere_rule(lam):
+    from metivier.grids import build_sphere_rule
+    from metivier.injectivity import _sphere_average_profile
+
+    lam = np.array(lam)
+    rs = np.linspace(0.1, 6.0, 20)
+    for k in range(5):
+        full = []
+        for r in rs:
+            rule = build_sphere_rule(2, r, 16)
+            full.append(np.real(np.sum(rule.weights * theta_k(k, lam, rule.nodes))))
+        got = _sphere_average_profile(k, lam)(rs)
+        assert np.max(np.abs(got - full)) < 1e-14
+
+
+@pytest.mark.parametrize("lam", [(1.0, 2.0), (0.7, 1.9)])
+def test_anisotropic_block_zeros_match_simplex_integral(lam):
+    # on |w| = r in C^2, t = |w_1|^2 / r^2 is uniform on [0, 1], so the sphere
+    # average of theta_k is a 1-D integral of L_k^1(s) e^{-s/2} in t
+    from scipy.optimize import brentq
+    from scipy.special import eval_genlaguerre
+
+    from metivier.injectivity import _anisotropic_block_zeros
+
+    lam = np.array(lam)
+    x, w = np.polynomial.legendre.leggauss(100)
+    t, w = (x + 1) / 2, w / 2
+    r_scan = float(np.sqrt(2 * laguerre_zeros(4, 1).zeros[-1] / lam.min())) * 1.05
+    rr = np.linspace(r_scan / 2000, r_scan, 2000)
+    for k in range(1, 5):
+        def average(r):
+            s = np.multiply.outer(np.square(r), lam[0] * t + lam[1] * (1 - t)) / 2
+            return (eval_genlaguerre(k, 1, s) * np.exp(-s / 2)) @ w
+
+        v = average(rr)
+        want = [brentq(average, rr[i], rr[i + 1], xtol=1e-15)
+                for i in np.flatnonzero(v[:-1] * v[1:] < 0)]
+        got = _anisotropic_block_zeros(k, lam, r_scan)
+        assert len(got) == len(want) == k
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
+
+
+@pytest.mark.parametrize("n, l, lam, grid", [
+    (1, 2, [1.2], default_grid(1)),
+    (2, 1, [1.05, 1.05], polar_grid(2, 20, 16, 7.0)),
+])
+def test_one_radius_counterexample_field_is_sampled_theta(n, l, lam, grid):
+    from metivier.transforms import reduced_mean_at
+
+    ce = one_radius_counterexample(l, lam, n=n, grid=grid)
+    want = sample(lambda z: theta_k(l, lam, z), grid)
+    assert np.max(np.abs(ce.field.values - want.values)) < 1e-14 * want.max_abs()
+    assert ce.radius == np.sqrt(2 * laguerre_zeros(l, n - 1).zeros[0] / lam[0])
+    # the residual is the sphere-rule mean of the sampled field at the
+    # function's seeded probe points
+    rng = np.random.default_rng(7)
+    pts = rng.uniform(0.2, 0.5 * grid.r_max, (6, n)) * np.exp(
+        1j * rng.uniform(0, 2 * np.pi, (6, n)))
+    mean = reduced_mean_at(want, lam, ce.radius, pts)
+    assert abs(ce.mean_residual - np.max(np.abs(mean)) / want.max_abs()) < 1e-15
+
+
 def test_radii_verdict_csv(tmp_path):
     r1, r2 = inadmissible_radius_pair()
     verdict = two_radii_check(r1, r2, k_max=4)
