@@ -112,7 +112,6 @@ from .transforms import (
     m_radialize,
     matrix_coefficient,
     mean_eigenvalue,
-    modified_twisted_mean,
     modified_twisted_mean_at,
     read_spectrum,
     reduced_mean,

@@ -178,7 +178,7 @@ def _verify_identities(tolerance, eigen_tolerance):
     import numpy as np
 
     from .grids import default_grid, sample
-    from .special import mean_factor, psi_alpha_beta, theta_k, theta_radial
+    from .special import psi_alpha_beta, theta_k
     from .structures import (
         builtin_structure,
         complex_from_real,
@@ -188,6 +188,7 @@ def _verify_identities(tolerance, eigen_tolerance):
     )
     from .transforms import (
         apply_twisted_laplacian,
+        mean_eigenvalue,
         modified_twisted_mean_at,
         reduced_mean_at,
         twisted_mean_at,
@@ -204,8 +205,7 @@ def _verify_identities(tolerance, eigen_tolerance):
         fk = sample(lambda z: theta_k(k, lam1, z), g)
         for r in (0.5, 1.3):
             got = reduced_mean_at(fk, lam1, r, probes)
-            want = (mean_factor(k, 1) * float(theta_radial(k, lam1, np.array(r)))
-                    * theta_k(k, lam1, probes).ravel())
+            want = mean_eigenvalue(k, lam1, r) * theta_k(k, lam1, probes).ravel()
             scale = max(np.max(np.abs(fk.values)), 1e-300)
             err = max(err, float(np.max(np.abs(got - want)) / scale))
     results.append(("laguerre-factorization", err, tolerance))

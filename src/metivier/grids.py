@@ -148,8 +148,9 @@ class SampledField:
             raise NonFiniteValue("<field values>")
         object.__setattr__(self, "values", v)
 
-    def with_values(self, values, metadata=None):
-        return SampledField(self.grid, values, self.metadata if metadata is None else metadata)
+    def with_values(self, values):
+        """The same grid and metadata with new values."""
+        return SampledField(self.grid, values, self.metadata)
 
     def norm2(self):
         """L2 norm by the grid rule, contracting |f|^2 one axis at a time
@@ -237,10 +238,10 @@ def inner_product(f, g):
 
 
 class FieldEvaluator:
-    """Off-grid evaluation of a SampledField.
+    """Off-grid evaluation of a SampledField on a grid of any dimension n.
 
     Angular direction: exact discrete Fourier modes, truncated adaptively to
-    the field's band (relative amplitude >= mode_tol).  Radial direction:
+    the field's band (relative amplitude >= 1e-13).  Radial direction:
     global barycentric Lagrange interpolation on the Gauss-Legendre nodes.
 
     fill="zero" returns 0 beyond r_max + extrap_slack (appropriate for the
@@ -248,15 +249,13 @@ class FieldEvaluator:
     OutOfDomain instead.
     """
 
-    def __init__(self, field, mode_tol=1e-13, fill="zero", extrap_slack=0.0):
+    def __init__(self, field, fill="zero", extrap_slack=0.0):
         self.field = field
         self.grid = field.grid
         self.fill = fill
         self.extrap_slack = float(extrap_slack)
         n = self.grid.n
-        fhat = field.values
-        for j in range(n):
-            fhat = np.fft.fft(fhat, axis=2 * j + 1) / self.grid.angular_counts[j]
+        fhat = angular_mode_coefficients(field)
         self.modes = []
         for j in range(n):
             na = self.grid.angular_counts[j]
@@ -264,7 +263,7 @@ class FieldEvaluator:
             amp = np.max(np.abs(fhat), axis=tuple(a for a in range(fhat.ndim) if a != axis))
             if j == 0:
                 gmax = np.max(amp) or 1.0  # before any mode is dropped
-            keep = np.flatnonzero(amp >= mode_tol * gmax)
+            keep = np.flatnonzero(amp >= 1e-13 * gmax)
             if keep.size == 0:
                 keep = np.array([0])
             mnum = np.fft.fftfreq(na, d=1.0 / na).astype(int)
@@ -299,10 +298,10 @@ class FieldEvaluator:
         s[s == 0] = 1.0
         return B / s
 
-    def __call__(self, zpts, chunk=4096):
+    def __call__(self, zpts):
         """Evaluate at complex points of shape (P, n) (or (P,) when n == 1)."""
         z = np.asarray(zpts, dtype=complex)
-        if self.grid.n == 1 and z.ndim == 1:
+        if z.ndim == 1:
             z = z[:, None]
         if z.ndim != 2 or z.shape[1] != self.grid.n:
             raise DimensionMismatch("points must have shape (P, n)")
@@ -318,29 +317,25 @@ class FieldEvaluator:
         idx = np.flatnonzero(inside)
         # keep the per-chunk contraction workspace near 2e7 complex entries
         per_point = max(int(self.fhat.size / self.grid.radial_nodes[0].size), 1)
-        chunk = max(8, min(chunk, int(2e7) // per_point))
+        chunk = max(8, min(4096, int(2e7) // per_point))
         for start in range(0, idx.size, chunk):
             sel = idx[start : start + chunk]
             out[sel] = self._eval_inside(t[sel], beta[sel])
         return out
 
     def _eval_inside(self, t, beta):
-        n = self.grid.n
-        if n == 1:
-            B = self._radial_matrix(0, t[:, 0])
-            G = B @ self.fhat  # (P, M)
-            ph = np.exp(1j * beta[:, [0]] * self.modes[0][None, :])
-            return np.sum(G * ph, axis=1)
-        if n == 2:
-            B1 = self._radial_matrix(0, t[:, 0])
-            B2 = self._radial_matrix(1, t[:, 1])
-            # fhat shape (Nr1, M1, Nr2, M2)
-            G = np.einsum("pi,imjn->pmjn", B1, self.fhat, optimize=True)
-            H = np.einsum("pj,pmjn->pmn", B2, G, optimize=True)
-            ph1 = np.exp(1j * beta[:, [0]] * self.modes[0][None, :])
-            ph2 = np.exp(1j * beta[:, [1]] * self.modes[1][None, :])
-            return np.einsum("pmn,pm,pn->p", H, ph1, ph2, optimize=True)
-        raise UnsupportedDimension("evaluation implemented for n in {1, 2}")
+        """Contract the kept coefficients one coordinate at a time: the radial
+        interpolation matrix, then each kept mode's phase summed over the
+        coordinate's modes."""
+        out = None
+        for j in range(self.grid.n):
+            B = self._radial_matrix(j, t[:, j])
+            if out is None:  # the coefficients have no points axis yet
+                out = np.tensordot(B, self.fhat, axes=1)
+            else:
+                out = np.einsum("pi...,pi->p...", out, B)
+            out = np.einsum("pm...,pm->p...", out, np.exp(1j * beta[:, [j]] * self.modes[j]))
+        return out
 
 
 def angular_mode_coefficients(field):
@@ -349,9 +344,10 @@ def angular_mode_coefficients(field):
     Returns an array of the same shape as field.values, with angular axes
     holding mode coefficients in numpy FFT order.
     """
-    fhat = field.values.astype(complex)
+    fhat = field.values
     for j in range(field.grid.n):
-        fhat = np.fft.fft(fhat, axis=2 * j + 1) / field.grid.angular_counts[j]
+        fhat = np.fft.fft(fhat, axis=2 * j + 1)
+        fhat /= field.grid.angular_counts[j]  # in place: the FFT returned a new array
     return fhat
 
 
@@ -359,7 +355,8 @@ def values_from_mode_coefficients(grid, fhat):
     """Inverse of angular_mode_coefficients."""
     v = fhat
     for j in range(grid.n):
-        v = np.fft.ifft(v, axis=2 * j + 1) * grid.angular_counts[j]
+        v = np.fft.ifft(v, axis=2 * j + 1)
+        v *= grid.angular_counts[j]  # in place: the inverse FFT returned a new array
     return v
 
 

@@ -11,10 +11,12 @@ growth iff r1^2/r2^2 avoids all ratios of Laguerre zeros (twisted part) and
 r1/r2 avoids all ratios of Bessel J_{n-1} zeros (the untwisted central mode).
 """
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 from scipy.optimize import brentq
 from scipy.special import logsumexp
 
@@ -26,14 +28,7 @@ from .errors import (
     UnsupportedDimension,
 )
 from .grids import SampledField, build_sphere_rule, default_grid
-from .special import (
-    bessel_j,
-    bessel_zeros,
-    laguerre_zeros,
-    mean_factor,
-    theta_k,
-    theta_radial,
-)
+from .special import bessel_j, bessel_zeros, laguerre_zeros, theta_k, theta_radial
 from .transforms import (
     _analyse,
     _block_pairs,
@@ -41,6 +36,7 @@ from .transforms import (
     _synthesize_values,
     angular_mode_coefficients,
     fourier_coefficient_center,
+    mean_eigenvalue,
     reduced_mean,
     reduced_mean_at,
     values_from_mode_coefficients,
@@ -89,19 +85,19 @@ def mu_hat_theta(mu, k, lambda_prime):
     return float(np.sum(mu.weights * vals))
 
 
-def measure_mean_at(field, mu, lambda_prime, points, order=None):
+def measure_mean_at(field, mu, lambda_prime, points):
     """Aggregated reduced-twist mean sum_i w_i (f x mu_{r_i}) at points."""
     out = 0.0
     for r, w in zip(mu.radii, mu.weights):
-        out = out + w * reduced_mean_at(field, lambda_prime, r, points, order=order)
+        out = out + w * reduced_mean_at(field, lambda_prime, r, points)
     return out
 
 
-def measure_mean(field, mu, lambda_prime, order=None):
+def measure_mean(field, mu, lambda_prime):
     """Aggregated reduced-twist mean as a field (n = 1)."""
     out = None
     for r, w in zip(mu.radii, mu.weights):
-        m = reduced_mean(field, lambda_prime, r, order=order)
+        m = reduced_mean(field, lambda_prime, r)
         out = m.with_values(w * m.values) if out is None else out.with_values(
             out.values + w * m.values
         )
@@ -152,78 +148,66 @@ def _invert_blocks(template, lam, k_max, blocks):
     return template.with_values(_synthesize_values(grid, lam, terms, profiles)), divisor, recovered
 
 
-def _normalize_means(means, radii_hint):
-    """Accept {radius: field}, [(radius, field), ...], or [field, ...] paired
-    with an explicit radius list/RadialMeasure; return aligned lists."""
-    if isinstance(means, dict):
-        pairs = sorted(means.items())
-        return [float(r) for r, _ in pairs], [f for _, f in pairs]
-    means = list(means)
-    if means and isinstance(means[0], (tuple, list)):
-        return [float(r) for r, _ in means], [f for _, f in means]
-    if radii_hint is None:
-        raise DimensionMismatch("bare field list requires explicit radii")
-    if isinstance(radii_hint, RadialMeasure):
-        radii = [float(r) for r in radii_hint.radii]
-    else:
-        radii = [float(r) for r in np.atleast_1d(np.asarray(radii_hint, dtype=float))]
-    if len(radii) != len(means):
-        raise DimensionMismatch("radius list and mean list lengths differ")
-    return radii, means
+def _reconstruct(means, lambda_prime, k_max, scalars):
+    """Blockwise inversion shared by both reconstructions.
+
+    means is a nonempty list of (label, mean field) on one grid, and
+    scalars(k, lam) gives the scalar by which each mean acts on the degree-k
+    block, in the same order.  Each degree is inverted from the mean with the
+    largest |scalar| and recorded under that mean's label; degrees whose
+    scalars all fall below USABLE_RADIUS_THRESHOLD are unrecoverable
+    (NoUsableRadius if that is all of them).
+    """
+    template = means[0][1]
+    lam = np.atleast_1d(np.asarray(lambda_prime, dtype=float))
+    if lam.shape != (template.grid.n,):
+        raise DimensionMismatch(f"reduced twist must have {template.grid.n} components")
+    used, blocks, unrecoverable = {}, {}, []
+    for k in range(k_max + 1):
+        values = scalars(k, lam)
+        best = int(np.argmax(np.abs(values)))
+        if abs(values[best]) < USABLE_RADIUS_THRESHOLD:
+            unrecoverable.append(k)
+            continue
+        used[k] = means[best][0]
+        blocks[k] = (means[best][1], values[best])
+    if not blocks:
+        raise NoUsableRadius(
+            f"every degree up to {k_max} has |c_k theta_k| < {USABLE_RADIUS_THRESHOLD:g} "
+            f"in every supplied mean"
+        )
+    field, divisor, recovered = _invert_blocks(template, lam, k_max, blocks)
+    return ReconstructionResult(field, k_max, used, divisor, recovered,
+                                tuple(unrecoverable), USABLE_RADIUS_THRESHOLD)
 
 
-def reconstruct_from_means(means, lambda_prime, k_max, radii=None,
-                           threshold=USABLE_RADIUS_THRESHOLD):
+def reconstruct_from_means(means, lambda_prime, k_max):
     """Recover f from its reduced-twist spherical means at several radii.
 
-    `means` is a {radius: field} map, a sequence of (radius, field) pairs, or
-    a bare field sequence paired with `radii` (a list or RadialMeasure).
-    For each degree k the radius with the largest |c_k theta_k(r)| is used;
-    degrees where every divisor falls below `threshold` are reported as
-    unrecoverable (NoUsableRadius if that is all of them).
+    `means` is a {radius: field} mapping or a sequence of (radius, field)
+    pairs with distinct radii; anything else raises DimensionMismatch.  For
+    each degree k the radius with the largest |c_k theta_k(r)|
+    (mean_eigenvalue) is used and recorded in used_radius.
     """
-    rlist, fields = _normalize_means(means, radii)
-    if not fields:
-        raise DimensionMismatch("need at least one (radius, mean field) pair")
-    lam = np.atleast_1d(np.asarray(lambda_prime, dtype=float))
-    rarr = np.array(rlist, dtype=float)
-    used_radius, blocks, unrecoverable = {}, {}, []
-    for k in range(k_max + 1):
-        scalars = mean_factor(k, fields[0].grid.n) * theta_radial(k, lam, rarr)
-        best = int(np.argmax(np.abs(scalars)))
-        if abs(scalars[best]) < threshold:
-            unrecoverable.append(k)
-            continue
-        used_radius[k] = float(rarr[best])
-        blocks[k] = (fields[best], scalars[best])
-    if not blocks:
-        raise NoUsableRadius(
-            f"every degree up to {k_max} has |c_k theta_k(r)| < {threshold:g} "
-            f"at all supplied radii"
-        )
-    field, divisor, recovered = _invert_blocks(fields[0], lam, k_max, blocks)
-    return ReconstructionResult(field, k_max, used_radius, divisor, recovered,
-                                tuple(unrecoverable), threshold)
+    items = means.items() if isinstance(means, Mapping) else means
+    try:
+        pairs = sorted(((float(r), f) for r, f in items), key=lambda p: p[0])
+    except (TypeError, ValueError) as exc:
+        raise DimensionMismatch(
+            "means must be a {radius: field} mapping or (radius, field) pairs"
+        ) from exc
+    radii = np.array([r for r, _ in pairs])
+    if radii.size == 0 or np.unique(radii).size != radii.size:
+        raise DimensionMismatch("need at least one mean and distinct radii")
+    return _reconstruct(pairs, lambda_prime, k_max,
+                        lambda k, lam: mean_eigenvalue(k, lam, radii))
 
 
-def reconstruct_from_measure_mean(mean_field, mu, lambda_prime, k_max,
-                                  threshold=USABLE_RADIUS_THRESHOLD):
-    """Recover f from a single aggregated mean over a radial measure."""
-    lam = np.atleast_1d(np.asarray(lambda_prime, dtype=float))
-    blocks, unrecoverable = {}, []
-    for k in range(k_max + 1):
-        scalar = mean_factor(k, mean_field.grid.n) * mu_hat_theta(mu, k, lam)
-        if abs(scalar) < threshold:
-            unrecoverable.append(k)
-            continue
-        blocks[k] = (mean_field, scalar)
-    if not blocks:
-        raise NoUsableRadius(
-            f"the measure annihilates every degree up to {k_max}"
-        )
-    field, divisor, recovered = _invert_blocks(mean_field, lam, k_max, blocks)
-    return ReconstructionResult(field, k_max, {k: None for k in divisor}, divisor,
-                                recovered, tuple(unrecoverable), threshold)
+def reconstruct_from_measure_mean(mean_field, mu, lambda_prime, k_max):
+    """Recover f from a single aggregated mean over a radial measure: block k
+    is divided by sum_i w_i c_k theta_k(r_i); used_radius records None."""
+    return _reconstruct([(None, mean_field)], lambda_prime, k_max,
+                        lambda k, lam: [mean_eigenvalue(k, lam, mu.radii) @ mu.weights])
 
 
 @dataclass(frozen=True)
@@ -237,17 +221,16 @@ class OneRadiusCounterexample:
     mean_residual: float  # max |mean| at probe points, relative to max |field|
 
 
-def one_radius_counterexample(l, lambda_prime, n=1, zero_index=0, grid=None,
-                              probe_count=6, order=None, seed=7):
+def one_radius_counterexample(l, lambda_prime, n=1, zero_index=0, grid=None):
     """theta_l with r chosen so lam r^2 / 2 is a zero of L_l^{n-1}.
 
     The mean at that radius multiplies the whole block by c_l theta_l(r) = 0,
     so the returned nonzero field has identically vanishing mean; its residual
-    is measured at seeded probe points by sphere-rule quadrature of the
-    sampled values.  Requires l >= 1 (theta_0 has no radial zero) and
-    isotropic lambda_prime, where theta_l depends on |z| alone: the field is
-    sampled on the radial nodes (|z|^2 summed over the coordinates' nodes)
-    and broadcast over the angles.
+    is measured at 6 probe points drawn with seed 7, by sphere-rule
+    quadrature of the sampled values.  Requires l >= 1 (theta_0 has no
+    radial zero) and isotropic lambda_prime, where theta_l depends on |z|
+    alone: the field is sampled on the radial nodes (|z|^2 summed over the
+    coordinates' nodes) and broadcast over the angles.
     """
     if l < 1:
         raise RangeExceeded("counterexample degree must be at least 1")
@@ -268,11 +251,11 @@ def one_radius_counterexample(l, lambda_prime, n=1, zero_index=0, grid=None,
     profile = profile.reshape(tuple(x for s in profile.shape for x in (s, 1)))
     field = SampledField(grid, np.broadcast_to(profile, grid.shape),
                          metadata=f"laguerre block {l}")
-    rng = np.random.default_rng(seed)
-    pts = rng.uniform(0.2, 0.5 * grid.r_max, (probe_count, n)) * np.exp(
-        1j * rng.uniform(0, 2 * np.pi, (probe_count, n))
+    rng = np.random.default_rng(7)
+    pts = rng.uniform(0.2, 0.5 * grid.r_max, (6, n)) * np.exp(
+        1j * rng.uniform(0, 2 * np.pi, (6, n))
     )
-    mean = reduced_mean_at(field, lam, r, pts, order=order)
+    mean = reduced_mean_at(field, lam, r, pts)
     residual = float(np.max(np.abs(mean)) / field.max_abs())
     return OneRadiusCounterexample(field, r, int(l), lam, residual)
 
@@ -288,7 +271,7 @@ class WeightedNorm:
     boundary_fraction: float
 
 
-def weighted_norm(field, spec_or_lambda, p=2, boundary_tol=1e-8):
+def weighted_norm(field, spec_or_lambda, p=2):
     """||f(z) e^{(1/4) sum mu_j |z_j|^2}||_p over the grid, p in [1, inf].
 
     spec_or_lambda is a SymplecticSpectrum (its diagonal mu is used; the field
@@ -297,8 +280,9 @@ def weighted_norm(field, spec_or_lambda, p=2, boundary_tol=1e-8):
     finiteness of this norm is the tempered-growth condition under which a
     single admissible radius already determines the field.  Accumulation is
     log-domain (no overflow); the boundary_dominated flag reports when the
-    outermost radial shell carries more than boundary_tol of the total, i.e.
-    the grid truncates a non-negligible tail and the value is a lower bound.
+    outermost radial shell (the last radial node of any coordinate) carries
+    more than 1e-8 of the total, i.e. the grid truncates a non-negligible
+    tail and the value is a lower bound.
     """
     g = field.grid
     lam = getattr(spec_or_lambda, "mu", spec_or_lambda)
@@ -316,16 +300,13 @@ def weighted_norm(field, spec_or_lambda, p=2, boundary_tol=1e-8):
     with np.errstate(divide="ignore"):
         logf = np.where(absf > 0, np.log(np.where(absf > 0, absf, 1.0)), -np.inf) + expo
 
-    def edge_of(arr):
-        # outermost radial shell of any coordinate
-        if g.n == 1:
-            return arr[-1]
-        parts = [arr[-1].ravel(), arr[:-1, :, -1, :].ravel()]
-        return np.concatenate(parts)
+    edge_mask = np.zeros(g.shape, dtype=bool)
+    for j in range(g.n):
+        np.moveaxis(edge_mask, 2 * j, 0)[-1] = True  # last radial node of coordinate j
 
     if np.isinf(p):
         total = float(np.max(logf))
-        edge = float(np.max(edge_of(logf))) if np.isfinite(total) else -np.inf
+        edge = float(np.max(logf[edge_mask])) if np.isfinite(total) else -np.inf
         frac = float(np.exp(edge - total)) if np.isfinite(total) else 0.0
         log_value = total
         value = float(np.exp(log_value))
@@ -336,11 +317,11 @@ def weighted_norm(field, spec_or_lambda, p=2, boundary_tol=1e-8):
         w = np.broadcast_to(g.quadrature_weights(), g.shape)
         logterm = p * logf + np.log(w)
         total = logsumexp(logterm)
-        edge = logsumexp(edge_of(logterm))
+        edge = logsumexp(logterm[edge_mask])
         frac = float(np.exp(edge - total)) if np.isfinite(total) else 0.0
         log_value = float(total / p)
     value = float(np.exp(log_value))
-    return WeightedNorm(value, log_value, p, bool(frac > boundary_tol), frac)
+    return WeightedNorm(value, log_value, p, bool(frac > 1e-8), frac)
 
 
 @dataclass(frozen=True)
@@ -373,9 +354,9 @@ class RadiiVerdict:
                 fh.write(f"bessel,,{i},,{j},{err!r}\n")
 
 
-def _sphere_average_profile(k, lam, sphere_order=16):
-    """r -> the order-`sphere_order` sphere-rule average of theta_k over
-    |w| = r, vectorised in r.
+def _sphere_average_profile(k, lam):
+    """r -> the order-16 sphere-rule average of theta_k over |w| = r,
+    vectorised in r.
 
     theta_k depends on w only through the moduli |w_j|, so the unit rule is
     reduced to its T^n orbits: one node per distinct moduli tuple, carrying
@@ -384,7 +365,7 @@ def _sphere_average_profile(k, lam, sphere_order=16):
     only to rounding.  Scaling the moduli by r gives the same quadrature as
     the rule built at radius r.
     """
-    rule = build_sphere_rule(lam.size, 1.0, sphere_order)
+    rule = build_sphere_rule(lam.size, 1.0, 16)
     moduli = np.abs(rule.nodes)
     _, first, orbit = np.unique(np.round(moduli, 12), axis=0, return_index=True,
                                 return_inverse=True)
@@ -398,16 +379,16 @@ def _sphere_average_profile(k, lam, sphere_order=16):
     return profile
 
 
-def _anisotropic_block_zeros(k, lam, r_max, sphere_order=16, scan_points=600):
+def _anisotropic_block_zeros(k, lam, r_max):
     """Radial sign changes of the sphere average of theta_k for anisotropic
-    reduced twist, by bracketing on a dense radial scan and bisection.
+    reduced twist, by bracketing on 600 equispaced radii and bisection.
 
-    The average is the T^n-orbit reduction of the order-`sphere_order` rule
+    The average is the T^n-orbit reduction of the sphere rule
     (`_sphere_average_profile`): the same quadrature as the full rule, built
     once per call.  It is still the averaged-kernel criterion described in
     `two_radii_check`, not the per-multi-index one."""
-    profile = _sphere_average_profile(k, lam, sphere_order)
-    rs = np.linspace(r_max / scan_points, r_max, scan_points)
+    profile = _sphere_average_profile(k, lam)
+    rs = np.linspace(r_max / 600, r_max, 600)
     vals = profile(rs)
     zeros = []
     for i in range(len(rs) - 1):
@@ -490,32 +471,29 @@ def inadmissible_radius_pair(n=1, degree_i=2, index_i=0, index_j=1, r2=1.0):
 # ---------------------------------------------------------------------------
 
 
-def euclidean_mean(field, r, order=None):
+def euclidean_mean(field, r):
     """Ordinary spherical mean over |xi| = r (zero twist) as a field (n = 1):
     the full-grid mean kernel of reduced_mean at twist 0."""
     if field.grid.n != 1:
         raise UnsupportedDimension("untwisted full-grid means are implemented for n = 1")
-    return _full_grid_mean(field, 0.0, r, order)
+    return _full_grid_mean(field, 0.0, r)
 
 
-def euclidean_two_radii_invert(mean1, mean2, r1, r2, rho_max=None, rho_count=None):
+def euclidean_two_radii_invert(mean1, mean2, r1, r2):
     """Invert a pair of Euclidean circle means (n = 1) by Hankel division.
 
     Per angular mode m, the circle mean multiplies the order-m Hankel
     transform by J_0(r rho); at each frequency the radius with the larger
-    |J_0(r_i rho)| is divided out.  The radii must pass the Bessel part of
+    |J_0(r_i rho)| is divided out.  The frequencies rho are Gauss-Legendre
+    nodes on (0, r_max], twice as many as the grid's radial nodes.  The radii must pass the Bessel part of
     the admissibility check or a frequency can be invisible to both means.
     """
     g = mean1.grid
     if g.n != 1 or mean2.grid != g:
         raise DimensionMismatch("need two n = 1 means on a common grid")
-    from numpy.polynomial.legendre import leggauss
-
-    rho_max = rho_max or g.r_max
-    rho_count = rho_count or 2 * len(g.radial_nodes[0])
-    x, wq = leggauss(rho_count)
-    rho = (x + 1) * (rho_max / 2)
-    wrho = wq * (rho_max / 2)
+    x, wq = leggauss(2 * len(g.radial_nodes[0]))
+    rho = (x + 1) * (g.r_max / 2)
+    wrho = wq * (g.r_max / 2)
     s = g.radial_nodes[0]
     ws = g.radial_weights[0] * s
     f1 = angular_mode_coefficients(mean1)
@@ -581,20 +559,19 @@ class TwoRadiiReport:
         }
 
 
-def two_radii_reconstruct(pfield, r1, r2, k_max=20, ell_max=2, order=None,
-                          check=True, threshold=USABLE_RADIUS_THRESHOLD):
+def two_radii_reconstruct(pfield, r1, r2, k_max=20, ell_max=2):
     """Reconstruct every central Fourier mode of a periodized field (n = 1,
     m = 1) from its spherical means at two radii, and report the residuals.
 
     Mode ell != 0 uses reduced-twist means with twist ell (negative twists are
     handled by conjugation symmetry); mode 0 uses the Euclidean Hankel
-    inversion.  Raises InadmissibleRadii when check=True and the pair fails
-    the admissibility conditions.
+    inversion.  Raises InadmissibleRadii when the pair fails the
+    admissibility conditions.
     """
     if pfield.grid.n != 1 or pfield.m != 1:
         raise UnsupportedDimension("two-radii verification is implemented for n = m = 1")
     verdict = two_radii_check(r1, r2, n=1, k_max=k_max)
-    if check and not verdict.admissible_within_bounds:
+    if not verdict.admissible_within_bounds:
         raise InadmissibleRadii(
             f"radius pair ({r1}, {r2}) collides with zero ratios; "
             f"{len(verdict.laguerre_conflicts)} laguerre and "
@@ -609,21 +586,19 @@ def two_radii_reconstruct(pfield, r1, r2, k_max=20, ell_max=2, order=None,
             continue
         result = None
         if ell == 0:
-            m1 = euclidean_mean(comp, r1, order)
-            m2 = euclidean_mean(comp, r2, order)
+            m1 = euclidean_mean(comp, r1)
+            m2 = euclidean_mean(comp, r2)
             recon = euclidean_two_radii_invert(m1, m2, r1, r2)
         else:
-            m1 = reduced_mean(comp, [float(ell)], r1, order)
-            m2 = reduced_mean(comp, [float(ell)], r2, order)
+            m1 = reduced_mean(comp, [float(ell)], r1)
+            m2 = reduced_mean(comp, [float(ell)], r2)
             if ell > 0:
-                result = reconstruct_from_means([(r1, m1), (r2, m2)], [float(ell)],
-                                                k_max, threshold=threshold)
+                result = reconstruct_from_means([(r1, m1), (r2, m2)], [float(ell)], k_max)
                 recon = result.field
             else:
                 c1 = m1.with_values(np.conj(m1.values))
                 c2 = m2.with_values(np.conj(m2.values))
-                result = reconstruct_from_means([(r1, c1), (r2, c2)], [float(-ell)],
-                                                k_max, threshold=threshold)
+                result = reconstruct_from_means([(r1, c1), (r2, c2)], [float(-ell)], k_max)
                 recon = result.field.with_values(np.conj(result.field.values))
         err_field = comp.with_values(recon.values - comp.values)
         err = err_field.norm2()

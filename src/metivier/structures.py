@@ -169,13 +169,14 @@ class MetivierReport:
     threshold: float
 
 
-def metivier_check(structure, probes=2000, seed=20240901, threshold=METIVIER_THRESHOLD):
+def metivier_check(structure):
     """Probe nonsingularity of V_lambda over the unit sphere of directions.
 
     Directions: all coordinate axes, all two-axis sums/differences, then
-    seeded Gaussian directions up to `probes` total.  For each, |det| of
-    V_lambda normalized to unit max entry is recorded; the structure passes
-    when the minimum over all probes exceeds `threshold`.
+    Gaussian directions drawn with seed 20240901, 2000 directions in all.
+    For each, |det| of V_lambda normalized to unit max entry is recorded; the
+    structure passes when the minimum over all probes exceeds
+    METIVIER_THRESHOLD.
     """
     m = structure.m
     dirs = [np.eye(m)[i] for i in range(m)]
@@ -184,8 +185,8 @@ def metivier_check(structure, probes=2000, seed=20240901, threshold=METIVIER_THR
             e = np.eye(m)
             dirs.append((e[i] + e[j]) / np.sqrt(2))
             dirs.append((e[i] - e[j]) / np.sqrt(2))
-    rng = np.random.default_rng(seed)
-    while len(dirs) < probes:
+    rng = np.random.default_rng(20240901)
+    while len(dirs) < 2000:
         g = rng.standard_normal(m)
         norm = np.linalg.norm(g)
         if norm > 1e-6:
@@ -198,8 +199,8 @@ def metivier_check(structure, probes=2000, seed=20240901, threshold=METIVIER_THR
         d = abs(np.linalg.det(v / scale)) if scale > 0 else 0.0
         if d < worst_d:
             worst_d, worst = d, lam
-    return MetivierReport(bool(worst_d > threshold), len(dirs), float(worst_d),
-                          np.asarray(worst), threshold)
+    return MetivierReport(bool(worst_d > METIVIER_THRESHOLD), len(dirs), float(worst_d),
+                          np.asarray(worst), METIVIER_THRESHOLD)
 
 
 @dataclass(frozen=True)
@@ -291,14 +292,13 @@ def complex_from_real(x):
     return x[..., :n] + 1j * x[..., n:]
 
 
-def rotate_field(field, spec, direction="forward", fill="zero"):
+def rotate_field(field, spec, direction="forward"):
     """Pull a field back through the normal-form rotation: (R f)(x) = f(A x).
 
     `spec` is a SymplecticSpectrum or a plain orthogonal matrix; direction
     "inverse" applies A^T instead.  The rotation preserves the total radius
-    but can push individual coordinate radii past r_max on product grids;
-    fill="zero" substitutes 0 there (appropriate for Gaussian decay), while
-    fill="raise" raises OutOfDomain.
+    but can push individual coordinate radii past r_max on product grids,
+    where the field is taken as 0 (appropriate for Gaussian decay).
     """
     if direction not in ("forward", "inverse"):
         raise DimensionMismatch("direction must be 'forward' or 'inverse'")
@@ -313,6 +313,6 @@ def rotate_field(field, spec, direction="forward", fill="zero"):
     axes = g.coordinate_axes()
     z = np.stack(np.broadcast_arrays(*axes), axis=-1).reshape(-1, g.n)
     zr = real_from_complex(z) @ mat.T
-    ev = FieldEvaluator(field, fill=fill)
+    ev = FieldEvaluator(field)
     vals = ev(complex_from_real(zr)).reshape(g.shape)
     return SampledField(g, vals, field.metadata)

@@ -52,7 +52,7 @@ from .grids import (
     build_sphere_rule,
     values_from_mode_coefficients,
 )
-from .special import mean_factor, special_hermite_1d, theta_k
+from .special import mean_factor, special_hermite_1d, theta_radial
 from .structures import real_from_complex, complex_from_real, v_lambda
 
 DEFAULT_SPHERE_ORDER = {1: 64, 2: 16}
@@ -105,7 +105,7 @@ def _grid_points(grid):
     return np.stack(np.broadcast_arrays(*axes), axis=-1).reshape(-1, grid.n)
 
 
-def _full_grid_mean(field, twist, r, order=None):
+def _full_grid_mean(field, twist, r):
     """Full-grid n = 1 sphere mean with phase (i/2) twist Im(z conj(w)).
 
     The mean commutes with the rotations z -> e^{i phi} z, so angular mode m
@@ -116,7 +116,7 @@ def _full_grid_mean(field, twist, r, order=None):
     mean.  Beyond r_max the field is zero, as in FieldEvaluator.
     """
     g = field.grid
-    rule = build_sphere_rule(1, r, order or DEFAULT_SPHERE_ORDER[1])
+    rule = build_sphere_rule(1, r, DEFAULT_SPHERE_ORDER[1])
     ev = FieldEvaluator(field)
     s = g.radial_nodes[0]
     w = rule.nodes[:, 0]
@@ -133,7 +133,7 @@ def _full_grid_mean(field, twist, r, order=None):
     return field.with_values(values_from_mode_coefficients(g, fhat))
 
 
-def reduced_mean(field, lambda_prime, r, order=None):
+def reduced_mean(field, lambda_prime, r):
     """Reduced-twist spherical mean as a field on the same grid (n = 1).
 
     Computed by rotation equivariance: the field is evaluated once per radial
@@ -143,10 +143,10 @@ def reduced_mean(field, lambda_prime, r, order=None):
     """
     if field.grid.n != 1:
         raise UnsupportedDimension("full-grid reduced means are implemented for n = 1")
-    return _full_grid_mean(field, _check_twist(lambda_prime, 1)[0], r, order)
+    return _full_grid_mean(field, _check_twist(lambda_prime, 1)[0], r)
 
 
-def twisted_mean(field, structure, lam, r, order=None):
+def twisted_mean(field, structure, lam, r):
     """Twisted spherical mean (full structure phase) as a field (n = 1).
 
     For n = 1, V_lambda is the skew matrix [[0, a], [-a, 0]] and the phase
@@ -157,16 +157,12 @@ def twisted_mean(field, structure, lam, r, order=None):
         raise UnsupportedDimension("full-grid twisted means are implemented for n = 1")
     if structure.n != g.n:
         raise DimensionMismatch("structure and field dimensions differ")
-    return _full_grid_mean(field, -v_lambda(structure, lam)[0, 1], r, order)
+    return _full_grid_mean(field, -v_lambda(structure, lam)[0, 1], r)
 
 
-def modified_twisted_mean(field, spec, r, order=None):
-    """Modified twisted mean: the reduced-twist mean at lambda' = mu(spec)."""
-    return reduced_mean(field, spec.mu, r, order=order)
-
-
-def modified_twisted_mean_at(field, spec, r, points, order=None):
-    return reduced_mean_at(field, spec.mu, r, points, order=order)
+def modified_twisted_mean_at(field, spec, r, points):
+    """Modified twisted mean at points: the reduced-twist mean at lambda' = mu(spec)."""
+    return reduced_mean_at(field, spec.mu, r, points)
 
 
 def twisted_convolution_at(f, gfield, lambda_prime, points):
@@ -609,16 +605,14 @@ def spectral_projection(field, lambda_prime, k):
                                                 spectrum.blocks()[k], profiles))
 
 
-def mean_eigenvalue(k, n, lambda_prime, r):
-    """Eigenvalue of the reduced-twist mean on the k-th eigenspace (isotropic
-    twist): theta_k x_lam mu_r = c_k theta_k(r-sphere value) theta_k, with
-    c_k = k!(n-1)!/(k+n-1)!."""
+def mean_eigenvalue(k, lambda_prime, r):
+    """The scalar c_k theta_k(r) by which the reduced-twist mean over |w| = r
+    acts on the block |beta| = k, with c_k = k!(n-1)!/(k+n-1)! and n the
+    number of twist components; vectorised in r.  The mean acts on a block
+    as one scalar only at isotropic twist; theta_radial raises RangeExceeded
+    otherwise."""
     lam = np.atleast_1d(np.asarray(lambda_prime, dtype=float))
-    if not np.allclose(lam, lam[0], rtol=0, atol=1e-14):
-        raise RangeExceeded("the mean acts as a scalar only for isotropic twist")
-    from .special import theta_radial
-
-    return mean_factor(k, lam.size) * float(theta_radial(k, lam, np.array(r)))
+    return mean_factor(k, lam.size) * theta_radial(k, lam, r)
 
 
 def m_radialize(field, m_index):

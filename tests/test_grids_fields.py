@@ -16,12 +16,14 @@ from metivier.errors import (
 from metivier.fieldio import export_radial_slice_csv, read_field, write_field
 from metivier.grids import (
     FieldEvaluator,
+    angular_mode_coefficients,
     build_sphere_rule,
     default_grid,
     inner_product,
     polar_grid,
     sample,
     sample_periodic,
+    values_from_mode_coefficients,
 )
 from metivier.special import phi_k
 
@@ -111,8 +113,29 @@ def test_evaluator_n2():
     assert np.max(np.abs(ev(pts) - fn(pts))) < 1e-9
 
 
+def test_evaluator_n3_reproduces_grid_samples():
+    g = polar_grid(3, 6, 4, 4.0)
+    f = sample(lambda z: np.exp(-np.sum(np.abs(z) ** 2, axis=-1) / 2)
+               * (1 + z[..., 0] * np.conj(z[..., 1]) + z[..., 2]), g)
+    z = np.stack(np.broadcast_arrays(*g.coordinate_axes()), axis=-1).reshape(-1, 3)
+    got = FieldEvaluator(f)(z).reshape(g.shape)
+    assert np.max(np.abs(got - f.values)) < 1e-13 * f.max_abs()
+
+
+def test_angular_transforms_leave_their_input_unchanged():
+    g = polar_grid(2, 6, 8, 4.0)
+    f = sample(lambda z: np.exp(-np.sum(np.abs(z) ** 2, axis=-1)) * (1 + z[..., 0]), g)
+    values = f.values.copy()
+    fhat = angular_mode_coefficients(f)
+    assert np.array_equal(f.values, values)
+    modes = fhat.copy()
+    back = values_from_mode_coefficients(g, fhat)
+    assert np.array_equal(fhat, modes)
+    assert np.max(np.abs(back - values)) < 1e-14 * f.max_abs()
+
+
 def test_evaluator_band_is_relative_to_the_field_peak():
-    # the kept angular modes are those above mode_tol of the largest mode
+    # the kept angular modes are those above 1e-13 of the largest mode
     # amplitude, so scaling the field keeps the same band
     g = polar_grid(2, 12, 16, 6.0)
     f = sample(lambda z: np.exp(-np.sum(np.abs(z) ** 2, axis=-1) / 2)

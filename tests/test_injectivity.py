@@ -27,7 +27,7 @@ from metivier.injectivity import (
 )
 from metivier.special import bessel_zeros, laguerre_zeros, psi_alpha_beta, theta_k, theta_radial
 from metivier.structures import builtin_structure, symplectic_spectrum
-from metivier.transforms import reduced_mean
+from metivier.transforms import mean_eigenvalue, reduced_mean
 
 LAM1 = np.array([1.0])
 
@@ -177,9 +177,22 @@ def test_means_input_forms(g1):
     mean = reduced_mean(f, LAM1, 1.0)
     a = reconstruct_from_means({1.0: mean}, LAM1, 6)
     b = reconstruct_from_means([(1.0, mean)], LAM1, 6)
-    c = reconstruct_from_means([mean], LAM1, 6, radii=[1.0])
     assert np.array_equal(a.field.values, b.field.values)
-    assert np.array_equal(a.field.values, c.field.values)
+    with pytest.raises(DimensionMismatch):
+        reconstruct_from_means([(1.0, mean), (1.0, mean)], LAM1, 6)
+
+
+def test_reconstructions_divide_by_mean_eigenvalue(g1):
+    f = sample(lambda z: np.exp(-np.abs(z[..., 0]) ** 2) * (1 + z[..., 0]), g1)
+    radii = [0.9, 1.7]
+    means = reconstruct_from_means({r: reduced_mean(f, LAM1, r) for r in radii}, LAM1, 8)
+    for k, r in means.used_radius.items():
+        assert means.divisor[k] == mean_eigenvalue(k, LAM1, r)
+    mu = RadialMeasure(radii, [0.4, 0.6])
+    measure = reconstruct_from_measure_mean(measure_mean(f, mu, LAM1), mu, LAM1, 8)
+    for k in measure.divisor:
+        assert measure.divisor[k] == mean_eigenvalue(k, LAM1, mu.radii) @ mu.weights
+    assert set(measure.used_radius.values()) == {None}
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +228,19 @@ def test_weighted_norm_sup_and_boundary_flags(g1):
         weighted_norm(flat, [1.0], p=0.5)
     with pytest.raises(DimensionMismatch):
         weighted_norm(flat, [-1.0])
+
+
+@pytest.mark.parametrize("j", [0, 1, 2])
+def test_weighted_norm_outer_shell_of_every_coordinate(j):
+    # all of the field sits on the outermost radial node of coordinate j
+    g = polar_grid(3, 6, 4, 4.0)
+    values = np.zeros(g.shape, dtype=complex)
+    np.moveaxis(values, 2 * j, 0)[-1] = 1.0
+    field = sample(lambda z: np.zeros(z.shape[:-1]), g).with_values(values)
+    for p in (2, np.inf):
+        wn = weighted_norm(field, [1.0, 1.0, 1.0], p=p)
+        assert wn.boundary_fraction == pytest.approx(1.0, rel=1e-12)
+        assert wn.boundary_dominated
 
 
 # ---------------------------------------------------------------------------

@@ -147,7 +147,7 @@ def test_full_grid_mean_zero_fill_near_r_max(g1):
     idx, pts = _seeded_nodes(g1, 40, seed=12, angle_step=step)
     for r in (10.5, 11.9):
         assert np.count_nonzero(np.abs(pts[:, 0]) + r > g1.r_max) > 20
-        got = reduced_mean(f, LAM1, r, order=64).values.ravel()[idx]
+        got = reduced_mean(f, LAM1, r).values.ravel()[idx]
         want = reduced_mean_at(f, LAM1, r, pts, order=64)
         assert np.max(np.abs(got - want)) < 1e-12 * f.max_abs()
 
@@ -183,11 +183,15 @@ def test_full_grid_twisted_mean_matches_pointwise(g1):
 
 
 def test_mean_eigenvalue_matches_direct(g1):
-    assert mean_eigenvalue(2, 1, LAM1, 1.5) == pytest.approx(
+    assert mean_eigenvalue(2, LAM1, 1.5) == pytest.approx(
         mean_factor(2, 1) * float(theta_radial(2, LAM1, np.array(1.5))), rel=1e-13
     )
+    # vectorised in r: an array of radii gives the scalar at each radius
+    r = np.array([0.4, 1.5, 2.2])
+    lam2 = np.array([1.3, 1.3])
+    assert mean_eigenvalue(3, lam2, r).tolist() == [mean_eigenvalue(3, lam2, x) for x in r]
     with pytest.raises(RangeExceeded):
-        mean_eigenvalue(2, 2, [1.0, 2.0], 1.0)
+        mean_eigenvalue(2, [1.0, 2.0], 1.0)
 
 
 def test_twisted_mean_equals_modified_mean_after_rotation(g1):
