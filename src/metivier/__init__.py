@@ -63,7 +63,6 @@ from .injectivity import (
     inadmissible_radius_pair,
     measure_mean,
     measure_mean_at,
-    mu_hat_theta,
     one_radius_counterexample,
     reconstruct_from_means,
     reconstruct_from_measure_mean,

@@ -159,19 +159,11 @@ def read_field(path):
         raise MalformedFile(f"invalid {kind} file: {exc}") from exc
 
 
-def export_radial_slice_csv(field, path, angle_indices=None):
-    """Write a CSV of the field along the first radial axis at fixed angles.
-
-    Columns: r, re, im.  angle_indices fixes every non-leading axis (defaults
-    to index 0 each).
-    """
+def export_radial_slice_csv(field, path):
+    """Write a CSV of the field along the first radial axis, with every other
+    axis at index 0.  Columns: r, re, im."""
     g = field.grid
-    tail = field.values.ndim - 1
-    if angle_indices is None:
-        angle_indices = (0,) * tail
-    if len(angle_indices) != tail:
-        raise MalformedFile(f"need {tail} trailing indices, got {len(angle_indices)}")
-    sl = field.values[(slice(None),) + tuple(int(i) for i in angle_indices)]
+    sl = field.values[(slice(None),) + (0,) * (field.values.ndim - 1)]
     with open(path, "w") as fh:
         fh.write("r,re,im\n")
         for r, v in zip(g.radial_nodes[0], sl):

@@ -214,7 +214,7 @@ def sample(expr, grid, metadata=""):
     return SampledField(grid, vals, metadata)
 
 
-def sample_periodic(expr, grid, center_counts, metadata=""):
+def sample_periodic(expr, grid, center_counts):
     """Sample f(z, t) on grid x center nodes; expr(z, t) with z (..., n), t (..., m)."""
     center_counts = tuple(int(c) for c in center_counts)
     m = len(center_counts)
@@ -226,7 +226,7 @@ def sample_periodic(expr, grid, center_counts, metadata=""):
     for idx in np.ndindex(*center_counts):
         t = np.array([t_axes[i][idx[i]] for i in range(m)])
         vals[(Ellipsis,) + idx] = expr(z, t)
-    return PeriodicField(grid, m, center_counts, vals, metadata)
+    return PeriodicField(grid, m, center_counts, vals)
 
 
 def inner_product(f, g):
@@ -256,19 +256,24 @@ class FieldEvaluator:
         self.extrap_slack = float(extrap_slack)
         n = self.grid.n
         fhat = angular_mode_coefficients(field)
+        # |fhat| maximised over the radial axes, once: a mode is kept where it
+        # reaches 1e-13 of the largest coefficient.  Every entry of a dropped
+        # mode is below that threshold, so the amplitude of a later axis's
+        # mode reaches it among the kept entries of earlier axes exactly when
+        # it does among all entries: cutting the axes one after another keeps
+        # the same modes.
+        amp = np.max(np.abs(fhat), axis=tuple(range(0, fhat.ndim, 2)))
+        gmax = np.max(amp) or 1.0
         self.modes = []
         for j in range(n):
             na = self.grid.angular_counts[j]
-            axis = 2 * j + 1
-            amp = np.max(np.abs(fhat), axis=tuple(a for a in range(fhat.ndim) if a != axis))
-            if j == 0:
-                gmax = np.max(amp) or 1.0  # before any mode is dropped
-            keep = np.flatnonzero(amp >= 1e-13 * gmax)
+            axis_amp = np.max(amp, axis=tuple(a for a in range(n) if a != j))
+            keep = np.flatnonzero(axis_amp >= 1e-13 * gmax)
             if keep.size == 0:
                 keep = np.array([0])
             mnum = np.fft.fftfreq(na, d=1.0 / na).astype(int)
             self.modes.append(mnum[keep])
-            fhat = np.take(fhat, keep, axis=axis)
+            fhat = np.take(fhat, keep, axis=2 * j + 1)
         self.fhat = fhat
         # log-space barycentric weights per coordinate
         self.bary = []

@@ -12,7 +12,7 @@ r1/r2 avoids all ratios of Bessel J_{n-1} zeros (the untwisted central mode).
 """
 
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import reduce
 
 import numpy as np
@@ -28,7 +28,14 @@ from .errors import (
     UnsupportedDimension,
 )
 from .grids import SampledField, build_sphere_rule, default_grid
-from .special import bessel_j, bessel_zeros, laguerre_zeros, theta_k, theta_radial
+from .special import (
+    _laguerre_zero_tables,
+    bessel_j,
+    bessel_zeros,
+    laguerre_zeros,
+    theta_k,
+    theta_radial,
+)
 from .transforms import (
     _analyse,
     _block_pairs,
@@ -75,14 +82,6 @@ class RadialMeasure:
     @property
     def atoms(self):
         return tuple((float(r), float(w)) for r, w in zip(self.radii, self.weights))
-
-
-def mu_hat_theta(mu, k, lambda_prime):
-    """The pairing of the measure with the Laguerre kernel: sum_i w_i
-    theta_k(r_i) — the scalar (up to c_k) the aggregated mean applies on
-    the degree-k block, which annihilation must overcome."""
-    vals = theta_radial(k, lambda_prime, mu.radii)
-    return float(np.sum(mu.weights * vals))
 
 
 def measure_mean_at(field, mu, lambda_prime, points):
@@ -227,10 +226,17 @@ def one_radius_counterexample(l, lambda_prime, n=1, zero_index=0, grid=None):
     The mean at that radius multiplies the whole block by c_l theta_l(r) = 0,
     so the returned nonzero field has identically vanishing mean; its residual
     is measured at 6 probe points drawn with seed 7, by sphere-rule
-    quadrature of the sampled values.  Requires l >= 1 (theta_0 has no
-    radial zero) and isotropic lambda_prime, where theta_l depends on |z|
-    alone: the field is sampled on the radial nodes (|z|^2 summed over the
-    coordinates' nodes) and broadcast over the angles.
+    quadrature of the sampled values, relative to max |field|.  Requires
+    l >= 1 (theta_0 has no radial zero) and isotropic lambda_prime, where
+    theta_l depends on |z| alone: the field is sampled on the radial nodes
+    (|z|^2 summed over the coordinates' nodes) and broadcast over the angles.
+
+    The residual is computed on a copy of the grid with 4 angles per
+    coordinate, carrying the same radial profile.  This is exact, not an
+    approximation: the angular FFT of a field that is constant in the angles
+    holds the profile in mode 0 and exact zeros elsewhere, at any power-of-two
+    angle count, so the evaluator keeps mode 0 alone and the sphere rule sees
+    the same values as on the full grid.
     """
     if l < 1:
         raise RangeExceeded("counterexample degree must be at least 1")
@@ -247,16 +253,18 @@ def one_radius_counterexample(l, lambda_prime, n=1, zero_index=0, grid=None):
     grid = grid or default_grid(n)
     radius2 = reduce(np.add.outer, [nodes**2 for nodes in grid.radial_nodes])
     profile = theta_radial(l, lam, np.sqrt(radius2))
-    # one angular axis of length 1 after each radial axis, broadcast to the grid
+    # one angular axis of length 1 after each radial axis, broadcast to a grid
     profile = profile.reshape(tuple(x for s in profile.shape for x in (s, 1)))
     field = SampledField(grid, np.broadcast_to(profile, grid.shape),
                          metadata=f"laguerre block {l}")
+    few_angles = replace(grid, angular_counts=(4,) * n)
     rng = np.random.default_rng(7)
     pts = rng.uniform(0.2, 0.5 * grid.r_max, (6, n)) * np.exp(
         1j * rng.uniform(0, 2 * np.pi, (6, n))
     )
-    mean = reduced_mean_at(field, lam, r, pts)
-    residual = float(np.max(np.abs(mean)) / field.max_abs())
+    mean = reduced_mean_at(SampledField(few_angles, np.broadcast_to(profile, few_angles.shape)),
+                           lam, r, pts)
+    residual = float(np.max(np.abs(mean)) / np.max(np.abs(profile)))
     return OneRadiusCounterexample(field, r, int(l), lam, residual)
 
 
@@ -436,8 +444,8 @@ def two_radii_check(r1, r2, n=1, lambda_prime=None, k_max=30, bessel_count=60,
         anisotropic = not np.allclose(lam, lam[0], rtol=0, atol=1e-14)
     target = (r1 / r2) ** 2
     if not anisotropic:
-        pool = [(k, i, z) for k in range(1, k_max + 1)
-                for i, z in enumerate(laguerre_zeros(k, n - 1).zeros)]
+        pool = [(t.degree, i, z) for t in _laguerre_zero_tables(range(1, k_max + 1), n - 1)
+                for i, z in enumerate(t.zeros)]
     else:
         # scan radii out to where the largest-degree kernel has all its
         # sign changes under the smallest twist component

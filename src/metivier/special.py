@@ -219,31 +219,56 @@ def _zeros_to_csv(path, zeros, residuals):
             fh.write(f"{i},{z!r},{r!r}\n")
 
 
+def _laguerre_zero_tables(degrees, a):
+    """Zero tables of L_k^a for every k >= 1 in degrees, in that order.
+
+    The roots of each degree are the eigenvalues of its symmetric Jacobi
+    matrix (Golub & Welsch), polished by two Newton steps taken for the roots
+    of all degrees at once: d/dx L_k^a = -L_{k-1}^{a+1}, both read off
+    laguerre_sequence, whose recurrence performs the operations of
+    laguerre_L.  The recorded residual is the size of a third Newton step,
+    i.e. the estimated root error; the raw polynomial value is meaningless at
+    high degree where |dL/dx| is astronomically large.
+    """
+    degrees = [int(k) for k in degrees]
+    if not degrees:
+        return []
+    try:
+        x = np.concatenate([
+            eigvalsh_tridiagonal(2.0 * np.arange(k) + a + 1,
+                                 np.sqrt(np.arange(1, k) * (np.arange(1, k) + a)))
+            for k in degrees])
+    except Exception as exc:  # pragma: no cover - LAPACK failure is exotic
+        raise NonConvergence("tridiagonal eigen-solver failed") from exc
+    degree = np.repeat(degrees, degrees)  # of each root
+    root = np.arange(x.size)
+    kmax = max(degrees)
+
+    def newton_step(x):
+        return (laguerre_sequence(kmax, a, x)[degree, root]
+                / laguerre_sequence(kmax - 1, a + 1, x)[degree - 1, root])
+
+    for _ in range(2):
+        x = x + newton_step(x)
+    res = np.abs(newton_step(x))
+    if np.any(res > 1e-12 * np.maximum(x, 1.0)):
+        raise NonConvergence("laguerre zero newton steps did not converge")
+    order = np.lexsort((x, degree))  # ascending within each degree
+    ends = np.cumsum(degrees)[:-1]
+    return [LaguerreZeroTable(d, a, xs, rs) for d, xs, rs
+            in zip(degrees, np.split(x[order], ends), np.split(res[order], ends))]
+
+
 def laguerre_zeros(k, a):
-    """All k roots of L_k^a via the symmetric Jacobi matrix, Newton-polished."""
+    """All k roots of L_k^a, ascending, via the symmetric Jacobi matrix,
+    Newton-polished (see _laguerre_zero_tables)."""
     if k < 0 or k > 200:
         raise RangeExceeded(f"laguerre zero degree {k} outside [0, 200]")
     if a < 0:
         raise RangeExceeded("laguerre type must be non-negative")
     if k == 0:
         return LaguerreZeroTable(0, a, np.empty(0), np.empty(0))
-    diag = 2.0 * np.arange(k) + a + 1
-    off = np.sqrt(np.arange(1, k) * (np.arange(1, k) + a))
-    try:
-        x = eigvalsh_tridiagonal(diag, off)
-    except Exception as exc:  # pragma: no cover - LAPACK failure is exotic
-        raise NonConvergence("tridiagonal eigen-solver failed") from exc
-    # Newton polish: d/dx L_k^a = -L_{k-1}^{a+1}.  The recorded residual is
-    # the final Newton step, i.e. the estimated root error; the raw polynomial
-    # value is meaningless at high degree where |dL/dx| is astronomically large.
-    for _ in range(2):
-        step = laguerre_L(k, a, x) / laguerre_L(k - 1, a + 1, x)
-        x = x + step
-    x = np.sort(x)
-    res = np.abs(laguerre_L(k, a, x) / laguerre_L(k - 1, a + 1, x))
-    if np.any(res > 1e-12 * np.maximum(x, 1.0)):
-        raise NonConvergence("laguerre zero newton steps did not converge")
-    return LaguerreZeroTable(k, a, x, res)
+    return _laguerre_zero_tables([k], a)[0]
 
 
 def bessel_j(nu, x):
@@ -257,26 +282,34 @@ def bessel_j(nu, x):
 
 
 def bessel_zeros(nu, count):
-    """First `count` positive zeros of J_nu by bracketing scan plus Brent polish."""
+    """First `count` positive zeros of J_nu by bracketing scan plus Brent polish.
+
+    The scan steps by pi/8 from max(nu, 1e-8), accumulating the left ends one
+    step at a time, and evaluates J_nu at all of them in one call.  It runs to
+    2 nu + 4 count, past the count-th zero: by Sturm comparison of
+    sqrt(x) J_nu(x) with a sine, every interval of length pi (nu = 0), or of
+    length 2 pi / sqrt(3) beyond x = 2 nu (nu >= 1), holds a zero.
+    """
     if count < 1 or count > 100:
         raise RangeExceeded("bessel zero count outside [1, 100]")
-    zeros = []
+    if nu < 0:
+        raise RangeExceeded("bessel order must be non-negative")
     step = np.pi / 8
     lo = max(float(nu), 1e-8)
-    flo = bessel_j(nu, lo)
-    guard = 0
-    while len(zeros) < count:
-        hi = lo + step
-        fhi = bessel_j(nu, hi)
-        if flo == 0.0:
-            zeros.append(lo)
-        elif flo * fhi < 0:
-            zeros.append(brentq(lambda t: bessel_j(nu, t), lo, hi, xtol=1e-14, rtol=1e-15))
-        lo, flo = hi, fhi
-        guard += 1
-        if guard > 100000:
-            raise NonConvergence("bessel zero scan exhausted")
-    z = np.array(zeros[:count])
+    end = 2.0 * nu + 4.0 * count
+    steps = max(int(np.ceil((min(end, MAX_BESSEL_ARG) - lo) / step)) + 1, 0)
+    ends = np.add.accumulate(np.concatenate([[lo], np.full(steps, step)]))
+    ends = ends[ends <= MAX_BESSEL_ARG]
+    f = bessel_j(nu, ends)
+    # a left end where J_nu vanishes is a zero; otherwise a sign change brackets one
+    hits = np.flatnonzero((f[:-1] == 0.0) | (f[:-1] * f[1:] < 0))[:count]
+    if hits.size < count:
+        if end > MAX_BESSEL_ARG:
+            raise RangeExceeded(f"bessel argument outside [0, {MAX_BESSEL_ARG:g}]")
+        raise NonConvergence("bessel zero scan exhausted")
+    z = np.array([ends[i] if f[i] == 0.0 else
+                  brentq(lambda t: jv(nu, t), ends[i], ends[i + 1], xtol=1e-14, rtol=1e-15)
+                  for i in hits])
     res = np.abs(bessel_j(nu, z))
     if np.any(res > 1e-10):
         raise NonConvergence("bessel zero residuals did not converge")

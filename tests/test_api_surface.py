@@ -48,6 +48,6 @@ def test_defaulted_parameter_count():
             and (inspect.isfunction(obj) or inspect.isclass(obj))
             and obj.__module__ == module.__name__
         )
-    assert counts == {"grids": 6, "injectivity": 18, "structures": 2, "special": 0,
-                      "fieldio": 2, "transforms": 5}
-    assert sum(counts.values()) == 33
+    assert counts == {"grids": 5, "injectivity": 18, "structures": 2, "special": 0,
+                      "fieldio": 1, "transforms": 5}
+    assert sum(counts.values()) == 31

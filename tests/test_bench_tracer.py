@@ -84,12 +84,13 @@ def test_admissibility_builds_one_sphere_rule_per_degree_and_samples_no_grid():
     tracer = _import_tracer()
     originals = {(home, attr): getattr(sys.modules[f"metivier.{home}"], attr)
                  for home, attr, *_ in tracer.FUNCTIONS}
+    grid = polar_grid(2, 16, 8, 6.0)
     rec = tracer.Recorder().install()
     try:
         rec.run_job(0, lambda: injectivity.two_radii_check(
             1.0, 1.7, n=2, lambda_prime=(1.0, 2.0), k_max=3, bessel_count=10))
         rec.run_job(1, lambda: injectivity.one_radius_counterexample(
-            1, [1.1, 1.1], n=2, grid=polar_grid(2, 16, 8, 6.0)))
+            1, [1.1, 1.1], n=2, grid=grid))
     finally:
         rec.uninstall()
     # the anisotropic scan builds one unit rule per degree and reduces it to
@@ -103,6 +104,12 @@ def test_admissibility_builds_one_sphere_rule_per_degree_and_samples_no_grid():
     assert counters["injectivity.one_radius_counterexample.calls"] == 1
     assert counters.get("grids.sample.calls", 0) == 0
     assert counters["grids.build_sphere_rule.calls"] == 1
+    # its evaluator transforms a 4-angle copy of the grid, not the grid: the
+    # tracer counts a read and a write per angular axis of the 16 x 4 x 16 x 4
+    # complex array
+    four_angles = 16 * 4 * 16 * 4 * np.dtype(complex).itemsize
+    assert counters["grids.angular_fft.calls"] == 1
+    assert counters["grids.angular_fft.bytes"] <= 2 * grid.n * four_angles
     for (home, attr), fn in originals.items():
         assert getattr(sys.modules[f"metivier.{home}"], attr) is fn
     assert injectivity.build_sphere_rule is originals[("grids", "build_sphere_rule")]

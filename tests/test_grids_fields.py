@@ -146,6 +146,30 @@ def test_evaluator_band_is_relative_to_the_field_peak():
         assert [m.tolist() for m in FieldEvaluator(f.with_values(scale * f.values)).modes] == want
 
 
+def test_evaluator_band_matches_the_per_axis_cut():
+    # non-separable n = 2 field: the band of each angle depends on the other
+    g = polar_grid(2, 12, 16, 6.0)
+    f = sample(lambda z: np.exp(-np.sum(np.abs(z) ** 2, axis=-1))
+               * (1 + z[..., 0] ** 3 * np.conj(z[..., 1]) + 1e-9 * z[..., 1] ** 2
+                  + 1e-15 * np.conj(z[..., 0]) ** 5 * z[..., 1] ** 3), g)
+    # the band cut one angular axis after another, each on what the earlier
+    # axes kept
+    fhat = angular_mode_coefficients(f)
+    gmax = np.max(np.abs(fhat))
+    modes = []
+    for j in range(2):
+        axis = 2 * j + 1
+        amp = np.max(np.abs(fhat), axis=tuple(a for a in range(4) if a != axis))
+        keep = np.flatnonzero(amp >= 1e-13 * gmax)
+        modes.append(np.fft.fftfreq(16, d=1.0 / 16).astype(int)[keep])
+        fhat = np.take(fhat, keep, axis=axis)
+    ev = FieldEvaluator(f)
+    assert [m.tolist() for m in ev.modes] == [m.tolist() for m in modes]
+    # mode 3 of the second angle lives only under the dropped mode -5 of the first
+    assert [sorted(m.tolist()) for m in modes] == [[0, 3], [-1, 0, 2]]
+    assert np.array_equal(ev.fhat, fhat)
+
+
 def test_norm2_matches_the_product_rule():
     g = polar_grid(2, 10, 8, 5.0)
     f = sample(lambda z: np.exp(-np.sum(np.abs(z) ** 2, axis=-1) / 3) * (z[..., 0] + 2j * z[..., 1] ** 2), g)

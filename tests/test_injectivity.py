@@ -17,7 +17,6 @@ from metivier.injectivity import (
     euclidean_two_radii_invert,
     inadmissible_radius_pair,
     measure_mean,
-    mu_hat_theta,
     one_radius_counterexample,
     reconstruct_from_means,
     reconstruct_from_measure_mean,
@@ -72,11 +71,15 @@ def test_one_radius_counterexample_annihilation(g1):
         one_radius_counterexample(1, [1.0, 2.0], n=2)
 
 
-def test_mu_hat_theta_and_designed_cancellation():
+def test_measure_multiplier_and_designed_cancellation():
+    # the scalar the aggregated mean applies on block k: sum_i w_i c_k theta_k(r_i)
+    def multiplier(mu, k):
+        return mean_eigenvalue(k, LAM1, mu.radii) @ mu.weights
+
     # single atom: just theta_k at the radius
     mu1 = RadialMeasure([np.sqrt(2.0)], [1.0])
-    assert abs(mu_hat_theta(mu1, 1, LAM1)) < 1e-14
-    assert mu_hat_theta(mu1, 0, LAM1) == pytest.approx(np.exp(-0.5), rel=1e-12)
+    assert abs(multiplier(mu1, 1)) < 1e-14
+    assert multiplier(mu1, 0) == pytest.approx(np.exp(-0.5), rel=1e-12)
     # two atoms with weights solved to cancel the degree-2 block:
     # theta_2 changes sign between r = 1 and r = 2
     t1 = float(theta_radial(2, LAM1, np.array(1.0)))
@@ -84,8 +87,8 @@ def test_mu_hat_theta_and_designed_cancellation():
     assert t1 > 0 > t2
     w = -t2 / (t1 - t2)
     mu = RadialMeasure([1.0, 2.0], [w, 1.0 - w])
-    assert abs(mu_hat_theta(mu, 2, LAM1)) < 1e-14
-    assert abs(mu_hat_theta(mu, 0, LAM1)) > 0.1
+    assert abs(multiplier(mu, 2)) < 1e-14
+    assert abs(multiplier(mu, 0)) > 0.1
 
 
 # ---------------------------------------------------------------------------
@@ -389,6 +392,21 @@ def test_one_radius_counterexample_field_is_sampled_theta(n, l, lam, grid):
         1j * rng.uniform(0, 2 * np.pi, (6, n)))
     mean = reduced_mean_at(want, lam, ce.radius, pts)
     assert abs(ce.mean_residual - np.max(np.abs(mean)) / want.max_abs()) < 1e-15
+
+
+def test_witness_residual_on_four_angles_matches_the_full_grid():
+    # the residual is taken on a 4-angle copy of the grid; on the default
+    # n = 2 grid it equals the sphere-rule mean of the full-grid field
+    from metivier.transforms import reduced_mean_at
+
+    lam = [1.03, 1.03]
+    ce = one_radius_counterexample(1, lam, n=2)
+    assert ce.field.grid == default_grid(2)
+    rng = np.random.default_rng(7)
+    pts = rng.uniform(0.2, 0.5 * ce.field.grid.r_max, (6, 2)) * np.exp(
+        1j * rng.uniform(0, 2 * np.pi, (6, 2)))
+    mean = reduced_mean_at(ce.field, lam, ce.radius, pts)
+    assert abs(ce.mean_residual - np.max(np.abs(mean)) / ce.field.max_abs()) <= 1e-15
 
 
 def test_radii_verdict_csv(tmp_path):

@@ -10,6 +10,7 @@ from numpy.polynomial.legendre import leggauss
 
 from metivier.errors import NonConvergence, RangeExceeded
 from metivier.special import (
+    _laguerre_zero_tables,
     bessel_j,
     bessel_zeros,
     hermite_h,
@@ -162,6 +163,33 @@ def test_laguerre_zero_tables():
     )
 
 
+def _laguerre_zeros_one_degree(k, a):
+    """Zeros of L_k^a by the Jacobi matrix and two Newton steps through
+    laguerre_L, one degree at a time: the reference the batched tables keep."""
+    from scipy.linalg import eigvalsh_tridiagonal
+
+    x = eigvalsh_tridiagonal(2.0 * np.arange(k) + a + 1,
+                             np.sqrt(np.arange(1, k) * (np.arange(1, k) + a)))
+    for _ in range(2):
+        x = x + laguerre_L(k, a, x) / laguerre_L(k - 1, a + 1, x)
+    x = np.sort(x)
+    return x, np.abs(laguerre_L(k, a, x) / laguerre_L(k - 1, a + 1, x))
+
+
+@pytest.mark.parametrize("a", [0, 1, 2])
+def test_pooled_laguerre_zeros_equal_the_per_degree_tables(a):
+    pooled = _laguerre_zero_tables(range(1, 61), a)
+    assert [t.degree for t in pooled] == list(range(1, 61))
+    for k, table in enumerate(pooled, start=1):
+        single = laguerre_zeros(k, a)
+        zeros, residuals = _laguerre_zeros_one_degree(k, a)
+        assert table.type == single.type == a
+        for got in (table.zeros, single.zeros):
+            assert np.array_equal(got, zeros)
+        for got in (table.residuals, single.residuals):
+            assert np.array_equal(got, residuals)
+
+
 def test_laguerre_zero_table_csv(tmp_path):
     path = tmp_path / "zeros.csv"
     laguerre_zeros(3, 0).to_csv(path)
@@ -183,6 +211,35 @@ def test_bessel_zeros_against_reference():
     assert np.all((z0[:3] < z1) & (z1 < z0[1:]))
 
 
+def _bessel_zeros_stepwise(nu, count):
+    """The bracketing scan one pi/8 step and one J_nu call at a time, with
+    the same Brent polish: the reference the vectorised scan keeps."""
+    from scipy.optimize import brentq
+
+    zeros, lo = [], max(float(nu), 1e-8)
+    flo = bessel_j(nu, lo)
+    while len(zeros) < count:
+        hi = lo + np.pi / 8
+        fhi = bessel_j(nu, hi)
+        if flo == 0.0:
+            zeros.append(lo)
+        elif flo * fhi < 0:
+            zeros.append(brentq(lambda t: bessel_j(nu, t), lo, hi, xtol=1e-14, rtol=1e-15))
+        lo, flo = hi, fhi
+    return np.array(zeros)
+
+
+@pytest.mark.parametrize("nu", [0, 1, 2, 3])
+def test_bessel_zeros_match_scipy(nu):
+    from scipy.special import jn_zeros
+
+    table = bessel_zeros(nu, 100)
+    np.testing.assert_allclose(table.zeros, jn_zeros(nu, 100), rtol=0, atol=1e-13)
+    assert np.all(table.residuals < 1e-10)
+    assert np.array_equal(table.zeros, _bessel_zeros_stepwise(nu, 100))
+    assert np.array_equal(table.residuals, np.abs(bessel_j(nu, table.zeros)))
+
+
 def test_bessel_guards():
     with pytest.raises(RangeExceeded):
         bessel_j(0, np.array([-1.0]))
@@ -190,6 +247,13 @@ def test_bessel_guards():
         bessel_j(0, np.array([2e4]))
     with pytest.raises(RangeExceeded):
         bessel_zeros(0, 0)
+    with pytest.raises(RangeExceeded):
+        bessel_zeros(-1, 3)
+    # the scan would have to pass the largest argument J_nu is evaluated at
+    with pytest.raises(RangeExceeded):
+        bessel_zeros(9990, 5)
+    with pytest.raises(RangeExceeded):
+        bessel_zeros(20000, 1)
 
 
 def test_range_guards():
