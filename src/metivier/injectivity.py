@@ -408,11 +408,39 @@ def _anisotropic_block_zeros(k, lam, r_max):
     return zeros
 
 
-def _ratio_conflicts(ratios, target, tol):
-    """(i, j, relative error) for every ratios[i, j] within relative tol of
-    target, in row-major order."""
+def _ratio_conflicts(zeros, target, tol, squared=False):
+    """(i, j, relative error) for every ratio zeros[i] / zeros[j] of the
+    positive zeros (its float_power square when squared) within relative tol
+    of target, in row-major order.
+
+    The zeros are sorted once, and for each i a binary search brackets the
+    zeros[j] whose ratio can come near target, in a window widened by 1e-9
+    of its bounds against rounding; only those candidates take the exact
+    test, with the same arithmetic as the full ratio matrix."""
+    zeros = np.asarray(zeros, dtype=float)
+    order = np.argsort(zeros)
+    ranked = zeros[order]
+    # the ratio's range (target (1 - tol), target (1 + tol)), as a root when squared
+    low, high = np.array([max(1 - tol, 0.0), 1 + tol]) * target
+    if squared:
+        low, high = np.sqrt(low), np.sqrt(high)
+    with np.errstate(divide="ignore"):
+        lo = zeros / high * (1 - 1e-9)
+        hi = zeros / low * (1 + 1e-9)
+    start = np.searchsorted(ranked, lo, side="left")
+    count = np.searchsorted(ranked, hi, side="right") - start
+    rows = np.repeat(np.arange(zeros.size), count)
+    offsets = np.arange(rows.size) - np.repeat(np.cumsum(count) - count, count)
+    cols = order[np.repeat(start, count) + offsets]
+    ratios = zeros[rows] / zeros[cols]
+    if squared:
+        # float_power rounds as a Python float's ** does (C pow), where an
+        # array's ** 2 multiplies
+        ratios = np.float_power(ratios, 2)
     err = np.abs(ratios - target) / target
-    return [(int(i), int(j), float(err[i, j])) for i, j in np.argwhere(err < tol)]
+    keep = np.flatnonzero(err < tol)
+    keep = keep[np.lexsort((cols[keep], rows[keep]))]
+    return [(int(rows[k]), int(cols[k]), float(err[k])) for k in keep]
 
 
 def two_radii_check(r1, r2, n=1, lambda_prime=None, k_max=30, bessel_count=60,
@@ -453,15 +481,11 @@ def two_radii_check(r1, r2, n=1, lambda_prime=None, k_max=30, bessel_count=60,
         pool = [(k, i, z) for k in range(1, k_max + 1)
                 for i, z in enumerate(_anisotropic_block_zeros(k, lam, r_scan))]
     zeros = np.array([z for *_, z in pool], dtype=float)
-    ratios = zeros[:, None] / zeros[None, :]
-    if anisotropic:
-        # these zeros are radii, so their ratio is squared; float_power rounds
-        # as a Python float's ** does (C pow), where an array's ** 2 multiplies
-        ratios = np.float_power(ratios, 2)
+    # anisotropic zeros are radii, so their ratio is squared
     lag_hits = [pool[i][:2] + pool[j][:2] + (err,)
-                for i, j, err in _ratio_conflicts(ratios, target, tol)]
+                for i, j, err in _ratio_conflicts(zeros, target, tol, squared=anisotropic)]
     bz = bessel_zeros(n - 1, bessel_count).zeros
-    bes_hits = _ratio_conflicts(bz[:, None] / bz[None, :], r1 / r2, tol)
+    bes_hits = _ratio_conflicts(bz, r1 / r2, tol)
     return RadiiVerdict(float(r1), float(r2), not (lag_hits or bes_hits),
                         tuple(lag_hits), tuple(bes_hits),
                         (k_max, bessel_count, tol), anisotropic)

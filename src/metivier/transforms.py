@@ -15,9 +15,11 @@ functions).
 Spectral analysis uses the scaled special Hermite functions Psi_{alpha,beta},
 an orthonormal basis of L2(C^n) for each positive reduced twist.  Because
 Psi_{alpha,beta} is a pure angular mode (beta_j - alpha_j in each coordinate),
-all inner products reduce to contractions of the field's angular FFT
-coefficients against closed-form radial profiles, which keeps decomposition
-and synthesis cheap on product grids.
+all inner products reduce to contractions of the field's angular Fourier
+coefficients against closed-form radial profiles.  Analysis and synthesis
+compute those coefficients only on the band of modes beta_j - alpha_j that
+their pairs use, with one angular DFT matrix product per axis, which keeps
+decomposition and synthesis cheap on product grids.
 
 Twisted convolution, for any n, is coefficient algebra on that basis:
 Psi_{alpha,beta} x_lam Psi_{beta,delta} = prod_j sqrt(2 pi / lam_j) Psi_{alpha,delta},
@@ -305,26 +307,53 @@ def _mode_index(m, na):
 def _separable_terms(grid, lam, index_pairs, profiles=None):
     """Psi_{alpha,beta}(z) = prod_j R_j(|z_j|) e^{i (beta_j - alpha_j) arg z_j}.
 
-    For each (alpha, beta) returns the index of its angular mode into a mode
-    array (a slice over each radial axis, the FFT index of beta_j - alpha_j on
-    each angular axis) and its radial profiles R_j at the radial nodes.  Each
-    distinct profile is computed once: profiles, keyed (j, alpha_j, beta_j),
-    is the table to read and fill; a caller passes one table to every
-    analysis and synthesis on one grid and twist.
+    Returns (band, terms).  band[j] is the sorted array of the modes
+    beta_j - alpha_j of the pairs, NyquistViolation when one leaves the
+    angular band of axis j.  terms holds, for each (alpha, beta), the index
+    of its angular mode into a band array (a slice over each radial axis,
+    the position of beta_j - alpha_j in band[j] on each angular axis) and
+    its radial profiles R_j at the radial nodes.  Each distinct profile is
+    computed once: profiles, keyed (j, alpha_j, beta_j), is the table to
+    read and fill; a caller passes one table to every analysis and
+    synthesis on one grid and twist.
     """
     profiles = {} if profiles is None else profiles
+    band = [np.array(sorted({b[j] - a[j] for a, b in index_pairs}), dtype=int)
+            for j in range(grid.n)]
+    for j, modes in enumerate(band):
+        for m in modes:
+            _mode_index(int(m), grid.angular_counts[j])
+    position = [{int(m): i for i, m in enumerate(modes)} for modes in band]
     out = []
     for a, b in index_pairs:
         index, radial = (), []
         for j in range(grid.n):
-            index += (slice(None), _mode_index(b[j] - a[j], grid.angular_counts[j]))
+            index += (slice(None), position[j][b[j] - a[j]])
             key = (j, a[j], b[j])
             if key not in profiles:
                 profiles[key] = special_hermite_1d(a[j], b[j], lam[j],
                                                    grid.radial_nodes[j].astype(complex))
             radial.append(profiles[key])
         out.append((index, radial))
-    return out
+    return band, out
+
+
+def _angular_phases(na, modes, sign):
+    """The (na, len(modes)) matrix e^{sign 2 pi i t m / na} over the angle
+    indices t and the modes m, read from the na roots of unity at t m mod na."""
+    return np.exp(sign * 2j * np.pi * np.arange(na) / na)[np.outer(np.arange(na), modes) % na]
+
+
+def _apply_on_axis(array, axis, matrix):
+    """Contract axis `axis` of array with the rows of matrix: one matrix
+    product that keeps the axis order and returns a C-contiguous array."""
+    shape = array.shape
+    before, after = int(np.prod(shape[:axis])), int(np.prod(shape[axis + 1:]))
+    if after == 1:
+        out = array.reshape(before, shape[axis]) @ matrix
+    else:
+        out = matrix.T @ array.reshape(before, shape[axis], after)
+    return out.reshape(shape[:axis] + (matrix.shape[1],) + shape[axis + 1:])
 
 
 def matrix_coefficient(field, alpha, beta, lambda_prime):
@@ -334,24 +363,31 @@ def matrix_coefficient(field, alpha, beta, lambda_prime):
 
 
 def _matrix_coefficients(field, index_pairs, lambda_prime, profiles=None, fhat=None):
-    """Analysis: (f, Psi_{alpha,beta}) for each pair, from one angular FFT of
-    the field, contracting its mode beta - alpha with the conjugate radial
-    profiles one coordinate at a time.  profiles as in _separable_terms;
-    fhat is the field's angular FFT when the caller already holds it."""
+    """Analysis: (f, Psi_{alpha,beta}) for each pair, contracting the field's
+    angular mode beta - alpha with the conjugate radial profiles one
+    coordinate at a time.  The modes come from the band of the pairs only:
+    one angular DFT product per axis, last axis first, or the band of fhat,
+    the field's full angular FFT, when the caller already holds it.
+    profiles as in _separable_terms."""
     g = field.grid
     lam = np.atleast_1d(np.asarray(lambda_prime, dtype=float))
     if lam.shape != (g.n,):
         raise DimensionMismatch(f"reduced twist must have {g.n} components")
     if np.any(lam <= 0):
         raise RangeExceeded("spectral analysis requires strictly positive reduced twist")
-    terms = _separable_terms(g, lam, index_pairs, profiles)
-    if fhat is None:
-        fhat = angular_mode_coefficients(field)
+    band, terms = _separable_terms(g, lam, index_pairs, profiles)
+    coeffs = field.values if fhat is None else fhat
+    for j in reversed(range(g.n)):
+        na = g.angular_counts[j]
+        if fhat is None:
+            coeffs = _apply_on_axis(coeffs, 2 * j + 1, _angular_phases(na, band[j], -1) / na)
+        else:
+            coeffs = np.take(coeffs, band[j] % na, axis=2 * j + 1)
     # radial measure s ds times the 2 pi of each angular integral
     rw = [2 * np.pi * g.radial_weights[j] * g.radial_nodes[j] for j in range(g.n)]
     out = np.empty(len(terms), dtype=complex)
     for i, (index, radial) in enumerate(terms):
-        c = fhat[index]
+        c = coeffs[index]
         for w, R in zip(rw, radial):
             c = np.tensordot(w * np.conj(R), c, axes=1)
         out[i] = c
@@ -360,13 +396,17 @@ def _matrix_coefficients(field, index_pairs, lambda_prime, profiles=None, fhat=N
 
 def _synthesize_values(grid, lam, terms, profiles=None):
     """Synthesis: the values of sum c Psi_{alpha,beta} over terms (alpha, beta, c),
-    accumulated in angular-mode space, then one inverse angular FFT.
-    profiles as in _separable_terms."""
-    fhat = np.zeros(grid.shape, dtype=complex)
-    separable = _separable_terms(grid, lam, [(a, b) for a, b, _ in terms], profiles)
+    accumulated on the band of their angular modes, then one angular DFT
+    product per axis, the last axis last.  profiles as in _separable_terms."""
+    band, separable = _separable_terms(grid, lam, [(a, b) for a, b, _ in terms], profiles)
+    shape = tuple(d for j in range(grid.n) for d in (len(grid.radial_nodes[j]), len(band[j])))
+    coeffs = np.zeros(shape, dtype=complex)
     for (index, radial), (_, _, c) in zip(separable, terms):
-        fhat[index] += c * reduce(np.multiply.outer, radial)
-    return values_from_mode_coefficients(grid, fhat)
+        coeffs[index] += c * reduce(np.multiply.outer, radial)
+    for j in range(grid.n):
+        coeffs = _apply_on_axis(coeffs, 2 * j + 1,
+                                _angular_phases(grid.angular_counts[j], band[j], 1).T)
+    return coeffs
 
 
 def _multi_indices(n, total_max):

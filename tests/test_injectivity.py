@@ -331,6 +331,42 @@ def test_two_radii_anisotropic_conflicts_match_double_loop():
     assert want and verdict.laguerre_conflicts == tuple(want)
 
 
+def _matrix_conflicts(zeros, target, tol, squared=False):
+    """The brute-force scan: every ratio of the full matrix against target."""
+    zeros = np.asarray(zeros, dtype=float)
+    ratios = zeros[:, None] / zeros[None, :]
+    if squared:
+        ratios = np.float_power(ratios, 2)
+    err = np.abs(ratios - target) / target
+    return [(int(i), int(j), float(err[i, j])) for i, j in np.argwhere(err < tol)]
+
+
+def _conflict_pools():
+    from metivier.injectivity import _anisotropic_block_zeros
+
+    isotropic = np.concatenate([laguerre_zeros(k, 0).zeros for k in range(1, 41)])
+    r1, r2 = inadmissible_radius_pair(degree_i=7, index_i=2, index_j=5)
+    yield isotropic, (r1 / r2) ** 2, False
+    lam = np.array([1.0, 2.0])
+    r_scan = float(np.sqrt(2 * laguerre_zeros(4, 1).zeros[-1] / lam.min())) * 1.05
+    anisotropic = np.concatenate([_anisotropic_block_zeros(k, lam, r_scan) for k in range(1, 5)])
+    yield anisotropic, (anisotropic[1] / anisotropic[-2]) ** 2, True
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-3])
+@pytest.mark.parametrize("offset", [0.0, 0.5, -0.5, 2.0, -2.0])
+def test_ratio_conflicts_match_the_full_matrix(tol, offset):
+    from metivier.injectivity import _ratio_conflicts
+
+    for zeros, exact, squared in _conflict_pools():
+        # an exact hit, and targets at relative distance 0.5 tol and 2 tol from it
+        target = exact * (1 + offset * tol)
+        got = _ratio_conflicts(zeros, target, tol, squared=squared)
+        want = _matrix_conflicts(zeros, target, tol, squared=squared)
+        assert got == want
+        assert want or abs(offset) > 1
+
+
 @pytest.mark.parametrize("lam", [(1.0, 2.0), (0.7, 1.9)])
 def test_sphere_average_profile_equals_full_sphere_rule(lam):
     from metivier.grids import build_sphere_rule

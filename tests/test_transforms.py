@@ -1,6 +1,8 @@
 """Twisted means, twisted convolution, spectral projections and series,
 radialization, homogeneous expansions, the twisted Laplacian, center Fourier."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from metivier.errors import (
 from metivier.grids import (
     FieldEvaluator,
     SampledField,
+    angular_mode_coefficients,
     default_grid,
     inner_product,
     polar_grid,
@@ -35,6 +38,8 @@ from metivier.structures import (
     symplectic_spectrum,
 )
 from metivier.transforms import (
+    HermiteCoefficients,
+    _matrix_coefficients,
     apply_twisted_laplacian,
     decompose,
     fourier_coefficient_center,
@@ -369,6 +374,66 @@ def test_matrix_coefficient_matches_grid_quadrature(grid, lam, pairs):
     for a, b in pairs:
         want = inner_product(f, _psi_sum(grid, lam, [(a, b, 1.0)]))
         assert abs(matrix_coefficient(f, a, b, lam) - want) < 1e-12 * np.linalg.norm(coef)
+
+
+@pytest.mark.parametrize("grid, lam, pairs", [
+    (polar_grid(1, 32, 16, 8.0), [1.3], [((0,), (7,)), ((7,), (0,)), ((2,), (1,)), ((3,), (3,))]),
+    (polar_grid(2, 12, 8, 6.0), [1.3, 0.8],
+     [((0, 3), (3, 0)), ((3, 1), (0, 4)), ((2, 0), (1, 2)), ((0, 0), (0, 0))]),
+], ids=["n1", "n2"])
+def test_band_analysis_matches_the_full_angular_fft(grid, lam, pairs):
+    # the modes +-(n_a/2 - 1) are the edge of the band; any values will do
+    rng = np.random.default_rng(11)
+    f = SampledField(grid, rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape))
+    fhat = angular_mode_coefficients(f)
+    want = []
+    for a, b in pairs:
+        c = fhat[tuple(i for j in range(grid.n)
+                       for i in (slice(None), (b[j] - a[j]) % grid.angular_counts[j]))]
+        for j in range(grid.n):
+            w = 2 * np.pi * grid.radial_weights[j] * grid.radial_nodes[j]
+            c = np.tensordot(w * np.conj(special_hermite_1d(a[j], b[j], lam[j],
+                                                            grid.radial_nodes[j])), c, axes=1)
+        want.append(c)
+    scale = f.norm2()
+    assert np.max(np.abs(_matrix_coefficients(f, pairs, lam) - want)) < 1e-14 * scale
+    assert np.max(np.abs(_matrix_coefficients(f, pairs, lam, fhat=fhat) - want)) < 1e-14 * scale
+
+
+@pytest.mark.parametrize("grid, pair", [
+    (polar_grid(1, 16, 16, 6.0), ((0,), (8,))),
+    (polar_grid(2, 8, 8, 6.0), ((1, 4), (1, 0))),
+], ids=["n1", "n2"])
+def test_band_at_the_nyquist_mode_is_rejected(grid, pair):
+    lam = [1.0] * grid.n
+    f = _gauss_field(grid)
+    with pytest.raises(NyquistViolation):
+        matrix_coefficient(f, *pair, lam)
+    spectrum = HermiteCoefficients(grid, np.array(lam), (pair,), np.array([1.0 + 0j]), 1.0, "")
+    with pytest.raises(NyquistViolation):
+        synthesize(spectrum)
+
+
+@pytest.mark.parametrize("grid", [polar_grid(1, 16, 16, 6.0), polar_grid(2, 8, 8, 6.0)],
+                         ids=["n1", "n2"])
+def test_synthesis_of_no_terms_is_zero(grid):
+    spectrum = HermiteCoefficients(grid, np.ones(grid.n), (), np.zeros(0, dtype=complex), 0.0, "")
+    values = synthesize(spectrum).values
+    assert values.shape == grid.shape and not np.any(values)
+
+
+def test_round_trip_peak_memory_stays_near_one_field():
+    # the band transforms hold no full-grid array of modes: the round trip's
+    # peak is the synthesized field plus band-sized intermediates
+    grid = polar_grid(2, 24, 64, 8.0)
+    f = sample(lambda z: np.exp(-np.sum(np.abs(z) ** 2, axis=-1)) * (1 + z[..., 0]), grid)
+    tracemalloc.start()
+    try:
+        synthesize(decompose(f, [1.8, 2.1], k_max=4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * f.values.nbytes
 
 
 @pytest.mark.parametrize("grid, lam, k_max", [
