@@ -83,19 +83,11 @@ class PolarGrid:
         return axes
 
     def quadrature_weights(self):
-        """Full product quadrature weight array (broadcastable over self.shape)."""
+        """Full product quadrature weight array, of shape self.shape."""
         w = np.array(1.0)
-        ndim = 2 * self.n
         for j in range(self.n):
-            rw = self.radial_weights[j] * self.radial_nodes[j]
             aw = np.full(self.angular_counts[j], 2 * np.pi / self.angular_counts[j])
-            shape = [1] * ndim
-            shape[2 * j] = len(rw)
-            wj = rw.reshape(shape)
-            shape = [1] * ndim
-            shape[2 * j + 1] = len(aw)
-            wj = wj * aw.reshape(shape)
-            w = w * wj
+            w = np.multiply.outer(w, np.outer(self.radial_weights[j] * self.radial_nodes[j], aw))
         return w
 
     def __eq__(self, other):
@@ -153,14 +145,15 @@ class SampledField:
         return SampledField(self.grid, values, self.metadata)
 
     def norm2(self):
-        """L2 norm by the grid rule, contracting |f|^2 one axis at a time
-        (last axis first) with that axis's weights."""
+        """L2 norm by the grid rule: one einsum of the values' real view with
+        itself sums |f|^2 over the angles, with no full-size temporary, then
+        each radial axis is contracted with its weights, last axis first."""
         g = self.grid
-        e = np.abs(self.values)
-        np.square(e, out=e)
+        v = self.values.view(float)
+        axes = list(range(v.ndim))
+        e = np.einsum(v, axes, v, axes, axes[::2])
         for j in reversed(range(g.n)):
-            e = e @ np.full(g.angular_counts[j], 2 * np.pi / g.angular_counts[j])
-            e = e @ (g.radial_weights[j] * g.radial_nodes[j])
+            e = e @ (2 * np.pi / g.angular_counts[j] * g.radial_weights[j] * g.radial_nodes[j])
         return float(np.sqrt(e))
 
     def max_abs(self):

@@ -128,23 +128,21 @@ def _invert_blocks(template, lam, k_max, blocks):
     """Sum of the special Hermite blocks |beta| = k of the means, each divided
     by its scalar, with |alpha| <= k_max + 2n + 4 in every block; blocks maps
     k -> (mean field, scalar).  One analysis call per distinct mean field and
-    one synthesis call, which reuses the radial profiles of the analyses on
-    the template's grid.  Returns the field (on the grid and with the metadata
+    one synthesis call.  Returns the field (on the grid and with the metadata
     of template), the divisors and the L2 norm of each recovered block."""
     grid = template.grid
-    spectra, profiles = {}, {}
+    spectra = {}
     for mean in {id(f): f for f, _ in blocks.values()}.values():
         pairs = [p for k, (f, _) in blocks.items() if f is mean
                  for p in _block_pairs(grid.n, k, k_max + 2 * grid.n + 4)]
-        spectra[id(mean)] = _analyse(mean, lam, pairs,
-                                     profiles if mean.grid == grid else None).blocks()
+        spectra[id(mean)] = _analyse(mean, lam, pairs).blocks()
     terms, divisor, recovered = [], {}, {}
     for k, (mean, scalar) in blocks.items():
         block = spectra[id(mean)][k]
         terms += [(a, b, c / scalar) for a, b, c in block]
         divisor[k] = float(scalar)
         recovered[k] = float(np.linalg.norm([c for *_, c in block]) / abs(scalar))
-    return template.with_values(_synthesize_values(grid, lam, terms, profiles)), divisor, recovered
+    return template.with_values(_synthesize_values(grid, lam, terms)), divisor, recovered
 
 
 def _reconstruct(means, lambda_prime, k_max, scalars):
@@ -322,7 +320,7 @@ def weighted_norm(field, spec_or_lambda, p=2):
         # outermost shell — the grid then truncates a growing profile
         return WeightedNorm(value, log_value, p, bool(frac > 0.999), frac)
     else:
-        w = np.broadcast_to(g.quadrature_weights(), g.shape)
+        w = g.quadrature_weights()
         logterm = p * logf + np.log(w)
         total = logsumexp(logterm)
         edge = logsumexp(logterm[edge_mask])

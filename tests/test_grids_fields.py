@@ -1,6 +1,7 @@
 """Grids, quadrature, sampling, off-grid evaluation, sphere rules, field IO."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from metivier.errors import (
 from metivier.fieldio import export_radial_slice_csv, read_field, write_field
 from metivier.grids import (
     FieldEvaluator,
+    SampledField,
     angular_mode_coefficients,
     build_sphere_rule,
     default_grid,
@@ -176,6 +178,23 @@ def test_norm2_matches_the_product_rule():
     want = np.sqrt(np.sum(g.quadrature_weights() * np.abs(f.values) ** 2))
     assert f.norm2() == pytest.approx(want, rel=1e-14)
     assert f.norm2() == pytest.approx(np.sqrt(inner_product(f, f).real), rel=1e-14)
+
+
+def test_norm2_makes_no_field_sized_temporary():
+    # |f|^2 is summed from the values' real view; taking np.abs would allocate
+    # half the field
+    g = polar_grid(2, 24, 64, 8.0)
+    rng = np.random.default_rng(1)
+    f = SampledField(g, rng.normal(size=g.shape) + 1j * rng.normal(size=g.shape))
+    tracemalloc.start()
+    try:
+        got = f.norm2()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < f.values.nbytes / 100
+    assert got == pytest.approx(np.sqrt(np.sum(g.quadrature_weights() * np.abs(f.values) ** 2)),
+                                rel=1e-14)
 
 
 def test_sphere_rule_circle_moments():

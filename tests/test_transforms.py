@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from metivier.errors import (
     DimensionMismatch,
     GridMismatch,
+    GridTooCoarse,
     MalformedFile,
     NotHomogeneous,
     NyquistViolation,
@@ -40,6 +41,8 @@ from metivier.structures import (
 from metivier.transforms import (
     HermiteCoefficients,
     _matrix_coefficients,
+    _radial_profiles,
+    _synthesize_values,
     apply_twisted_laplacian,
     decompose,
     fourier_coefficient_center,
@@ -332,6 +335,19 @@ def test_convolution_nyquist_guard():
         twisted_convolution(psi, psi, LAM1)
 
 
+def test_convolution_aliasing_guard():
+    # at twist (2, 1.6) 24 radial nodes on [0, 8] alias the profiles with
+    # indices <= 20 that the analysis uses, and 32 resolve them
+    lam = np.array([2.0, 1.6])
+    theta = _theta_field(2, lam, polar_grid(2, 24, 8, 8.0))
+    with pytest.raises(GridTooCoarse, match="radial rule"):
+        twisted_convolution(theta, theta, lam)
+    theta = _theta_field(2, lam, polar_grid(2, 32, 8, 8.0))
+    conv = twisted_convolution(theta, theta, lam)
+    want = float(np.prod(2 * np.pi / lam)) * theta.values
+    assert conv.with_values(conv.values - want).norm2() < 1e-10 * theta.norm2()
+
+
 def test_convolution_energy_guard(g1):
     # e^{-4|z|^2} is too narrow for the special Hermite functions at lam = 1
     # with indices <= 46: the expansion misses about 7.8e-6 of its squared norm
@@ -376,11 +392,25 @@ def test_matrix_coefficient_matches_grid_quadrature(grid, lam, pairs):
         assert abs(matrix_coefficient(f, a, b, lam) - want) < 1e-12 * np.linalg.norm(coef)
 
 
-@pytest.mark.parametrize("grid, lam, pairs", [
+def _shuffled_pairs(n, index_max, mode_max, count, seed):
+    """`count` distinct pairs (alpha, beta) with indices <= index_max and
+    |beta_j - alpha_j| <= mode_max, in seeded random order: keys (alpha_j,
+    beta_j) recur across joint modes and pairs share a key on one axis only."""
+    ab = np.indices((index_max + 1,) * 2 * n).reshape(2 * n, -1).T
+    ab = ab[np.all(np.abs(ab[:, n:] - ab[:, :n]) <= mode_max, axis=1)]
+    pick = np.random.default_rng(seed).permutation(len(ab))[:count]
+    return [(tuple(int(v) for v in row[:n]), tuple(int(v) for v in row[n:])) for row in ab[pick]]
+
+
+BAND_CASES = pytest.mark.parametrize("grid, lam, pairs", [
     (polar_grid(1, 32, 16, 8.0), [1.3], [((0,), (7,)), ((7,), (0,)), ((2,), (1,)), ((3,), (3,))]),
     (polar_grid(2, 12, 8, 6.0), [1.3, 0.8],
      [((0, 3), (3, 0)), ((3, 1), (0, 4)), ((2, 0), (1, 2)), ((0, 0), (0, 0))]),
-], ids=["n1", "n2"])
+    (polar_grid(2, 12, 8, 6.0), [1.3, 0.8], _shuffled_pairs(2, 4, 3, 60, seed=4)),
+], ids=["n1", "n2", "n2-shuffled"])
+
+
+@BAND_CASES
 def test_band_analysis_matches_the_full_angular_fft(grid, lam, pairs):
     # the modes +-(n_a/2 - 1) are the edge of the band; any values will do
     rng = np.random.default_rng(11)
@@ -398,6 +428,23 @@ def test_band_analysis_matches_the_full_angular_fft(grid, lam, pairs):
     scale = f.norm2()
     assert np.max(np.abs(_matrix_coefficients(f, pairs, lam) - want)) < 1e-14 * scale
     assert np.max(np.abs(_matrix_coefficients(f, pairs, lam, fhat=fhat) - want)) < 1e-14 * scale
+
+
+@BAND_CASES
+def test_band_synthesis_matches_the_sampled_psi_sum(grid, lam, pairs):
+    rng = np.random.default_rng(12)
+    terms = [(a, b, complex(rng.normal(), rng.normal())) for a, b in pairs]
+    want = _psi_sum(grid, lam, terms).values
+    got = _synthesize_values(grid, np.array(lam), terms)
+    assert np.max(np.abs(got - want)) < 1e-14 * np.linalg.norm([c for *_, c in terms])
+
+
+@pytest.mark.parametrize("lam", [0.8, 2.0])
+def test_radial_profile_table_matches_special_hermite_1d(lam):
+    s = default_grid(1).radial_nodes[0]
+    a, b = np.indices((47, 47)).reshape(2, -1)
+    want = np.stack([special_hermite_1d(i, k, lam, s) for i, k in zip(a, b)], axis=1)
+    assert np.max(np.abs(_radial_profiles(a, b, lam, s) - want)) < 1e-13 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("grid, pair", [
