@@ -342,19 +342,19 @@ def angular_mode_coefficients(field):
     Returns an array of the same shape as field.values, with angular axes
     holding mode coefficients in numpy FFT order.
     """
-    fhat = field.values
+    fhat = None  # the first FFT allocates the result; the others transform it in place
     for j in range(field.grid.n):
-        fhat = np.fft.fft(fhat, axis=2 * j + 1)
-        fhat /= field.grid.angular_counts[j]  # in place: the FFT returned a new array
+        fhat = np.fft.fft(field.values if fhat is None else fhat, axis=2 * j + 1, out=fhat)
+        fhat /= field.grid.angular_counts[j]
     return fhat
 
 
 def values_from_mode_coefficients(grid, fhat):
     """Inverse of angular_mode_coefficients."""
-    v = fhat
+    v = None  # the first inverse FFT allocates the result; the others transform it in place
     for j in range(grid.n):
-        v = np.fft.ifft(v, axis=2 * j + 1)
-        v *= grid.angular_counts[j]  # in place: the inverse FFT returned a new array
+        v = np.fft.ifft(fhat if v is None else v, axis=2 * j + 1, out=v)
+        v *= grid.angular_counts[j]
     return v
 
 

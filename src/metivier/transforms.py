@@ -17,9 +17,10 @@ an orthonormal basis of L2(C^n) for each positive reduced twist.  Because
 Psi_{alpha,beta} is a pure angular mode (beta_j - alpha_j in each coordinate)
 times one radial profile per coordinate, analysis and synthesis work one axis
 at a time on the band of modes their pairs use: one angular DFT matrix
-product, then one radial matrix product per band mode with the profiles of
-the distinct keys (alpha_j, beta_j) of that mode, tabulated once per call
-from Laguerre sequences.  No loop runs over the pairs.
+product that keeps the band modes first (mode-major), then one batched
+radial matmul of every mode's slab with the profiles of that mode's
+distinct keys (alpha_j, beta_j), tabulated once per call from Laguerre
+sequences.  No loop runs over the band modes or the pairs.
 
 Twisted convolution, for any n, is coefficient algebra on that basis:
 Psi_{alpha,beta} x_lam Psi_{beta,delta} = prod_j sqrt(2 pi / lam_j) Psi_{alpha,delta},
@@ -29,7 +30,7 @@ It raises TruncationDominates when either expansion misses more than
 independent grid-quadrature oracle.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product as iter_product
 
 import numpy as np
@@ -258,7 +259,7 @@ def twisted_convolution(f, g, lambda_prime):
             raise NyquistViolation(
                 f"output mode {tuple(np.add(mf, mg))} exceeds the angular band of the grid"
             )
-    defect = max(_gram_defect(grid, lam, M, bound) for M in (F, G))
+    defect = _gram_defect(grid, lam, (F, G), bound)
     if defect > gram_tol:
         raise GridTooCoarse(
             f"the radial rule aliases the special Hermite analysis with indices <= {bound} "
@@ -296,30 +297,33 @@ def _coefficient_matrix(field, lam, alphas, truncation_tol):
     return matrix, modes
 
 
-def _gram_defect(grid, lam, matrix, bound):
-    """How far the radial rule aliases the analysis behind a coefficient matrix:
-    max |P^H W P - Q^H V Q|_{rc} a_c over the axes and the keys r, c <= bound
-    of one mode, with P, W the keys' radial profiles and measure 2 pi s ds on
-    the grid's nodes, Q, V the same on a resolving Gauss-Legendre rule (window
-    truncation cancels), and a_c key c's share of the coefficient norm."""
+def _gram_defect(grid, lam, matrices, bound):
+    """How far the radial rule aliases the analyses behind the coefficient
+    matrices: the largest max |P^H W P - Q^H V Q|_{rc} a_c over the matrices,
+    the axes and the keys r, c <= bound of one mode, with P, W the keys'
+    radial profiles and measure 2 pi s ds on the grid's nodes, Q, V the same
+    on a resolving Gauss-Legendre rule (window truncation cancels), and a_c
+    key c's share of the matrix's coefficient norm.  The resolving rule is
+    built once per axis for all the matrices."""
     n = grid.n
-    energy = (np.abs(matrix) ** 2).reshape((bound + 1,) * 2 * n)
+    energies = [(np.abs(matrix) ** 2).reshape((bound + 1,) * 2 * n) for matrix in matrices]
     defect = 0.0
     for j in range(n):
-        share = np.sqrt(energy.sum(axis=tuple(i for i in range(2 * n) if i not in (j, n + j)))
-                        .ravel() / (energy.sum() or 1.0))
-        a, b = np.indices((bound + 1, bound + 1)).reshape(2, -1)
-        rows = np.isin(b - a, (b - a)[share > 0])  # the keys of the field's modes
-        a, b, share = a[rows], b[rows], share[rows]
-        live = np.flatnonzero(share)
         # the grid rule minus the resolving rule, as one rule on both node sets
         x, w = np.polynomial.legendre.leggauss(2 * len(grid.radial_nodes[j]) + 2 * bound)
         s = np.concatenate([grid.radial_nodes[j], (x + 1) * grid.r_max / 2])
         ws = np.concatenate([grid.radial_weights[j], -w * grid.r_max / 2])
-        radial = _radial_profiles(a, b, lam[j], s)
-        gram = (np.conj(radial) * (2 * np.pi * ws * s)[:, None]).T @ radial[:, live]
-        same = (b - a)[:, None] == (b - a)[live]
-        defect = max(defect, float(np.max(np.abs(gram * share[live])[same], initial=0.0)))
+        for energy in energies:
+            share = np.sqrt(energy.sum(axis=tuple(i for i in range(2 * n) if i not in (j, n + j)))
+                            .ravel() / (energy.sum() or 1.0))
+            a, b = np.indices((bound + 1, bound + 1)).reshape(2, -1)
+            rows = np.isin(b - a, (b - a)[share > 0])  # the keys of the field's modes
+            a, b, share = a[rows], b[rows], share[rows]
+            live = np.flatnonzero(share)
+            radial = _radial_profiles(a, b, lam[j], s)
+            gram = (np.conj(radial) * (2 * np.pi * ws * s)[:, None]).T @ radial[:, live]
+            same = (b - a)[:, None] == (b - a)[live]
+            defect = max(defect, float(np.max(np.abs(gram * share[live])[same], initial=0.0)))
     return defect
 
 
@@ -356,19 +360,24 @@ def _radial_profiles(a, b, lam, s):
 def _axis_tables(grid, lam, index_pairs):
     """Psi_{alpha,beta}(z) = prod_j R_j(|z_j|) e^{i (beta_j - alpha_j) arg z_j}
     over the distinct keys (alpha_j, beta_j) of the pairs, per axis j: (band,
-    radial, groups, pair_key) are the sorted modes beta_j - alpha_j
-    (NyquistViolation past the angular band), one profile column per key,
-    the keys of each band mode, and the key of each pair."""
+    stack, mode, slot, pair_key).  band holds the sorted modes beta_j - alpha_j
+    (NyquistViolation past the angular band); stack is the zero-padded
+    (len(band), N_r, most keys of one mode) array of profiles, key i's at
+    stack[mode[i], :, slot[i]]; pair_key is the key of each pair."""
     ab = np.array(index_pairs, dtype=int).reshape(len(index_pairs), 2, grid.n)
     tables = []
     for j in range(grid.n):
-        keys, pair_key = np.unique(ab[:, :, j], axis=0, return_inverse=True)
-        band, key_mode = np.unique(keys[:, 1] - keys[:, 0], return_inverse=True)
+        # keys as rows (beta_j - alpha_j, alpha_j): sorted by mode, then by alpha_j
+        keys, pair_key = np.unique(np.stack([ab[:, 1, j] - ab[:, 0, j], ab[:, 0, j]], axis=1),
+                                   axis=0, return_inverse=True)
+        band, first, mode = np.unique(keys[:, 0], return_index=True, return_inverse=True)
         for m in band:
             _mode_index(int(m), grid.angular_counts[j])
-        radial = _radial_profiles(keys[:, 0], keys[:, 1], lam[j], grid.radial_nodes[j])
-        groups = [np.flatnonzero(key_mode.ravel() == i) for i in range(len(band))]
-        tables.append((band, radial, groups, pair_key.ravel()))
+        slot = np.arange(len(keys)) - first[mode]
+        s = grid.radial_nodes[j]
+        stack = np.zeros((len(band), len(s), slot.max(initial=-1) + 1), dtype=complex)
+        stack[mode, :, slot] = _radial_profiles(keys[:, 1], keys.sum(axis=1), lam[j], s).T
+        tables.append((band, stack, mode, slot, pair_key.ravel()))
     return tables
 
 
@@ -378,18 +387,6 @@ def _angular_phases(na, modes, sign):
     return np.exp(sign * 2j * np.pi * np.arange(na) / na)[np.outer(np.arange(na), modes) % na]
 
 
-def _apply_on_axis(array, axis, matrix):
-    """Contract axis `axis` of array with the rows of matrix: one matrix
-    product that keeps the axis order and returns a C-contiguous array."""
-    shape = array.shape
-    before, after = int(np.prod(shape[:axis])), int(np.prod(shape[axis + 1:]))
-    if after == 1:
-        out = array.reshape(before, shape[axis]) @ matrix
-    else:
-        out = matrix.T @ array.reshape(before, shape[axis], after)
-    return out.reshape(shape[:axis] + (matrix.shape[1],) + shape[axis + 1:])
-
-
 def matrix_coefficient(field, alpha, beta, lambda_prime):
     """(f, Psi_{alpha,beta}) via angular-mode contraction on the grid rule."""
     return _matrix_coefficients(field, [(tuple(np.atleast_1d(alpha)), tuple(np.atleast_1d(beta)))],
@@ -397,11 +394,14 @@ def matrix_coefficient(field, alpha, beta, lambda_prime):
 
 
 def _matrix_coefficients(field, index_pairs, lambda_prime, fhat=None):
-    """Analysis: (f, Psi_{alpha,beta}) for each pair.  Per axis, last first:
-    the band of modes beta_j - alpha_j from one angular DFT product (or from
-    fhat, the field's full angular FFT, when the caller holds it), then one
-    radial matrix product per band mode with the conjugate profiles of its
-    keys.  One gather over the keys of each pair ends it."""
+    """Analysis: (f, Psi_{alpha,beta}) for each pair.  Per axis, last first,
+    on the axis's (radial, angular) pair, which ends the array: one angular
+    DFT product writes the band of modes beta_j - alpha_j mode-major (or the
+    band is gathered from fhat, the field's full angular FFT, when the
+    caller holds it), so that each mode's radial slab is contiguous; one
+    batched matmul contracts every slab with the conjugate profiles of its
+    mode's keys, and one gather puts the keys first.  One gather over the
+    keys of each pair ends it."""
     g = field.grid
     lam = np.atleast_1d(np.asarray(lambda_prime, dtype=float))
     if lam.shape != (g.n,):
@@ -411,38 +411,40 @@ def _matrix_coefficients(field, index_pairs, lambda_prime, fhat=None):
     tables = _axis_tables(g, lam, index_pairs)
     coeffs = field.values if fhat is None else fhat
     for j in reversed(range(g.n)):
-        band, radial, groups, _ = tables[j]
-        na = g.angular_counts[j]
+        band, stack, mode, slot, _ = tables[j]
+        lead, (nr, na) = coeffs.shape[:-2], coeffs.shape[-2:]
+        rows = coeffs.reshape(-1, na).T  # a transposed view, which BLAS reads without a copy
         if fhat is None:
-            coeffs = _apply_on_axis(coeffs, 2 * j + 1, _angular_phases(na, band, -1) / na)
+            rows = (_angular_phases(na, band, -1) / na).T @ rows
         else:
-            coeffs = np.take(coeffs, band % na, axis=2 * j + 1)
+            rows = rows[band % na]
+        slabs = rows.reshape(len(band), int(np.prod(lead)), nr)
         # radial measure s ds times the 2 pi of the angular integral
-        weighted = np.conj(radial) * (2 * np.pi * g.radial_weights[j] * g.radial_nodes[j])[:, None]
-        out = np.empty(coeffs.shape[:2 * j] + radial.shape[1:] + coeffs.shape[2 * j + 2:], complex)
-        for i, keys in enumerate(groups):
-            out[(slice(None),) * 2 * j + (keys,)] = _apply_on_axis(
-                np.take(coeffs, i, axis=2 * j + 1), 2 * j, weighted[:, keys])
-        coeffs = out
+        weighted = np.conj(stack) * (2 * np.pi * g.radial_weights[j] * g.radial_nodes[j])[:, None]
+        keyed = np.matmul(weighted.transpose(0, 2, 1), slabs.transpose(0, 2, 1))[mode, slot]
+        coeffs = keyed.reshape(mode.shape + lead)
     return coeffs[tuple(pair_key for *_, pair_key in tables)]
 
 
 def _synthesize_values(grid, lam, terms):
     """Synthesis: the values of sum c Psi_{alpha,beta} over terms (alpha, beta,
-    c), the transpose of the analysis: one scatter onto the keys, then per
-    axis, first first, one radial matrix product per band mode and one
-    angular DFT product over the band."""
+    c), the transpose of the analysis.  One scatter onto the keys, then per
+    axis, first first: one scatter of the keys into the padded stack, one
+    batched matmul with the profiles that writes each band mode's radial
+    slab, and one angular DFT product from the transposed mode-major slabs
+    that appends the axis's (radial, angular) pair."""
     tables = _axis_tables(grid, lam, [(a, b) for a, b, _ in terms])
-    coeffs = np.zeros(tuple(radial.shape[1] for _, radial, *_ in tables), dtype=complex)
-    np.add.at(coeffs, tuple(pair_key for *_, pair_key in tables), [c for *_, c in terms])
-    for j, (band, radial, groups, _) in enumerate(tables):
-        out = np.empty(coeffs.shape[:2 * j] + (len(radial), len(band)) + coeffs.shape[2 * j + 1:],
-                       dtype=complex)
-        for i, keys in enumerate(groups):
-            out[(slice(None),) * (2 * j + 1) + (i,)] = _apply_on_axis(
-                np.take(coeffs, keys, axis=2 * j), 2 * j, radial[:, keys].T)
-        coeffs = _apply_on_axis(out, 2 * j + 1, _angular_phases(grid.angular_counts[j], band, 1).T)
-    return coeffs
+    values = np.zeros(tuple(len(mode) for _, _, mode, *_ in tables), dtype=complex)
+    np.add.at(values, tuple(pair_key for *_, pair_key in tables), [c for *_, c in terms])
+    for j, (band, stack, mode, slot, _) in enumerate(tables):
+        lead, nr, na = values.shape[1:], stack.shape[1], grid.angular_counts[j]
+        width = int(np.prod(lead))
+        padded = np.zeros((len(band), stack.shape[2], width), dtype=complex)
+        padded[mode, slot] = values.reshape(len(mode), width)
+        slabs = np.matmul(padded.transpose(0, 2, 1), stack.transpose(0, 2, 1))
+        values = (slabs.reshape(len(band), width * nr).T @ _angular_phases(na, band, 1).T
+                  ).reshape(lead + (nr, na))
+    return values
 
 
 def _multi_indices(n, total_max):
@@ -506,10 +508,10 @@ class HermiteCoefficients:
         prod_j (2 pi / lam_j) times the sum of block k."""
         if not 0 <= k <= self.k_max:
             raise RangeExceeded(f"degree {k} outside [0, {self.k_max}]")
+        block = [i for i, (_, b) in enumerate(self.pairs) if sum(b) == k]
         prefactor = float(np.prod(2 * np.pi / self.lambda_prime))
-        terms = [(a, b, prefactor * c) for a, b, c in self.blocks().get(k, [])]
-        return SampledField(self.grid, _synthesize_values(self.grid, self.lambda_prime, terms),
-                            self.metadata)
+        return synthesize(replace(self, pairs=tuple(self.pairs[i] for i in block),
+                                  coefficients=prefactor * self.coefficients[block]))
 
 
 def _analyse(field, lam, pairs):
@@ -701,11 +703,19 @@ def m_radialize(field, m_index):
 
 
 def joint_homogeneity_modes(field):
-    """Energy per joint angular mode: dict (m_1, ..., m_n) -> squared norm share."""
+    """Energy per joint angular mode: dict (m_1, ..., m_n) -> squared norm share.
+
+    One einsum of the FFT output's float view with itself sums |f^|^2 and
+    contracts the first radial axis with its weights, so no field-sized
+    temporary is made; the other radial axes are contracted after it."""
     g = field.grid
-    p = np.abs(angular_mode_coefficients(field)) ** 2
-    for j in range(g.n):  # radial axis j follows the j angular axes kept so far
-        p = np.tensordot(2 * np.pi * g.radial_weights[j] * g.radial_nodes[j], p, axes=([0], [j]))
+    fhat = angular_mode_coefficients(field)
+    v = fhat.view(float).reshape(fhat.shape + (2,))  # (..., re/im)
+    axes = list(range(v.ndim))
+    w = [2 * np.pi * g.radial_weights[j] * g.radial_nodes[j] for j in range(g.n)]
+    p = np.einsum(v, axes, v, axes, w[0], [0], axes[1:-1])
+    for j in range(1, g.n):  # radial axis j follows the j angular axes kept so far
+        p = np.tensordot(w[j], p, axes=([0], [j]))
     freqs = [np.fft.fftfreq(c, 1.0 / c).astype(int) for c in g.angular_counts]
     return {tuple(int(f[i]) for f, i in zip(freqs, idx)): float(p[idx])
             for idx in zip(*np.nonzero(p > 0))}

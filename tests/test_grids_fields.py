@@ -136,6 +136,27 @@ def test_angular_transforms_leave_their_input_unchanged():
     assert np.max(np.abs(back - values)) < 1e-14 * f.max_abs()
 
 
+def test_angular_transforms_allocate_one_field():
+    # the first FFT allocates the result and the others transform it in place;
+    # the values are those of one FFT per axis
+    g = polar_grid(2, 12, 32, 6.0)
+    rng = np.random.default_rng(2)
+    f = SampledField(g, rng.normal(size=g.shape) + 1j * rng.normal(size=g.shape))
+    tracemalloc.start()
+    try:
+        fhat = angular_mode_coefficients(f)
+        fhat_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        back = values_from_mode_coefficients(g, fhat)
+        back_peak = tracemalloc.get_traced_memory()[1] - fhat.nbytes
+    finally:
+        tracemalloc.stop()
+    want = np.fft.fft(np.fft.fft(f.values, axis=1) / 32, axis=3) / 32
+    assert np.array_equal(fhat, want)
+    assert np.max(np.abs(back - f.values)) < 1e-14 * f.max_abs()
+    assert max(fhat_peak, back_peak) < 1.1 * f.values.nbytes
+
+
 def test_evaluator_band_is_relative_to_the_field_peak():
     # the kept angular modes are those above 1e-13 of the largest mode
     # amplitude, so scaling the field keeps the same band

@@ -39,7 +39,11 @@ from metivier.structures import (
     symplectic_spectrum,
 )
 from metivier.transforms import (
+    MAX_TRUNCATION,
     HermiteCoefficients,
+    _block_pairs,
+    _coefficient_matrix,
+    _gram_defect,
     _matrix_coefficients,
     _radial_profiles,
     _synthesize_values,
@@ -374,7 +378,16 @@ def test_matrix_coefficients_orthonormal(g1):
 
 
 def _psi_sum(grid, lam, terms):
-    return sample(lambda z: sum(c * psi_alpha_beta(a, b, lam, z) for a, b, c in terms), grid)
+    """sum c Psi_{alpha,beta} sampled on the grid.  Psi_{alpha,beta} is the
+    product over the coordinates of the n = 1 functions, so each factor is
+    evaluated on its coordinate's (radial, angular) plane only."""
+    values = np.zeros(grid.shape, dtype=complex)
+    for a, b, c in terms:
+        term = c
+        for j, zj in enumerate(grid.coordinate_axes()):
+            term = term * psi_alpha_beta((a[j],), (b[j],), [lam[j]], zj[..., None])
+        values += term
+    return SampledField(grid, values)
 
 
 @pytest.mark.parametrize("grid, lam, pairs", [
@@ -407,7 +420,9 @@ BAND_CASES = pytest.mark.parametrize("grid, lam, pairs", [
     (polar_grid(2, 12, 8, 6.0), [1.3, 0.8],
      [((0, 3), (3, 0)), ((3, 1), (0, 4)), ((2, 0), (1, 2)), ((0, 0), (0, 0))]),
     (polar_grid(2, 12, 8, 6.0), [1.3, 0.8], _shuffled_pairs(2, 4, 3, 60, seed=4)),
-], ids=["n1", "n2", "n2-shuffled"])
+    (polar_grid(3, 10, 16, 6.0), [1.3, 0.8, 1.1], _shuffled_pairs(3, 3, 3, 12, seed=5)),
+    (polar_grid(2, [12, 10], [16, 8], 6.0), [1.3, 0.8], _shuffled_pairs(2, 4, 3, 40, seed=6)),
+], ids=["n1", "n2", "n2-shuffled", "n3", "n2-unequal"])
 
 
 @BAND_CASES
@@ -461,12 +476,76 @@ def test_band_at_the_nyquist_mode_is_rejected(grid, pair):
         synthesize(spectrum)
 
 
-@pytest.mark.parametrize("grid", [polar_grid(1, 16, 16, 6.0), polar_grid(2, 8, 8, 6.0)],
-                         ids=["n1", "n2"])
+@pytest.mark.parametrize("grid", [polar_grid(1, 16, 16, 6.0), polar_grid(2, 8, 8, 6.0),
+                                  polar_grid(3, 10, 16, 6.0), polar_grid(2, [12, 10], [16, 8], 6.0)],
+                         ids=["n1", "n2", "n3", "n2-unequal"])
 def test_synthesis_of_no_terms_is_zero(grid):
     spectrum = HermiteCoefficients(grid, np.ones(grid.n), (), np.zeros(0, dtype=complex), 0.0, "")
     values = synthesize(spectrum).values
     assert values.shape == grid.shape and not np.any(values)
+
+
+@BAND_CASES
+def test_band_analysis_of_no_pairs_or_a_zero_field(grid, lam, pairs):
+    rng = np.random.default_rng(14)
+    f = SampledField(grid, rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape))
+    fhat = angular_mode_coefficients(f)
+    for got in (_matrix_coefficients(f, [], lam), _matrix_coefficients(f, [], lam, fhat=fhat)):
+        assert got.shape == (0,)
+    zero = f.with_values(np.zeros(grid.shape, dtype=complex))
+    got = _matrix_coefficients(zero, pairs, lam)
+    assert got.shape == (len(pairs),) and not np.any(got)
+
+
+@BAND_CASES
+def test_band_synthesis_adds_the_terms_of_a_repeated_pair(grid, lam, pairs):
+    (a, b), rest = pairs[0], [(p, q, 1.0 - 0.5j) for p, q in pairs[1:4]]
+    split = _synthesize_values(grid, np.array(lam), [(a, b, 0.25 + 1j)] + rest + [(a, b, 0.5 - 2j)])
+    whole = _synthesize_values(grid, np.array(lam), [(a, b, 0.75 - 1j)] + rest)
+    assert np.max(np.abs(split - whole)) < 1e-14 * np.max(np.abs(whole))
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_band_transforms_hold_no_field_sized_intermediate():
+    # the DFT products write the band mode-major, so the analysis holds the
+    # band (17 of 64 modes here) and the synthesis its output plus the band;
+    # a field-sized transpose or copy would break either bound
+    grid = polar_grid(2, 24, 64, 8.0)
+    rng = np.random.default_rng(15)
+    f = SampledField(grid, rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape))
+    lam = np.array([1.8, 2.1])
+    pairs = [p for k in range(5) for p in _block_pairs(2, k)]
+    coeffs, analysis_peak = _peak_bytes(lambda: _matrix_coefficients(f, pairs, lam))
+    terms = [(a, b, c) for (a, b), c in zip(pairs, coeffs)]
+    values, synthesis_peak = _peak_bytes(lambda: _synthesize_values(grid, lam, terms))
+    assert analysis_peak < 0.5 * f.values.nbytes
+    assert synthesis_peak < 1.5 * values.nbytes
+
+
+def test_gram_defect_builds_one_resolving_rule_per_axis(monkeypatch):
+    # twisted_convolution checks F and G in one call: one Gauss-Legendre rule
+    # per axis, and the defect is the larger of the two matrices' defects
+    grid, lam, bound = default_grid(1), np.array([1.05]), MAX_TRUNCATION[1] + 6
+    f, g = (_psi_sum(grid, lam, terms) for terms in ([((0,), (2,), 1.0), ((3,), (1,), 0.5j)],
+                                                     [((1,), (1,), 0.7), ((2,), (0,), 0.2)]))
+    alphas = np.indices((bound + 1,)).reshape(1, -1).T
+    F, G = (_coefficient_matrix(field, lam, alphas, 1e-6)[0] for field in (f, g))
+    assert _gram_defect(grid, lam, (F, G), bound) == max(_gram_defect(grid, lam, (M,), bound)
+                                                         for M in (F, G))
+    calls = []
+    leggauss = np.polynomial.legendre.leggauss
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss",
+                        lambda deg: calls.append(deg) or leggauss(deg))
+    twisted_convolution(f, g, lam)
+    assert calls == [2 * len(grid.radial_nodes[0]) + 2 * bound]
 
 
 def test_round_trip_peak_memory_stays_near_one_field():
@@ -775,6 +854,28 @@ def test_m_radialize_joint_modes_n2():
     assert drop.norm2() < 1e-12 * f.norm2()
     modes = joint_homogeneity_modes(f)
     assert max(modes, key=modes.get) == (1, -1)
+
+
+def test_joint_homogeneity_modes_makes_no_field_sized_temporary():
+    # |f^|^2 is summed from the FFT output's float view; np.abs(fhat) ** 2
+    # allocates two half-field arrays on top of the FFT output
+    g = polar_grid(2, 24, 64, 8.0)
+    rng = np.random.default_rng(16)
+    f = SampledField(g, rng.normal(size=g.shape) + 1j * rng.normal(size=g.shape))
+
+    def old_formula():
+        p = np.abs(angular_mode_coefficients(f)) ** 2
+        for j in range(g.n):
+            p = np.tensordot(2 * np.pi * g.radial_weights[j] * g.radial_nodes[j], p, axes=([0], [j]))
+        return p
+
+    want, old_peak = _peak_bytes(old_formula)
+    got, peak = _peak_bytes(lambda: joint_homogeneity_modes(f))
+    freqs = [np.fft.fftfreq(c, 1.0 / c).astype(int) for c in g.angular_counts]
+    assert len(got) == want.size
+    for (i, k), energy in np.ndenumerate(want):
+        assert got[(freqs[0][i], freqs[1][k])] == pytest.approx(energy, rel=1e-14)
+    assert peak < 1.1 * f.values.nbytes < old_peak
 
 
 def test_m_radialize_nyquist_guard(g1):
