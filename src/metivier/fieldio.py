@@ -81,7 +81,8 @@ def write_field(field, path, dtype="complex128"):
     if isinstance(field, PeriodicField):
         header["m"] = field.m
         header["center_counts"] = list(field.center_counts)
-    payload = np.ascontiguousarray(field.values).astype(_DTYPES[dtype]).tobytes()
+    # tobytes reads any layout, a broadcast included, in C order
+    payload = field.values.astype(_DTYPES[dtype], copy=False).tobytes()
     with open(path, "w") as fh:
         fh.write(json.dumps(header, sort_keys=True) + "\n")
         fh.write(base64.b64encode(payload).decode("ascii") + "\n")

@@ -122,9 +122,41 @@ def default_grid(n):
     return polar_grid(n, nr, na, rmax)
 
 
+_FINITE_SLAB = 1 << 16  # complex entries per slab of the finiteness check
+
+
+def _distinct_entries(v):
+    """View of v with each stride-0 (broadcast) axis read at index 0 alone."""
+    return v[tuple(0 if s == 0 else slice(None) for s in v.strides)]
+
+
+def _checked_values(v, label):
+    """v with its last axis contiguous, after checking that it is finite.
+
+    The float view that norm2 and the check read needs the last axis
+    contiguous, so a flipped or broadcast last axis is copied; a broadcast
+    over the other axes is kept, and its repeated entries are checked once.
+    The check runs in slabs along the first distinct axis, so it makes no
+    field-sized temporary.
+    """
+    if v.strides[-1] != v.itemsize:
+        v = np.ascontiguousarray(v)
+    d = _distinct_entries(v)
+    rows = max(1, _FINITE_SLAB * d.shape[0] // d.size)
+    if not all(np.isfinite(d[i:i + rows].view(float)).all() for i in range(0, len(d), rows)):
+        raise NonFiniteValue(label)
+    return v
+
+
 @dataclass(frozen=True)
 class SampledField:
-    """Complex samples of a function on C^n over a PolarGrid."""
+    """Complex samples of a function on C^n over a PolarGrid.
+
+    `values` may be a read-only broadcast (e.g. np.broadcast_to of a profile
+    that is constant along some axes): it is kept without a copy, and the
+    finiteness check and max_abs read each repeated entry once.  Only a last
+    axis that is not contiguous is copied.
+    """
 
     grid: PolarGrid
     values: np.ndarray
@@ -136,9 +168,7 @@ class SampledField:
             raise DimensionMismatch(
                 f"values shape {v.shape} != grid shape {self.grid.shape}"
             )
-        if not np.all(np.isfinite(v.view(float))):
-            raise NonFiniteValue("<field values>")
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", _checked_values(v, "<field values>"))
 
     def with_values(self, values):
         """The same grid and metadata with new values."""
@@ -157,7 +187,7 @@ class SampledField:
         return float(np.sqrt(e))
 
     def max_abs(self):
-        return float(np.max(np.abs(self.values)))
+        return float(np.max(np.abs(_distinct_entries(self.values))))
 
 
 @dataclass(frozen=True)
@@ -180,9 +210,7 @@ class PeriodicField:
         v = np.asarray(self.values, dtype=complex)
         if v.shape != self.grid.shape + tuple(self.center_counts):
             raise DimensionMismatch("values shape does not match grid x center shape")
-        if not np.all(np.isfinite(v.view(float))):
-            raise NonFiniteValue("<periodic field values>")
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", _checked_values(v, "<periodic field values>"))
 
     def center_angles(self, i):
         c = self.center_counts[i]

@@ -228,6 +228,9 @@ def one_radius_counterexample(l, lambda_prime, n=1, zero_index=0, grid=None):
     l >= 1 (theta_0 has no radial zero) and isotropic lambda_prime, where
     theta_l depends on |z| alone: the field is sampled on the radial nodes
     (|z|^2 summed over the coordinates' nodes) and broadcast over the angles.
+    The field is a read-only broadcast that holds one profile per angle of
+    the last coordinate, so no full-grid copy is made (2.4 MB, not 151 MB,
+    on the default n = 2 grid); write_field writes it out in full.
 
     The residual is computed on a copy of the grid with 4 angles per
     coordinate, carrying the same radial profile.  This is exact, not an
@@ -253,7 +256,10 @@ def one_radius_counterexample(l, lambda_prime, n=1, zero_index=0, grid=None):
     profile = theta_radial(l, lam, np.sqrt(radius2))
     # one angular axis of length 1 after each radial axis, broadcast to a grid
     profile = profile.reshape(tuple(x for s in profile.shape for x in (s, 1)))
-    field = SampledField(grid, np.broadcast_to(profile, grid.shape),
+    # the last angular axis written out, as the field's float view needs it
+    # contiguous; the other angular axes stay broadcast
+    row = np.repeat(profile.astype(complex), grid.shape[-1], axis=-1)
+    field = SampledField(grid, np.broadcast_to(row, grid.shape),
                          metadata=f"laguerre block {l}")
     few_angles = replace(grid, angular_counts=(4,) * n)
     rng = np.random.default_rng(7)

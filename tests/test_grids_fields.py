@@ -77,6 +77,54 @@ def test_sample_rejects_nonfinite():
         sample(lambda z: 1.0 / (np.abs(z[..., 0]) - np.abs(z[..., 0])), g)
 
 
+def test_sampled_field_accepts_broadcast_and_flipped_values():
+    # a complex broadcast is kept without a copy unless its last axis repeats;
+    # a flipped last axis is copied; the checks read repeated entries once
+    rng = np.random.default_rng(3)
+    g1 = polar_grid(1, 8, 8, 4.0)
+    g2 = polar_grid(2, 6, 8, 4.0)
+    a = rng.normal(size=g1.shape) + 1j * rng.normal(size=g1.shape)
+    row = rng.normal(size=(6, 1, 6, 8)) + 1j * rng.normal(size=(6, 1, 6, 8))
+    cases = [
+        (g1, np.broadcast_to(np.ones((8, 1), complex), (8, 8))),
+        (g1, np.flip(a, axis=1)),
+        (g1, a[::-1, ::-1]),
+        (g2, np.broadcast_to(row, g2.shape)),
+    ]
+    for g, values in cases:
+        f = SampledField(g, values)
+        want = SampledField(g, np.array(values))
+        assert np.array_equal(f.values, want.values)
+        assert f.norm2() == pytest.approx(want.norm2(), rel=1e-15)
+        assert f.max_abs() == want.max_abs()
+    assert np.shares_memory(SampledField(g2, cases[3][1]).values, row)
+    for bad in (np.nan, complex(0, np.inf)):
+        spoiled = row.copy()
+        spoiled[-1, 0, -1, -1] = bad
+        with pytest.raises(NonFiniteValue):
+            SampledField(g2, np.broadcast_to(spoiled, g2.shape))
+
+
+def test_finiteness_check_makes_no_field_sized_temporary():
+    # the check runs in slabs, so building a default n = 2 field allocates a
+    # small fraction of its size; a NaN in the last slab and an infinite
+    # imaginary part are still caught
+    g = default_grid(2)
+    values = np.zeros(g.shape, complex)
+    tracemalloc.start()
+    try:
+        SampledField(g, values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.05 * values.nbytes
+    for index, bad in (((-1, -1, -1, -1), np.nan), ((0, 3, 5, 7), complex(1, -np.inf))):
+        values[index] = bad
+        with pytest.raises(NonFiniteValue):
+            SampledField(g, values)
+        values[index] = 0
+
+
 def test_evaluator_reproduces_grid_nodes_exactly():
     g = polar_grid(1, 24, 32, 6.0)
     f = sample(lambda z: np.exp(-np.abs(z[..., 0]) ** 2 / 2) * z[..., 0] ** 2, g)

@@ -445,6 +445,42 @@ def test_witness_residual_on_four_angles_matches_the_full_grid():
     assert abs(ce.mean_residual - np.max(np.abs(mean)) / ce.field.max_abs()) <= 1e-15
 
 
+def test_witness_makes_no_full_grid_copy():
+    # the n = 2 field is a broadcast of one profile per last angle, so
+    # building it and taking its maximum stay far below the field's size
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        ce = one_radius_counterexample(1, [1.03, 1.03], n=2)
+        peak = tracemalloc.get_traced_memory()[1]
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        ce.field.max_abs()
+        max_abs_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    size = ce.field.values.nbytes
+    assert ce.field.values.shape == default_grid(2).shape
+    assert peak < 0.2 * size
+    assert max_abs_peak < 0.02 * size
+
+
+@pytest.mark.parametrize("n, lam, grid", [
+    (2, [1.05, 1.05], polar_grid(2, 10, 8, 6.0)),
+    (1, [1.2], default_grid(1)),
+])
+def test_witness_field_file_matches_its_contiguous_copy(tmp_path, n, lam, grid):
+    from metivier.fieldio import write_field
+
+    ce = one_radius_counterexample(1, lam, n=n, grid=grid)
+    copy = ce.field.with_values(np.array(ce.field.values))
+    for dtype in ("complex128", "complex64"):
+        write_field(ce.field, tmp_path / "witness.field", dtype)
+        write_field(copy, tmp_path / "copy.field", dtype)
+        assert (tmp_path / "witness.field").read_bytes() == (tmp_path / "copy.field").read_bytes()
+
+
 def test_radii_verdict_csv(tmp_path):
     r1, r2 = inadmissible_radius_pair()
     verdict = two_radii_check(r1, r2, k_max=4)
