@@ -220,19 +220,20 @@ class PeriodicField:
 def sample(expr, grid, metadata=""):
     """Evaluate a vectorized pointwise function on every grid node.
 
-    `expr` receives a complex array of shape (..., n) and must return (...).
+    `expr` receives a complex array of shape (..., n) and must return (...);
+    a result that broadcasts to the grid is kept as a read-only broadcast.
+    A non-finite value raises NonFiniteValue naming its first node.
     """
     axes = grid.coordinate_axes()
     z = np.stack(np.broadcast_arrays(*axes), axis=-1)
     vals = np.asarray(expr(z), dtype=complex)
     if vals.shape != grid.shape:
-        vals = np.broadcast_to(vals, grid.shape).copy()
-    bad = ~np.isfinite(vals.view(float).reshape(vals.shape + (2,))).all(axis=-1)
-    if np.any(bad):
-        idx = tuple(int(i) for i in np.argwhere(bad)[0])
-        node = tuple(z[idx + (slice(None),)])
-        raise NonFiniteValue(node)
-    return SampledField(grid, vals, metadata)
+        vals = np.broadcast_to(vals, grid.shape)
+    try:
+        return SampledField(grid, vals, metadata)
+    except NonFiniteValue:
+        first = np.unravel_index(np.argmin(np.isfinite(vals)), grid.shape)
+        raise NonFiniteValue(tuple(z[first])) from None
 
 
 def sample_periodic(expr, grid, center_counts):
@@ -263,7 +264,10 @@ class FieldEvaluator:
 
     Angular direction: exact discrete Fourier modes, truncated adaptively to
     the field's band (relative amplitude >= 1e-13).  Radial direction:
-    global barycentric Lagrange interpolation on the Gauss-Legendre nodes.
+    global barycentric Lagrange interpolation on the Gauss-Legendre nodes;
+    a radius within 1e-15 r_max of a node (found by bisection) takes that
+    node's sample exactly.  The real interpolation matrix meets the complex
+    coefficients as one real matrix product on their float view.
 
     fill="zero" returns 0 beyond r_max + extrap_slack (appropriate for the
     Gaussian-decay fields this package integrates); fill="raise" raises
@@ -309,20 +313,24 @@ class FieldEvaluator:
             self.bary.append(sign * np.exp(logw))
 
     def _radial_matrix(self, j, t):
-        """Barycentric evaluation matrix (P x Nr) for radii t at coordinate j."""
+        """Barycentric evaluation matrix (P x Nr) for radii t at coordinate j.
+        A radius within 1e-15 r_max of its nearest node (found by bisection)
+        gets that node's unit row."""
         r = self.grid.radial_nodes[j]
-        w = self.bary[j]
-        diff = t[:, None] - r[None, :]
-        exact = np.isclose(diff, 0.0, rtol=0, atol=1e-15 * self.grid.r_max)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            B = w[None, :] / diff
-        B[~np.isfinite(B)] = 0.0
-        rows_exact = exact.any(axis=1)
-        B[rows_exact] = 0.0
-        B[exact] = 1.0
+        B = t[:, None] - r[None, :]
+        rows = np.arange(t.size)
+        hi = np.minimum(np.searchsorted(r, t), r.size - 1)
+        lo = np.maximum(hi - 1, 0)
+        near = np.where(np.abs(B[rows, lo]) < np.abs(B[rows, hi]), lo, hi)
+        exact = np.abs(B[rows, near]) <= 1e-15 * self.grid.r_max
+        with np.errstate(divide="ignore"):
+            np.divide(self.bary[j], B, out=B)
+        B[exact] = 0.0
+        B[exact, near[exact]] = 1.0
         s = B.sum(axis=1, keepdims=True)
         s[s == 0] = 1.0
-        return B / s
+        B /= s
+        return B
 
     def __call__(self, zpts):
         """Evaluate at complex points of shape (P, n) (or (P,) when n == 1)."""
@@ -357,11 +365,18 @@ class FieldEvaluator:
         for j in range(self.grid.n):
             B = self._radial_matrix(j, t[:, j])
             if out is None:  # the coefficients have no points axis yet
-                out = np.tensordot(B, self.fhat, axes=1)
+                out = _real_matmul(B, self.fhat)
             else:
                 out = np.einsum("pi...,pi->p...", out, B)
             out = np.einsum("pm...,pm->p...", out, np.exp(1j * beta[:, [j]] * self.modes[j]))
         return out
+
+
+def _real_matmul(B, c):
+    """B @ c over c's first axis for a real matrix B and complex c, as one
+    real product on c's float view; c is C-contiguous."""
+    out = B @ c.reshape(c.shape[0], -1).view(float)
+    return out.view(complex).reshape(B.shape[:1] + c.shape[1:])
 
 
 def angular_mode_coefficients(field):

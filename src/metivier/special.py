@@ -73,11 +73,14 @@ def laguerre_L(k, a, x):
 
 
 def laguerre_sequence(kmax, a, x):
-    """All L_k^a(x) for k = 0..kmax, stacked along a new leading axis."""
+    """All L_k^a(x) for k = 0..kmax, stacked along a new leading axis.
+
+    a may be an array that broadcasts against x: one recurrence then runs
+    for every order at once, with the arithmetic of one call per order."""
     if kmax < 0 or kmax > MAX_LAGUERRE_DEGREE:
         raise RangeExceeded(f"laguerre degree {kmax} outside [0, {MAX_LAGUERRE_DEGREE}]")
     x = np.asarray(x, dtype=float)
-    out = np.empty((kmax + 1,) + x.shape)
+    out = np.empty((kmax + 1,) + np.broadcast_shapes(np.shape(a), x.shape))
     out[0] = 1.0
     if kmax >= 1:
         out[1] = 1.0 + a - x

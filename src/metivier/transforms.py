@@ -51,6 +51,7 @@ from .grids import (
     PeriodicField,
     PolarGrid,
     SampledField,
+    _real_matmul,
     angular_mode_coefficients,
     build_sphere_rule,
     values_from_mode_coefficients,
@@ -115,24 +116,35 @@ def _full_grid_mean(field, twist, r):
     of the result at s e^{i phi} is e^{i m phi} times the mean of the field's
     mode m at the base point s.  The field's live modes are therefore
     evaluated only on the sphere around each radial node, and one inverse
-    angular FFT returns the result to the grid.  twist = 0 is the Euclidean
-    mean.  Beyond r_max the field is zero, as in FieldEvaluator.
+    angular FFT returns the result to the grid.  The radial interpolation
+    (FieldEvaluator's barycentric matrix, whose rows at a node are exact
+    unit rows) is one real matrix product on the float view of the kept
+    coefficients, and the mode phases e^{i m arg u} are the powers of
+    u / |u| up to the largest |m|, conjugated for m < 0.  twist = 0 is the
+    Euclidean mean.  Beyond r_max the field is zero, as in FieldEvaluator.
     """
     g = field.grid
     rule = build_sphere_rule(1, r, DEFAULT_SPHERE_ORDER[1])
     ev = FieldEvaluator(field)
     s = g.radial_nodes[0]
     w = rule.nodes[:, 0]
-    u = s[:, None] - w[None, :]  # (S, K): z - w at the base points z = s
-    rho = np.abs(u).ravel()
-    B = ev._radial_matrix(0, rho)
-    B[rho > g.r_max + ev.extrap_slack] = 0.0
-    fm = (B @ ev.fhat).reshape(u.shape + (-1,))  # (S, K, M)
-    fm = fm * np.exp(1j * np.angle(u)[..., None] * ev.modes[0])
+    u = (s[:, None] - w[None, :]).ravel()  # z - w at the base points z = s, (S K,)
+    rho = np.abs(u)
+    fm = _real_matmul(ev._radial_matrix(0, rho), ev.fhat)  # (S K, M)
+    fm[rho > g.r_max + ev.extrap_slack] = 0.0
+    m = ev.modes[0]
+    powers = np.empty((np.abs(m).max() + 1, u.size), dtype=complex)
+    powers[0] = 1.0
+    powers[1:] = np.divide(u, rho, out=np.ones_like(u), where=rho > 0)  # e^{i arg u}
+    np.cumprod(powers, axis=0, out=powers)
+    phases = powers[np.abs(m)]
+    np.conjugate(phases, out=phases, where=(m < 0)[:, None])
     phase = np.exp(0.5j * twist * np.imag(s[:, None] * np.conj(w)[None, :])) * rule.weights
+    phases *= phase.ravel()
     na = g.angular_counts[0]
     fhat = np.zeros((len(s), na), dtype=complex)
-    fhat[:, ev.modes[0] % na] = np.einsum("skm,sk->sm", fm, phase)
+    fhat[:, m % na] = np.einsum("skm,msk->sm", fm.reshape(len(s), len(w), -1),
+                                phases.reshape(len(m), len(s), len(w)))
     return field.with_values(values_from_mode_coefficients(g, fhat))
 
 
@@ -342,18 +354,17 @@ def _mode_index(m, na):
 def _radial_profiles(a, b, lam, s):
     """special_hermite_1d(a[i], b[i], lam, s) at the nodes s > 0 as the columns
     of one matrix.  There the profile depends only on min(a, b) and p = |b - a|,
-    so each order p takes one laguerre_sequence call."""
+    so one laguerre_sequence call serves every order p, and the factor
+    (i sqrt(x))^p e^{-x/2} is taken once per order."""
     if a.size and max(a.max(), b.max()) > MAX_MATRIX_INDEX:
         raise RangeExceeded(f"special hermite indices outside [0, {MAX_MATRIX_INDEX}]")
     x, low, p = lam * s**2 / 2, np.minimum(a, b), np.abs(b - a)
-    out = np.empty((s.size, a.size), dtype=complex)
-    for order in np.unique(p):
-        cols = np.flatnonzero(p == order)
-        k = low[cols]
-        # sqrt(k! / (k + p)!) L_k^p(x) (i sqrt(x))^p e^{-x/2}
-        scale = np.exp(0.5 * (gammaln(k + 1) - gammaln(k + order + 1)))
-        out[:, cols] = ((laguerre_sequence(int(k.max()), int(order), x)[k] * scale[:, None]).T
-                        * ((1j * np.sqrt(x)) ** order * np.exp(-x / 2))[:, None])
+    orders, order_of = np.unique(p, return_inverse=True)
+    laguerre = laguerre_sequence(int(low.max(initial=0)), orders[:, None], x)
+    # sqrt(k! / (k + p)!) L_k^p(x) (i sqrt(x))^p e^{-x/2}
+    scale = np.exp(0.5 * (gammaln(low + 1) - gammaln(low + p + 1)))
+    factor = (1j * np.sqrt(x)) ** orders[:, None] * np.exp(-x / 2)
+    out = (laguerre[low, order_of] * scale[:, None] * factor[order_of]).T
     return np.sqrt(lam / (2 * np.pi)) * out
 
 

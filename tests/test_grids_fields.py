@@ -72,9 +72,27 @@ def test_grid_equality_and_mismatch():
 
 
 def test_sample_rejects_nonfinite():
+    # the error names the first bad node, located only after SampledField's
+    # check fails, also for a result that is a broadcast over some axes
     g = polar_grid(1, 8, 8, 4.0)
-    with pytest.raises(NonFiniteValue), np.errstate(divide="ignore"):
+    with pytest.raises(NonFiniteValue) as err, np.errstate(divide="ignore"):
         sample(lambda z: 1.0 / (np.abs(z[..., 0]) - np.abs(z[..., 0])), g)
+    assert err.value.node == (complex(g.radial_nodes[0][0]),)
+    g2 = polar_grid(2, 6, 8, 4.0)
+    spoiled = np.ones((6, 8), complex)  # a function of z_2 alone
+    spoiled[3, 2] = np.nan
+    with pytest.raises(NonFiniteValue) as err:
+        sample(lambda z: spoiled, g2)
+    assert err.value.node == (complex(g2.radial_nodes[0][0]),
+                              g2.radial_nodes[1][3] * np.exp(1j * g2.angles(1)[2]))
+
+
+def test_sample_keeps_a_broadcast_result():
+    g = polar_grid(2, 6, 8, 4.0)
+    profile = np.exp(-np.abs(g.coordinate_axes()[1][0, 0]) ** 2) * (1 + 0.5j)
+    f = sample(lambda z: profile, g)
+    assert np.shares_memory(f.values, profile)
+    assert np.array_equal(f.values, np.broadcast_to(profile, g.shape))
 
 
 def test_sampled_field_accepts_broadcast_and_flipped_values():
@@ -123,6 +141,35 @@ def test_finiteness_check_makes_no_field_sized_temporary():
         with pytest.raises(NonFiniteValue):
             SampledField(g, values)
         values[index] = 0
+
+
+def _lagrange_basis(nodes, t):
+    """Product-form Lagrange basis prod_{k != i} (t - r_k) / (r_i - r_k) as a
+    (len(t), len(nodes)) matrix."""
+    out = np.ones((len(t), len(nodes)))
+    for i, ri in enumerate(nodes):
+        for k, rk in enumerate(nodes):
+            if k != i:
+                out[:, i] *= (t - rk) / (ri - rk)
+    return out
+
+
+def test_radial_matrix_matches_the_product_form_lagrange_basis():
+    g = polar_grid(1, 16, 8, 4.0)
+    r = g.radial_nodes[0]
+    ev = FieldEvaluator(sample(lambda z: np.exp(-np.abs(z[..., 0]) ** 2), g))
+    rng = np.random.default_rng(4)
+    off = np.concatenate([rng.uniform(0, g.r_max, 40), [0.0, g.r_max, 1.01 * g.r_max]])
+    B = ev._radial_matrix(0, off)
+    L = _lagrange_basis(r, off)
+    # relative to each row's Lebesgue function sum |l_i(t)|, which grows fast
+    # past the last node (33 at 1.01 r_max)
+    assert np.all(np.abs(B - L) < 1e-13 * np.abs(L).sum(axis=1, keepdims=True))
+    # at a node and within half the 1e-15 r_max tolerance of it: unit rows
+    shift = 0.5e-15 * g.r_max
+    for at in (r, r + shift, r - shift):
+        assert np.array_equal(ev._radial_matrix(0, at), np.eye(len(r)))
+    assert np.all(np.abs(B.sum(axis=1) - 1) < 1e-13)
 
 
 def test_evaluator_reproduces_grid_nodes_exactly():

@@ -58,6 +58,16 @@ def test_laguerre_sequence_matches_single_degree():
         assert np.allclose(seq[k], laguerre_L(k, 1, x), rtol=1e-12, atol=1e-12)
 
 
+def test_laguerre_sequence_over_orders_is_the_per_order_calls():
+    # one recurrence broadcast over the orders does each order's arithmetic
+    x = np.linspace(0.0, 40.0, 33)
+    orders = np.array([0, 1, 2, 5, 17, 46])
+    seq = laguerre_sequence(30, orders[:, None], x)
+    assert seq.shape == (31, len(orders), len(x))
+    for i, a in enumerate(orders):
+        assert np.array_equal(seq[:, i], laguerre_sequence(30, int(a), x))
+
+
 def _special_hermite_oracle(j, k, lam, z, half_width=12.0, nodes=400):
     """Defining integral sqrt(lam/2pi) (pi_lam(z) phi_j, phi_k) with
     pi_lam(z) phi(xi) = e^{i lam (x xi + x y / 2)} phi(xi + y) and

@@ -39,6 +39,7 @@ from metivier.structures import (
     symplectic_spectrum,
 )
 from metivier.transforms import (
+    DEFAULT_SPHERE_ORDER,
     MAX_TRUNCATION,
     HermiteCoefficients,
     _block_pairs,
@@ -146,6 +147,35 @@ def test_full_grid_mean_matches_high_order_oracle(g1):
             got = reduced_mean(f, lam, r).values.ravel()[idx]
             want = reduced_mean_at(f, lam, r, pts, order=1024)
             assert np.max(np.abs(got - want)) < 1e-8 * f.max_abs()
+
+
+def test_full_grid_mean_of_a_high_angular_mode_matches_the_oracle(g1):
+    # live modes +-40: the phases are the 40th powers of u / |u| and their
+    # conjugates, whose rounding error builds up with the power
+    f = sample(lambda z: (z[..., 0] ** 40 + np.conj(z[..., 0]) ** 40)
+               * np.exp(-np.abs(z[..., 0]) ** 2 / 2), g1)
+    assert set(FieldEvaluator(f).modes[0]) == {-40, 40}
+    idx, pts = _seeded_nodes(g1, 40, seed=13)
+    for r in (0.6, 1.7):
+        got = reduced_mean(f, LAM1, r).values.ravel()[idx]
+        want = reduced_mean_at(f, LAM1, r, pts, order=1024)
+        assert np.max(np.abs(got - want)) < 1e-10 * f.max_abs()
+
+
+def test_full_grid_mean_peak_memory_stays_below_two_interpolation_matrices(g1):
+    # the (S K, N_r) real interpolation matrix is the largest array of the
+    # mean: the real product on the coefficients' float view makes no complex
+    # copy of it, and it is freed before the mode phases are formed
+    f = _psi_sum_field(g1)
+    matrix_bytes = len(g1.radial_nodes[0]) * DEFAULT_SPHERE_ORDER[1] * len(g1.radial_nodes[0]) * 8
+    reduced_mean(f, LAM1, 1.7)
+    tracemalloc.start()
+    try:
+        reduced_mean(f, LAM1, 1.7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * matrix_bytes
 
 
 def test_full_grid_mean_zero_fill_near_r_max(g1):
