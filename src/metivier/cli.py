@@ -14,6 +14,7 @@ load; a value that is not a positive integer is a usage error here.
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -76,27 +77,23 @@ def _merged(args, config, key, default=None):
 
 
 def _parse_vector(value, name):
-    """Accept a JSON list, a comma-separated string, or a scalar."""
+    """Accept a JSON list, a comma-separated string, or a scalar, of finite numbers."""
     if value is None:
         raise UsageError(f"missing required value: {name}")
-    if isinstance(value, (int, float)):
-        return [float(value)]
-    if isinstance(value, str):
-        parts = [p for p in value.replace(",", " ").split() if p]
-        try:
-            return [float(p) for p in parts]
-        except ValueError:
-            raise UsageError(f"{name} must be numeric, got {value!r}")
-    if isinstance(value, (list, tuple)):
-        try:
-            return [float(v) for v in value]
-        except (TypeError, ValueError):
-            raise UsageError(f"{name} must be a numeric list")
-    raise UsageError(f"cannot interpret {name}={value!r}")
+    items = value.replace(",", " ").split() if isinstance(value, str) else value
+    if not isinstance(items, (list, tuple)):
+        items = [items]
+    try:
+        out = [float(v) for v in items]
+    except (TypeError, ValueError):
+        raise UsageError(f"{name} must be numeric, got {value!r}") from None
+    if not all(math.isfinite(v) for v in out):
+        raise UsageError(f"{name} must be finite, got {value!r}")
+    return out
 
 
 def _parse_atoms(value):
-    """Accept [[r, w], ...] (JSON list or string)."""
+    """Accept [[r, w], ...] (JSON list or string) of finite numbers."""
     if isinstance(value, str):
         try:
             value = json.loads(value)
@@ -108,7 +105,7 @@ def _parse_atoms(value):
     for entry in value:
         if not isinstance(entry, (list, tuple)) or len(entry) != 2:
             raise UsageError("each atom must be a [radius, weight] pair")
-        atoms.append((float(entry[0]), float(entry[1])))
+        atoms.append(tuple(_parse_vector(entry, "atom")))
     return atoms
 
 
@@ -344,8 +341,6 @@ def cmd_radii(args, config):
     if r1 is None or r2 is None:
         raise UsageError("missing required values: r1 and r2")
     r1, r2 = float(r1), float(r2)
-    if r1 <= 0 or r2 <= 0:
-        raise UsageError("radii must be positive")
     n = int(_merged(args, config, "n", 1))
     k_max = int(_merged(args, config, "k", 40))
     bessel_count = int(_merged(args, config, "bessel-count", 40))

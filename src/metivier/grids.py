@@ -21,7 +21,6 @@ from .errors import (
     DimensionMismatch,
     GridMismatch,
     NonFiniteValue,
-    OutOfDomain,
     UnsupportedDimension,
 )
 
@@ -269,16 +268,14 @@ class FieldEvaluator:
     node's sample exactly.  The real interpolation matrix meets the complex
     coefficients as one real matrix product on their float view.
 
-    fill="zero" returns 0 beyond r_max + extrap_slack (appropriate for the
-    Gaussian-decay fields this package integrates); fill="raise" raises
-    OutOfDomain instead.
+    The field is zero beyond r_max (appropriate for the Gaussian-decay
+    fields this package integrates): the barycentric formula does not
+    extrapolate accurately past the last node.
     """
 
-    def __init__(self, field, fill="zero", extrap_slack=0.0):
+    def __init__(self, field):
         self.field = field
         self.grid = field.grid
-        self.fill = fill
-        self.extrap_slack = float(extrap_slack)
         n = self.grid.n
         fhat = angular_mode_coefficients(field)
         # |fhat| maximised over the radial axes, once: a mode is kept where it
@@ -312,6 +309,11 @@ class FieldEvaluator:
             logw -= np.max(logw)
             self.bary.append(sign * np.exp(logw))
 
+    @property
+    def extrap_slack(self):
+        """0.0: the zero fill starts at r_max itself."""
+        return 0.0
+
     def _radial_matrix(self, j, t):
         """Barycentric evaluation matrix (P x Nr) for radii t at coordinate j.
         A radius within 1e-15 r_max of its nearest node (found by bisection)
@@ -341,14 +343,8 @@ class FieldEvaluator:
             raise DimensionMismatch("points must have shape (P, n)")
         t = np.abs(z)
         beta = np.angle(z)
-        limit = self.grid.r_max + self.extrap_slack
-        outside = (t > limit).any(axis=1)
-        if np.any(outside) and self.fill == "raise":
-            bad = z[np.argmax(outside)]
-            raise OutOfDomain(f"point {bad} beyond r_max={self.grid.r_max}")
         out = np.zeros(z.shape[0], dtype=complex)
-        inside = ~outside
-        idx = np.flatnonzero(inside)
+        idx = np.flatnonzero(~(t > self.grid.r_max).any(axis=1))
         # keep the per-chunk contraction workspace near 2e7 complex entries
         per_point = max(int(self.fhat.size / self.grid.radial_nodes[0].size), 1)
         chunk = max(8, min(4096, int(2e7) // per_point))

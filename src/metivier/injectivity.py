@@ -37,15 +37,16 @@ from .special import (
     theta_radial,
 )
 from .transforms import (
+    HermiteCoefficients,
     _analyse,
     _block_pairs,
     _full_grid_mean,
-    _synthesize_values,
     angular_mode_coefficients,
     fourier_coefficient_center,
     mean_eigenvalue,
     reduced_mean,
     reduced_mean_at,
+    synthesize,
     values_from_mode_coefficients,
 )
 
@@ -136,13 +137,16 @@ def _invert_blocks(template, lam, k_max, blocks):
         pairs = [p for k, (f, _) in blocks.items() if f is mean
                  for p in _block_pairs(grid.n, k, k_max + 2 * grid.n + 4)]
         spectra[id(mean)] = _analyse(mean, lam, pairs).blocks()
-    terms, divisor, recovered = [], {}, {}
+    pairs, coefficients, divisor, recovered = [], [], {}, {}
     for k, (mean, scalar) in blocks.items():
         block = spectra[id(mean)][k]
-        terms += [(a, b, c / scalar) for a, b, c in block]
+        pairs += [(a, b) for a, b, _ in block]
+        coefficients += [c / scalar for *_, c in block]
         divisor[k] = float(scalar)
         recovered[k] = float(np.linalg.norm([c for *_, c in block]) / abs(scalar))
-    return template.with_values(_synthesize_values(grid, lam, terms)), divisor, recovered
+    inverse = HermiteCoefficients(grid, lam, tuple(pairs), np.array(coefficients, dtype=complex),
+                                  sum(v**2 for v in recovered.values()), template.metadata)
+    return synthesize(inverse), divisor, recovered
 
 
 def _reconstruct(means, lambda_prime, k_max, scalars):
@@ -465,9 +469,14 @@ def two_radii_check(r1, r2, n=1, lambda_prime=None, k_max=30, bessel_count=60,
     m_beta(r), the averaged kernel of block k is the sum of m_beta over
     |beta| = k, and the block is blind only where a single m_beta vanishes.
     Anisotropic verdicts can therefore be wrong in either direction.
+
+    Raises DimensionMismatch unless r1, r2 and tol are finite and positive
+    and n and k_max are at least 1.
     """
-    if r1 <= 0 or r2 <= 0:
-        raise DimensionMismatch("radii must be positive")
+    if not (0 < r1 < np.inf and 0 < r2 < np.inf and 0 < tol < np.inf):
+        raise DimensionMismatch("radii and tol must be finite and positive")
+    if n < 1 or k_max < 1:
+        raise DimensionMismatch("n and k_max must be at least 1")
     anisotropic = False
     if lambda_prime is not None:
         lam = np.atleast_1d(np.asarray(lambda_prime, dtype=float))

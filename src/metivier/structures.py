@@ -63,11 +63,15 @@ def validate_structure(n, m, u):
         raise DependentStructureMatrices("structure matrices are linearly dependent")
 
 
-def _standard_j(n):
-    z = np.zeros((2 * n, 2 * n))
-    z[:n, n:] = -np.eye(n)
-    z[n:, :n] = np.eye(n)
-    return z
+def normal_form_matrix(mu):
+    """The normal-form matrix [[0, -diag mu], [diag mu, 0]] on R^{2n}: for
+    z = x + i y in C^n, (x, y)^T U (u, v) = sum_j mu_j Im(z_j conj(w_j))."""
+    mu = np.atleast_1d(np.asarray(mu, dtype=float))
+    n = mu.size
+    u = np.zeros((2 * n, 2 * n))
+    u[:n, n:] = -np.diag(mu)
+    u[n:, :n] = np.diag(mu)
+    return u
 
 
 def builtin_structure(name):
@@ -87,7 +91,7 @@ def builtin_structure(name):
             raise MalformedFile(f"bad builtin name {name!r}")
         if n < 1:
             raise DimensionMismatch("heisenberg:<n> needs n >= 1")
-        return MetivierStructure(n, 1, _standard_j(n)[None, :, :], name)
+        return MetivierStructure(n, 1, normal_form_matrix(np.ones(n))[None, :, :], name)
     if name == "quaternionic":
         # left multiplication by i, j, k on H = R^4 with basis (1, i, j, k),
         # expressed in the coordinates (x1, x2, y1, y2) <-> z = (x1+iy1, x2+iy2)
@@ -215,11 +219,7 @@ class SymplecticSpectrum:
 
     @property
     def u_normal(self):
-        n = self.mu.size
-        u = np.zeros((2 * n, 2 * n))
-        u[:n, n:] = -np.diag(self.mu)
-        u[n:, :n] = np.diag(self.mu)
-        return u
+        return normal_form_matrix(self.mu)
 
 
 def symplectic_spectrum(structure, lam):
@@ -261,10 +261,7 @@ def symplectic_spectrum(structure, lam):
         a[:, i] = u_i
         a[:, n + i] = v_i
     ortho = float(np.max(np.abs(a.T @ a - np.eye(2 * n))))
-    un = np.zeros((2 * n, 2 * n))
-    un[:n, n:] = -np.diag(mu)
-    un[n:, :n] = np.diag(mu)
-    conj = float(np.max(np.abs(v @ a - a @ un)) / scale)
+    conj = float(np.max(np.abs(v @ a - a @ normal_form_matrix(mu))) / scale)
     if ortho > 1e-10:
         raise SingularPencil(f"normal-form basis lost orthogonality ({ortho:.3e})")
     if conj > 1e-8:

@@ -7,10 +7,11 @@ spherical mean of f over the sphere of radius r is
 
 with dmu_r the normalized surface measure.  After rotating coordinates into
 the symplectic normal form the phase becomes the reduced form
-(i/2) sum_j lam_j Im(z_j conj(w_j)) with lam the twist eigenvalues; means and
-convolutions with that phase are the "reduced-twist" operations below, and
-they accept any nonzero real lam (positivity is only needed by the special
-functions).
+(i/2) sum_j lam_j Im(z_j conj(w_j)) = (i/2) x^T U xi, with lam the twist
+eigenvalues and U = normal_form_matrix(lam): the reduced mean is the twisted
+mean of the normal-form pencil.  Means and convolutions with that phase are
+the "reduced-twist" operations below, and they accept any nonzero real lam
+(positivity is only needed by the special functions).
 
 Spectral analysis uses the scaled special Hermite functions Psi_{alpha,beta},
 an orthonormal basis of L2(C^n) for each positive reduced twist.  Because
@@ -20,7 +21,9 @@ at a time on the band of modes their pairs use: one angular DFT matrix
 product that keeps the band modes first (mode-major), then one batched
 radial matmul of every mode's slab with the profiles of that mode's
 distinct keys (alpha_j, beta_j), tabulated once per call from Laguerre
-sequences.  No loop runs over the band modes or the pairs.
+sequences.  No loop runs over the band modes or the pairs.  _analyse is the
+one analysis and synthesize the one synthesis; projections, convolution and
+reconstruction transform the HermiteCoefficients between them.
 
 Twisted convolution, for any n, is coefficient algebra on that basis:
 Psi_{alpha,beta} x_lam Psi_{beta,delta} = prod_j sqrt(2 pi / lam_j) Psi_{alpha,delta},
@@ -57,7 +60,7 @@ from .grids import (
     values_from_mode_coefficients,
 )
 from .special import MAX_MATRIX_INDEX, laguerre_sequence, mean_factor, theta_radial
-from .structures import real_from_complex, complex_from_real, v_lambda
+from .structures import complex_from_real, normal_form_matrix, real_from_complex, v_lambda
 
 DEFAULT_SPHERE_ORDER = {1: 64, 2: 16}
 
@@ -71,37 +74,32 @@ def _check_twist(lambda_prime, n):
     return lam
 
 
+def _mean_at(field, v, r, points, order):
+    """Sphere-rule mean over |xi| = r at complex points (P, n) with the phase
+    (i/2) x^T v xi, x and xi the real forms of the point and the node."""
+    g = field.grid
+    rule = build_sphere_rule(g.n, r, order or DEFAULT_SPHERE_ORDER.get(g.n))
+    x = real_from_complex(np.asarray(points, dtype=complex).reshape(-1, g.n))  # (P, 2n)
+    xi = rule.nodes_real()  # (K, 2n)
+    phase = np.exp(0.5j * ((x @ v) @ xi.T))  # the real product first
+    shifted = complex_from_real(x[:, None, :] - xi[None, :, :]).reshape(-1, g.n)
+    fvals = FieldEvaluator(field)(shifted).reshape(len(x), len(xi))
+    return (fvals * phase) @ rule.weights
+
+
 def twisted_mean_at(field, structure, lam, r, points, order=None):
     """Twisted spherical mean (full structure phase) at complex points (P, n)."""
-    g = field.grid
-    if structure.n != g.n:
+    if structure.n != field.grid.n:
         raise DimensionMismatch("structure and field dimensions differ")
-    order = order or DEFAULT_SPHERE_ORDER.get(g.n)
-    rule = build_sphere_rule(g.n, r, order)
-    v = v_lambda(structure, lam)
-    z = np.asarray(points, dtype=complex).reshape(-1, g.n)
-    x = real_from_complex(z)  # (P, 2n)
-    xi = rule.nodes_real()  # (K, 2n)
-    ev = FieldEvaluator(field)
-    phase = np.exp(0.5j * (x @ v) @ xi.T)  # (P, K)
-    shifted = complex_from_real(x[:, None, :] - xi[None, :, :]).reshape(-1, g.n)
-    fvals = ev(shifted).reshape(x.shape[0], xi.shape[0])
-    return (fvals * phase) @ rule.weights
+    return _mean_at(field, v_lambda(structure, lam), r, points, order)
 
 
 def reduced_mean_at(field, lambda_prime, r, points, order=None):
-    """Reduced-twist spherical mean at complex points (P, n):
-    phase (i/2) sum_j lam_j Im(z_j conj(w_j))."""
-    g = field.grid
-    lam = _check_twist(lambda_prime, g.n)
-    order = order or DEFAULT_SPHERE_ORDER.get(g.n)
-    rule = build_sphere_rule(g.n, r, order)
-    z = np.asarray(points, dtype=complex).reshape(-1, g.n)
-    ev = FieldEvaluator(field)
-    phase = np.exp(0.5j * np.imag(z[:, None, :] * np.conj(rule.nodes)[None, :, :]) @ lam)
-    shifted = (z[:, None, :] - rule.nodes[None, :, :]).reshape(-1, g.n)
-    fvals = ev(shifted).reshape(z.shape[0], rule.nodes.shape[0])
-    return (fvals * phase) @ rule.weights
+    """Reduced-twist spherical mean at complex points (P, n): the twisted
+    mean of the normal-form pencil, whose phase (i/2) x^T U xi is
+    (i/2) sum_j lam_j Im(z_j conj(w_j))."""
+    lam = _check_twist(lambda_prime, field.grid.n)
+    return _mean_at(field, normal_form_matrix(lam), r, points, order)
 
 
 def _grid_points(grid):
@@ -131,7 +129,7 @@ def _full_grid_mean(field, twist, r):
     u = (s[:, None] - w[None, :]).ravel()  # z - w at the base points z = s, (S K,)
     rho = np.abs(u)
     fm = _real_matmul(ev._radial_matrix(0, rho), ev.fhat)  # (S K, M)
-    fm[rho > g.r_max + ev.extrap_slack] = 0.0
+    fm[rho > g.r_max] = 0.0
     m = ev.modes[0]
     powers = np.empty((np.abs(m).max() + 1, u.size), dtype=complex)
     powers[0] = 1.0
@@ -225,12 +223,12 @@ def twisted_convolution(f, g, lambda_prime):
     of (f, Psi_{alpha,beta}) and (g, Psi_{alpha,beta}), the rule
     Psi_{alpha,beta} x_lam Psi_{beta,delta} = prod_j sqrt(2 pi / lam_j) Psi_{alpha,delta}
     gives f x_lam g = sum H_{alpha,delta} Psi_{alpha,delta} with
-    H = prod_j sqrt(2 pi / lam_j) F @ G.  Each field is analysed once over
-    the pairs (alpha, alpha + m), m one of its joint angular modes above 1e-13
-    of its largest, every index at most MAX_TRUNCATION[n] + 2n + 4, from one
-    angular FFT that serves both the modes and the analysis (the two fields'
-    FFTs are never held at once), and H is synthesized once.  A negative
-    lam_j conjugates coordinate j of both fields and of the result.
+    H = prod_j sqrt(2 pi / lam_j) F @ G.  Each field is analysed once
+    (_analyse) over the pairs (alpha, alpha + m), m one of its joint angular
+    modes above 1e-13 of its largest (from one angular FFT), every index at
+    most MAX_TRUNCATION[n] + 2n + 4, and H is synthesized once (synthesize).
+    A negative lam_j conjugates coordinate j of both fields and of the
+    result.
     twisted_convolution_at is the independent quadrature oracle.
 
     Raises GridMismatch for fields on different grids, TruncationDominates
@@ -278,34 +276,33 @@ def twisted_convolution(f, g, lambda_prime):
             f"by {defect:.3e} of the field's norm; add radial nodes"
         )
     H = float(np.prod(np.sqrt(2 * np.pi / lam))) * (F @ G)
-    terms = [(tuple(alphas[i]), tuple(alphas[k]), H[i, k]) for i, k in zip(*np.nonzero(H))]
-    values = _synthesize_values(grid, lam, terms)
-    return SampledField(grid, _conjugate_coordinates(values, flipped), f.metadata)
+    rows, cols = np.nonzero(H)
+    pairs = tuple((tuple(alphas[i]), tuple(alphas[k])) for i, k in zip(rows, cols))
+    h = synthesize(HermiteCoefficients(grid, lam, pairs, H[rows, cols],
+                                       float(np.sum(np.abs(H) ** 2)), f.metadata))
+    return h.with_values(_conjugate_coordinates(h.values, flipped))
 
 
 def _coefficient_matrix(field, lam, alphas, truncation_tol):
     """(matrix, modes): the matrix of (f, Psi_{alpha,alpha+m}) over the rows
-    and columns alphas, m each live joint mode of the field, from one angular
-    FFT that serves both the modes and the analysis; TruncationDominates when
-    the coefficients miss more than truncation_tol^2 of the field's squared
-    norm."""
-    total = field.norm2() ** 2
-    fhat = angular_mode_coefficients(field)
-    modes = _live_modes(field.grid, fhat)
+    and columns alphas, m each live joint mode of the field (from one
+    angular FFT); TruncationDominates when the coefficients miss more than
+    truncation_tol^2 of the field's squared norm."""
+    modes = _live_modes(field.grid, angular_mode_coefficients(field))
     bound = int(alphas.max())
     betas = alphas + np.array(modes, dtype=int).reshape(-1, 1, field.grid.n)
     inside = np.all((betas >= 0) & (betas <= bound), axis=2)
     pairs = np.stack([np.broadcast_to(alphas, betas.shape)[inside], betas[inside]], axis=1)
-    coeffs = _matrix_coefficients(field, pairs, lam, fhat)
-    missed = total - float(np.sum(np.abs(coeffs) ** 2))
-    if missed > truncation_tol**2 * total:
+    spectrum = _analyse(field, lam, pairs)
+    missed = spectrum.total_energy - spectrum.captured_energy
+    if missed > truncation_tol**2 * spectrum.total_energy:
         raise TruncationDominates(
             f"the special Hermite expansion with indices <= {bound} misses "
-            f"{missed / total:.3e} of the field's squared norm"
+            f"{missed / spectrum.total_energy:.3e} of the field's squared norm"
         )
     size = (bound + 1,) * field.grid.n
     matrix = np.zeros((len(alphas), len(alphas)), dtype=complex)
-    matrix[tuple(np.ravel_multi_index(pairs[:, i].T, size) for i in (0, 1))] = coeffs
+    matrix[tuple(np.ravel_multi_index(pairs[:, i].T, size) for i in (0, 1))] = spectrum.coefficients
     return matrix, modes
 
 
@@ -400,19 +397,18 @@ def _angular_phases(na, modes, sign):
 
 def matrix_coefficient(field, alpha, beta, lambda_prime):
     """(f, Psi_{alpha,beta}) via angular-mode contraction on the grid rule."""
-    return _matrix_coefficients(field, [(tuple(np.atleast_1d(alpha)), tuple(np.atleast_1d(beta)))],
-                                lambda_prime)[0]
+    pair = (tuple(np.atleast_1d(alpha)), tuple(np.atleast_1d(beta)))
+    return _analyse(field, lambda_prime, [pair]).coefficients[0]
 
 
-def _matrix_coefficients(field, index_pairs, lambda_prime, fhat=None):
+def _matrix_coefficients(field, index_pairs, lambda_prime):
     """Analysis: (f, Psi_{alpha,beta}) for each pair.  Per axis, last first,
     on the axis's (radial, angular) pair, which ends the array: one angular
-    DFT product writes the band of modes beta_j - alpha_j mode-major (or the
-    band is gathered from fhat, the field's full angular FFT, when the
-    caller holds it), so that each mode's radial slab is contiguous; one
-    batched matmul contracts every slab with the conjugate profiles of its
-    mode's keys, and one gather puts the keys first.  One gather over the
-    keys of each pair ends it."""
+    DFT product writes the band of modes beta_j - alpha_j mode-major, so
+    that each mode's radial slab is contiguous; one batched matmul contracts
+    every slab with the conjugate profiles of its mode's keys, and one
+    gather puts the keys first.  One gather over the keys of each pair ends
+    it."""
     g = field.grid
     lam = np.atleast_1d(np.asarray(lambda_prime, dtype=float))
     if lam.shape != (g.n,):
@@ -420,15 +416,12 @@ def _matrix_coefficients(field, index_pairs, lambda_prime, fhat=None):
     if np.any(lam <= 0):
         raise RangeExceeded("spectral analysis requires strictly positive reduced twist")
     tables = _axis_tables(g, lam, index_pairs)
-    coeffs = field.values if fhat is None else fhat
+    coeffs = field.values
     for j in reversed(range(g.n)):
         band, stack, mode, slot, _ = tables[j]
         lead, (nr, na) = coeffs.shape[:-2], coeffs.shape[-2:]
         rows = coeffs.reshape(-1, na).T  # a transposed view, which BLAS reads without a copy
-        if fhat is None:
-            rows = (_angular_phases(na, band, -1) / na).T @ rows
-        else:
-            rows = rows[band % na]
+        rows = (_angular_phases(na, band, -1) / na).T @ rows
         slabs = rows.reshape(len(band), int(np.prod(lead)), nr)
         # radial measure s ds times the 2 pi of the angular integral
         weighted = np.conj(stack) * (2 * np.pi * g.radial_weights[j] * g.radial_nodes[j])[:, None]
@@ -768,10 +761,10 @@ def homogeneous_projection_expand(field, k, lambda_prime, m=None):
         )
     pairs = [(tuple(int(v) for v in np.subtract(b, m)), b) for b in _degree_indices(g.n, k)
              if min(np.subtract(b, m)) >= 0]
-    coeffs = _matrix_coefficients(field, pairs, lam)
+    spectrum = _analyse(field, lam, pairs)
     prefactor = float(np.prod(2 * np.pi / lam))
-    terms = [(a, b, prefactor * c) for (a, b), c in zip(pairs, coeffs)]
-    return dict(zip(pairs, coeffs)), field.with_values(_synthesize_values(g, lam, terms))
+    return (dict(zip(pairs, spectrum.coefficients)),
+            synthesize(replace(spectrum, coefficients=prefactor * spectrum.coefficients)))
 
 
 LAPLACIAN_STEP = 1.0 / 64

@@ -169,6 +169,34 @@ def test_reconstruct_truncated_input_is_usage(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ["reconstruct", "--input", "{input}", "--atoms", '[["a", 1]]'],
+    ["reconstruct", "--input", "{input}", "--atoms", "[[null, 1]]"],
+    ["reconstruct", "--input", "{input}", "--atoms", "[[NaN, 1]]"],
+    ["radii", "--r1", "1", "--r2", "2", "--tol", "-1"],
+    ["radii", "--r1", "1", "--r2", "2", "--tol", "nan"],
+    ["radii", "--r1", "nan", "--r2", "1"],
+    ["radii", "--r1", "1", "--r2", "2", "--k", "-2"],
+    ["radii", "--r1", "1", "--r2", "2", "--lam", "1,2", "--n", "2", "--k", "0"],
+    ["spectrum", "--structure", "quaternionic", "--lam", "nan,0,0"],
+], ids=["atom-text", "atom-null", "atom-nan", "tol-negative", "tol-nan", "radius-nan",
+        "k-negative", "k-zero-anisotropic", "lam-nan"])
+def test_bad_numeric_input_is_a_usage_error(tmp_path, argv):
+    import numpy as np
+
+    from metivier.fieldio import write_field
+    from metivier.grids import polar_grid, sample
+
+    input_path = tmp_path / "input.field"
+    write_field(sample(lambda z: np.exp(-np.abs(z[..., 0]) ** 2), polar_grid(1, 8, 8, 4.0)),
+                input_path)
+    proc = run_cli(*[a.replace("{input}", str(input_path)) for a in argv],
+                   "--output", str(tmp_path))
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert proc.stderr.startswith(f"metivier {argv[0]}:")
+    assert "Traceback" not in proc.stderr
+
+
 def test_config_file_and_flag_override(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"structure": "heisenberg:1", "lam": [1.0],

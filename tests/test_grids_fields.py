@@ -11,7 +11,6 @@ from metivier.errors import (
     GridMismatch,
     MalformedFile,
     NonFiniteValue,
-    OutOfDomain,
     VersionMismatch,
 )
 from metivier.fieldio import export_radial_slice_csv, read_field, write_field
@@ -194,10 +193,10 @@ def test_evaluator_off_grid_accuracy():
 def test_evaluator_fill_modes():
     g = polar_grid(1, 16, 16, 3.0)
     f = sample(lambda z: np.exp(-np.abs(z[..., 0]) ** 2), g)
-    outside = np.array([[4.0 + 0.0j]])
-    assert FieldEvaluator(f, fill="zero")(outside)[0] == 0.0
-    with pytest.raises(OutOfDomain):
-        FieldEvaluator(f, fill="raise")(outside)
+    # zero fill past r_max is the only behaviour; there is no slack
+    outside = np.array([[4.0 + 0.0j], [3.0 + 1e-9 + 0.0j]])
+    assert not np.any(FieldEvaluator(f)(outside))
+    assert FieldEvaluator(f).extrap_slack == 0.0
 
 
 def test_evaluator_n2():
