@@ -76,6 +76,24 @@ def _merged(args, config, key, default=None):
     return default
 
 
+def _merged_number(args, config, key, kind, default=None):
+    """_merged converted by kind (float or int).  A missing value, one that
+    does not convert, a float that is not finite, or an int that would drop
+    a fraction is a UsageError."""
+    val = _merged(args, config, key, default)
+    if val is None:
+        raise UsageError(f"missing required value: {key}")
+    try:
+        out = kind(val)
+        ok = math.isfinite(out) and float(val) == out
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        word = "an integer" if kind is int else "a finite number"
+        raise UsageError(f"{key} must be {word}, got {val!r}")
+    return out
+
+
 def _parse_vector(value, name):
     """Accept a JSON list, a comma-separated string, or a scalar, of finite numbers."""
     if value is None:
@@ -250,8 +268,8 @@ def _verify_identities(tolerance, eigen_tolerance):
 
 
 def cmd_verify(args, config):
-    tolerance = float(_merged(args, config, "tolerance", 1e-6))
-    eigen_tolerance = float(_merged(args, config, "eigen-tolerance", 1e-3))
+    tolerance = _merged_number(args, config, "tolerance", float, 1e-6)
+    eigen_tolerance = _merged_number(args, config, "eigen-tolerance", float, 1e-3)
     if tolerance <= 0 or eigen_tolerance <= 0:
         raise UsageError("tolerances must be positive")
     results = _verify_identities(tolerance, eigen_tolerance)
@@ -300,7 +318,7 @@ def cmd_reconstruct(args, config):
     field = read_field(input_path)
     lam = _parse_vector(_merged(args, config, "lam", [1.0]), "lam")
     atoms = _parse_atoms(_merged(args, config, "atoms", [[1.0, 0.5], [1.7, 0.5]]))
-    k_max = int(_merged(args, config, "k", 25))
+    k_max = _merged_number(args, config, "k", int, 25)
     if k_max < 0:
         raise UsageError("k must be nonnegative")
     mu = RadialMeasure([r for r, _ in atoms], [w for _, w in atoms],
@@ -335,16 +353,16 @@ def cmd_reconstruct(args, config):
 
 def cmd_radii(args, config):
     from .injectivity import two_radii_check
+    from .special import MAX_LAGUERRE_DEGREE
 
-    r1 = _merged(args, config, "r1")
-    r2 = _merged(args, config, "r2")
-    if r1 is None or r2 is None:
-        raise UsageError("missing required values: r1 and r2")
-    r1, r2 = float(r1), float(r2)
-    n = int(_merged(args, config, "n", 1))
-    k_max = int(_merged(args, config, "k", 40))
-    bessel_count = int(_merged(args, config, "bessel-count", 40))
-    tol = float(_merged(args, config, "tol", 1e-9))
+    r1 = _merged_number(args, config, "r1", float)
+    r2 = _merged_number(args, config, "r2", float)
+    n = _merged_number(args, config, "n", int, 1)
+    k_max = _merged_number(args, config, "k", int, 40)
+    if k_max > MAX_LAGUERRE_DEGREE:
+        raise UsageError(f"k must be at most {MAX_LAGUERRE_DEGREE}")
+    bessel_count = _merged_number(args, config, "bessel-count", int, 40)
+    tol = _merged_number(args, config, "tol", float, 1e-9)
     lam_raw = _merged(args, config, "lam")
     lam = _parse_vector(lam_raw, "lam") if lam_raw is not None else None
     verdict = two_radii_check(r1, r2, n=n, lambda_prime=lam, k_max=k_max,
@@ -381,12 +399,12 @@ def cmd_counterexample(args, config):
     from .injectivity import one_radius_counterexample
     from .special import laguerre_zeros
 
-    l = int(_merged(args, config, "l", 1))
+    l = _merged_number(args, config, "l", int, 1)
     if l < 1:
         raise UsageError("l must be at least 1 (degree 0 has no radial zero)")
     lam = _parse_vector(_merged(args, config, "lam", [1.0]), "lam")
-    n = int(_merged(args, config, "n", 1))
-    zero_index = int(_merged(args, config, "zero-index", 0))
+    n = _merged_number(args, config, "n", int, 1)
+    zero_index = _merged_number(args, config, "zero-index", int, 0)
     cx = one_radius_counterexample(l, lam, n, zero_index=zero_index)
     all_radii = [float(np.sqrt(2 * x / lam[0])) for x in laguerre_zeros(l, n - 1).zeros]
     outdir = _merged(args, config, "output", ".")

@@ -10,6 +10,7 @@ above degree ~20.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import lgamma
 
 import numpy as np
@@ -23,6 +24,8 @@ MAX_HERMITE_DEGREE = 200
 MAX_LAGUERRE_DEGREE = 500
 MAX_MATRIX_INDEX = 100
 MAX_BESSEL_ARG = 1e4
+# zero tables kept per finder; every Laguerre entry has degrees <= MAX_LAGUERRE_DEGREE
+_ZERO_TABLE_MEMO = 32
 
 
 def hermite_h(k, x):
@@ -232,10 +235,22 @@ def _laguerre_zero_tables(degrees, a):
     laguerre_L.  The recorded residual is the size of a third Newton step,
     i.e. the estimated root error; the raw polynomial value is meaningless at
     high degree where |dL/dx| is astronomically large.
+
+    A degree above MAX_LAGUERRE_DEGREE raises RangeExceeded before any
+    solve.  The tables are memoized per (degrees, a), the type of a
+    included, _ZERO_TABLE_MEMO entries deep: a repeat call returns the same
+    tables, whose arrays are read-only.
     """
-    degrees = [int(k) for k in degrees]
+    degrees = tuple(int(k) for k in degrees)
+    if degrees and max(degrees) > MAX_LAGUERRE_DEGREE:
+        raise RangeExceeded(f"laguerre degree {max(degrees)} outside [0, {MAX_LAGUERRE_DEGREE}]")
+    return _solve_laguerre_zero_tables(degrees, a)
+
+
+@lru_cache(maxsize=_ZERO_TABLE_MEMO, typed=True)
+def _solve_laguerre_zero_tables(degrees, a):
     if not degrees:
-        return []
+        return ()
     try:
         x = np.concatenate([
             eigvalsh_tridiagonal(2.0 * np.arange(k) + a + 1,
@@ -257,14 +272,21 @@ def _laguerre_zero_tables(degrees, a):
     if np.any(res > 1e-12 * np.maximum(x, 1.0)):
         raise NonConvergence("laguerre zero newton steps did not converge")
     order = np.lexsort((x, degree))  # ascending within each degree
+    x, res = _read_only(x[order]), _read_only(res[order])
     ends = np.cumsum(degrees)[:-1]
-    return [LaguerreZeroTable(d, a, xs, rs) for d, xs, rs
-            in zip(degrees, np.split(x[order], ends), np.split(res[order], ends))]
+    return tuple(LaguerreZeroTable(d, a, xs, rs) for d, xs, rs
+                 in zip(degrees, np.split(x, ends), np.split(res, ends)))
+
+
+def _read_only(v):
+    v.flags.writeable = False
+    return v
 
 
 def laguerre_zeros(k, a):
     """All k roots of L_k^a, ascending, via the symmetric Jacobi matrix,
-    Newton-polished (see _laguerre_zero_tables)."""
+    Newton-polished (see _laguerre_zero_tables).  For k >= 1 the table is
+    memoized per (k, a) and its arrays are read-only."""
     if k < 0 or k > 200:
         raise RangeExceeded(f"laguerre zero degree {k} outside [0, 200]")
     if a < 0:
@@ -292,11 +314,20 @@ def bessel_zeros(nu, count):
     2 nu + 4 count, past the count-th zero: by Sturm comparison of
     sqrt(x) J_nu(x) with a sine, every interval of length pi (nu = 0), or of
     length 2 pi / sqrt(3) beyond x = 2 nu (nu >= 1), holds a zero.
+
+    The table is memoized per (nu, count), their types included,
+    _ZERO_TABLE_MEMO entries deep: a repeat call returns the same table, whose
+    arrays are read-only.  A call that raises is not memoized.
     """
     if count < 1 or count > 100:
         raise RangeExceeded("bessel zero count outside [1, 100]")
     if nu < 0:
         raise RangeExceeded("bessel order must be non-negative")
+    return _solve_bessel_zeros(nu, count)
+
+
+@lru_cache(maxsize=_ZERO_TABLE_MEMO, typed=True)
+def _solve_bessel_zeros(nu, count):
     step = np.pi / 8
     lo = max(float(nu), 1e-8)
     end = 2.0 * nu + 4.0 * count
@@ -316,4 +347,4 @@ def bessel_zeros(nu, count):
     res = np.abs(bessel_j(nu, z))
     if np.any(res > 1e-10):
         raise NonConvergence("bessel zero residuals did not converge")
-    return BesselZeroTable(nu, z, res)
+    return BesselZeroTable(nu, _read_only(z), _read_only(res))

@@ -169,19 +169,28 @@ def test_reconstruct_truncated_input_is_usage(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
-@pytest.mark.parametrize("argv", [
-    ["reconstruct", "--input", "{input}", "--atoms", '[["a", 1]]'],
-    ["reconstruct", "--input", "{input}", "--atoms", "[[null, 1]]"],
-    ["reconstruct", "--input", "{input}", "--atoms", "[[NaN, 1]]"],
-    ["radii", "--r1", "1", "--r2", "2", "--tol", "-1"],
-    ["radii", "--r1", "1", "--r2", "2", "--tol", "nan"],
-    ["radii", "--r1", "nan", "--r2", "1"],
-    ["radii", "--r1", "1", "--r2", "2", "--k", "-2"],
-    ["radii", "--r1", "1", "--r2", "2", "--lam", "1,2", "--n", "2", "--k", "0"],
-    ["spectrum", "--structure", "quaternionic", "--lam", "nan,0,0"],
+@pytest.mark.parametrize("argv, config", [
+    (["reconstruct", "--input", "{input}", "--atoms", '[["a", 1]]'], None),
+    (["reconstruct", "--input", "{input}", "--atoms", "[[null, 1]]"], None),
+    (["reconstruct", "--input", "{input}", "--atoms", "[[NaN, 1]]"], None),
+    (["radii", "--r1", "1", "--r2", "2", "--tol", "-1"], None),
+    (["radii", "--r1", "1", "--r2", "2", "--tol", "nan"], None),
+    (["radii", "--r1", "nan", "--r2", "1"], None),
+    (["radii", "--r1", "1", "--r2", "2", "--k", "-2"], None),
+    (["radii", "--r1", "1", "--r2", "2", "--lam", "1,2", "--n", "2", "--k", "0"], None),
+    (["spectrum", "--structure", "quaternionic", "--lam", "nan,0,0"], None),
+    (["radii"], {"r1": 1, "r2": 2, "k": "x"}),
+    (["radii"], {"r1": "abc", "r2": 2}),
+    (["radii"], {"r1": 1, "r2": 2, "k": 2.5}),
+    (["radii"], {"r1": 1, "r2": 2, "tol": None}),
+    (["reconstruct", "--input", "{input}"], {"k": "x"}),
+    (["counterexample"], {"l": "one"}),
+    (["verify"], {"eigen-tolerance": "Infinity"}),
 ], ids=["atom-text", "atom-null", "atom-nan", "tol-negative", "tol-nan", "radius-nan",
-        "k-negative", "k-zero-anisotropic", "lam-nan"])
-def test_bad_numeric_input_is_a_usage_error(tmp_path, argv):
+        "k-negative", "k-zero-anisotropic", "lam-nan",
+        "config-k-text", "config-radius-text", "config-k-fraction", "config-tol-null",
+        "config-reconstruct-k-text", "config-l-text", "config-eigen-tolerance-infinite"])
+def test_bad_numeric_input_is_a_usage_error(tmp_path, argv, config):
     import numpy as np
 
     from metivier.fieldio import write_field
@@ -190,10 +199,21 @@ def test_bad_numeric_input_is_a_usage_error(tmp_path, argv):
     input_path = tmp_path / "input.field"
     write_field(sample(lambda z: np.exp(-np.abs(z[..., 0]) ** 2), polar_grid(1, 8, 8, 4.0)),
                 input_path)
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = argv + ["--config", str(cfg)]
     proc = run_cli(*[a.replace("{input}", str(input_path)) for a in argv],
                    "--output", str(tmp_path))
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert proc.stderr.startswith(f"metivier {argv[0]}:")
+    assert "Traceback" not in proc.stderr
+
+
+def test_radii_degree_past_the_laguerre_bound_is_a_usage_error(tmp_path):
+    proc = run_cli("radii", "--r1", "1.3", "--r2", "1", "--k", "501", "--output", str(tmp_path))
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert proc.stderr.startswith("metivier radii:")
     assert "Traceback" not in proc.stderr
 
 

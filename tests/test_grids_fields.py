@@ -218,6 +218,40 @@ def test_evaluator_n3_reproduces_grid_samples():
     assert np.max(np.abs(got - f.values)) < 1e-13 * f.max_abs()
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_evaluator_rows_per_distinct_radius_match_pointwise_evaluation(n):
+    from metivier.special import psi_alpha_beta
+    from metivier.structures import complex_from_real, real_from_complex
+
+    g = polar_grid(n, 24, 16, 7.0)
+    f = sample(lambda z: psi_alpha_beta((1,) + (0,) * (n - 1), (0,) * (n - 1) + (2,),
+                                        [1.0] * n, z), g)
+    ev = FieldEvaluator(f)
+    rng = np.random.default_rng(3)
+    base = rng.uniform(0.3, 2.5, (2, n)) * np.exp(1j * rng.uniform(0, 2 * np.pi, (2, n)))
+    # sphere-rule shifts as the pointwise means build them: at n = 2 each
+    # coordinate's radius repeats across the nodes around a point, so the
+    # first product runs on distinct rows; at n = 1 most radii are distinct
+    rule = build_sphere_rule(n, 1.1, 8)
+    shifts = complex_from_real(real_from_complex(base)[:, None, :]
+                               - rule.nodes_real()[None, :, :]).reshape(-1, n)
+    r = g.radial_nodes[0]
+    # exact radial nodes, each twice
+    nodes = np.repeat(r[[0, 7, -1]], 2)[:, None] * np.exp(1j * rng.uniform(0, 2 * np.pi, (6, n)))
+    origin = np.zeros((2, n), complex)
+    past = np.full((2, n), 0.5 + 0.5j)
+    past[:, -1] = 1.2 * g.r_max
+    pts = np.concatenate([shifts, nodes, origin, past, shifts[:5]])
+    got = ev(pts)
+    scale = f.max_abs()
+    one_by_one = np.concatenate([ev(p[None, :]) for p in pts])
+    assert np.max(np.abs(got - one_by_one)) <= 1e-15 * scale
+    perm = rng.permutation(len(pts))
+    assert np.max(np.abs(ev(pts[perm]) - got[perm])) <= 1e-15 * scale
+    assert not np.any(ev(past))
+    assert np.all(np.isfinite(got)) and np.max(np.abs(got)) > 0.1 * scale
+
+
 def test_angular_transforms_leave_their_input_unchanged():
     g = polar_grid(2, 6, 8, 4.0)
     f = sample(lambda z: np.exp(-np.sum(np.abs(z) ** 2, axis=-1)) * (1 + z[..., 0]), g)

@@ -200,6 +200,61 @@ def test_pooled_laguerre_zeros_equal_the_per_degree_tables(a):
             assert np.array_equal(got, residuals)
 
 
+def test_zero_tables_are_memoized_read_only_and_equal(monkeypatch):
+    import metivier.special as special
+
+    def calls():
+        return [laguerre_zeros(7, 1), bessel_zeros(1, 20),
+                *_laguerre_zero_tables(range(1, 9), 0)]
+
+    first = calls()
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a memoized table was solved again")
+
+    monkeypatch.setattr(special, "eigvalsh_tridiagonal", no_solve)
+    monkeypatch.setattr(special, "brentq", no_solve)
+    for table, again in zip(first, calls()):
+        assert np.array_equal(table.zeros, again.zeros)
+        assert np.array_equal(table.residuals, again.residuals)
+        for v in (again.zeros, again.residuals):
+            with pytest.raises(ValueError):
+                v[0] = 0.0
+
+
+def test_zero_table_arguments_are_not_coerced():
+    # the key includes the argument's type, so each table records the type given
+    assert type(laguerre_zeros(3, 1).type) is int
+    assert type(laguerre_zeros(3, 1.0).type) is float
+    assert type(bessel_zeros(0, 3).order) is int
+    assert type(bessel_zeros(0.0, 3).order) is float
+
+
+def test_zero_table_errors_are_raised_on_every_call():
+    for _ in range(2):
+        with pytest.raises(RangeExceeded):
+            bessel_zeros(0, 0)
+        # raised inside the memoized scan
+        with pytest.raises(RangeExceeded):
+            bessel_zeros(9990, 5)
+        with pytest.raises(RangeExceeded):
+            laguerre_zeros(201, 0)
+        with pytest.raises(RangeExceeded):
+            laguerre_zeros(3, -1)
+
+
+def test_laguerre_degree_past_the_bound_raises_before_any_solve(monkeypatch):
+    import metivier.special as special
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the eigen-solver ran before the degree bound was checked")
+
+    monkeypatch.setattr(special, "eigvalsh_tridiagonal", no_solve)
+    for degrees in (range(1, 502), [501], [3, 1500]):
+        with pytest.raises(RangeExceeded):
+            _laguerre_zero_tables(degrees, 0)
+
+
 def test_laguerre_zero_table_csv(tmp_path):
     path = tmp_path / "zeros.csv"
     laguerre_zeros(3, 0).to_csv(path)
