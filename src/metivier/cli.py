@@ -352,21 +352,22 @@ def cmd_reconstruct(args, config):
 
 
 def cmd_radii(args, config):
+    from .errors import RangeExceeded
     from .injectivity import two_radii_check
-    from .special import MAX_LAGUERRE_DEGREE
 
     r1 = _merged_number(args, config, "r1", float)
     r2 = _merged_number(args, config, "r2", float)
     n = _merged_number(args, config, "n", int, 1)
     k_max = _merged_number(args, config, "k", int, 40)
-    if k_max > MAX_LAGUERRE_DEGREE:
-        raise UsageError(f"k must be at most {MAX_LAGUERRE_DEGREE}")
     bessel_count = _merged_number(args, config, "bessel-count", int, 40)
     tol = _merged_number(args, config, "tol", float, 1e-9)
     lam_raw = _merged(args, config, "lam")
     lam = _parse_vector(lam_raw, "lam") if lam_raw is not None else None
-    verdict = two_radii_check(r1, r2, n=n, lambda_prime=lam, k_max=k_max,
-                              bessel_count=bessel_count, tol=tol)
+    try:  # the degree and count bounds depend on the path, so special checks them
+        verdict = two_radii_check(r1, r2, n=n, lambda_prime=lam, k_max=k_max,
+                                  bessel_count=bessel_count, tol=tol)
+    except RangeExceeded as exc:
+        raise UsageError(str(exc)) from None
     outdir = _merged(args, config, "output", ".")
     os.makedirs(outdir, exist_ok=True)
     csv_path = os.path.join(outdir, "radii.csv")

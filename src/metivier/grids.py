@@ -268,9 +268,9 @@ class FieldEvaluator:
     node's sample exactly.  The interpolation matrix is built once per
     distinct radius of each coordinate in a chunk of points (the nodes of
     a sphere rule around a point repeat each coordinate's radii many
-    times), and the real matrix of the first coordinate meets the complex
-    coefficients as one real matrix product on their float view, on the
-    distinct rows alone when at most half the radii are distinct.
+    times) and its rows are gathered back to the points; the real matrix of
+    the first coordinate meets the complex coefficients as one real matrix
+    product on their float view.
 
     The field is zero beyond r_max (appropriate for the Gaussian-decay
     fields this package integrates): the barycentric formula does not
@@ -361,20 +361,15 @@ class FieldEvaluator:
         """Contract the kept coefficients one coordinate at a time: the radial
         interpolation matrix, then each kept mode's phase summed over the
         coordinate's modes.  The matrix is built once per distinct radius of
-        the coordinate.  The first product runs on those rows alone and is
-        gathered back to the points when at most half the radii are
-        distinct; otherwise gathering the product would cost more than the
-        rows it saves, and the matrix rows are gathered instead."""
+        the coordinate and its rows are gathered back to the points."""
         out = None
         for j in range(self.grid.n):
             radii, point_row = np.unique(t[:, j], return_inverse=True)
-            B = self._radial_matrix(j, radii)
+            B = self._radial_matrix(j, radii)[point_row]
             if out is None:  # the coefficients have no points axis yet
-                if 2 * radii.size > t.shape[0]:
-                    B, point_row = B[point_row], slice(None)
-                out = _real_matmul(B, self.fhat)[point_row]
+                out = _real_matmul(B, self.fhat)
             else:
-                out = np.einsum("pi...,pi->p...", out, B[point_row])
+                out = np.einsum("pi...,pi->p...", out, B)
             out = np.einsum("pm...,pm->p...", out, np.exp(1j * beta[:, [j]] * self.modes[j]))
         return out
 

@@ -230,8 +230,8 @@ def test_evaluator_rows_per_distinct_radius_match_pointwise_evaluation(n):
     rng = np.random.default_rng(3)
     base = rng.uniform(0.3, 2.5, (2, n)) * np.exp(1j * rng.uniform(0, 2 * np.pi, (2, n)))
     # sphere-rule shifts as the pointwise means build them: at n = 2 each
-    # coordinate's radius repeats across the nodes around a point, so the
-    # first product runs on distinct rows; at n = 1 most radii are distinct
+    # coordinate's radius repeats across the nodes around a point; at n = 1
+    # most radii are distinct
     rule = build_sphere_rule(n, 1.1, 8)
     shifts = complex_from_real(real_from_complex(base)[:, None, :]
                                - rule.nodes_real()[None, :, :]).reshape(-1, n)

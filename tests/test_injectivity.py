@@ -294,17 +294,6 @@ def test_two_radii_check_anisotropic_best_effort():
     assert not v2.anisotropic_best_effort
 
 
-def test_two_radii_check_rejects_a_large_degree_before_any_solve(monkeypatch):
-    import metivier.special as special
-
-    def no_solve(*args, **kwargs):
-        raise AssertionError("the eigen-solver ran before the degree bound was checked")
-
-    monkeypatch.setattr(special, "eigvalsh_tridiagonal", no_solve)
-    with pytest.raises(RangeExceeded):
-        two_radii_check(1.3, 1.0, k_max=501)
-
-
 def _double_loop_conflicts(zeros, target, tol=1e-9, squared=False):
     hits = []
     for i, zi in enumerate(zeros):

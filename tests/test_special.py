@@ -245,6 +245,7 @@ def test_zero_table_errors_are_raised_on_every_call():
 
 def test_laguerre_degree_past_the_bound_raises_before_any_solve(monkeypatch):
     import metivier.special as special
+    from metivier.injectivity import two_radii_check
 
     def no_solve(*args, **kwargs):
         raise AssertionError("the eigen-solver ran before the degree bound was checked")
@@ -253,6 +254,8 @@ def test_laguerre_degree_past_the_bound_raises_before_any_solve(monkeypatch):
     for degrees in (range(1, 502), [501], [3, 1500]):
         with pytest.raises(RangeExceeded):
             _laguerre_zero_tables(degrees, 0)
+    with pytest.raises(RangeExceeded):  # pools range(1, 502)
+        two_radii_check(1.3, 1.0, k_max=501)
 
 
 def test_laguerre_zero_table_csv(tmp_path):
