@@ -435,8 +435,8 @@ def build_sphere_rule(n, r, order):
     """
     if order < 1 or order > 4096:
         raise DimensionMismatch("sphere rule order must be in [1, 4096]")
-    if r <= 0:
-        raise DimensionMismatch("sphere radius must be positive")
+    if not 0 < r < np.inf:
+        raise DimensionMismatch(f"sphere radius must be finite and positive, got {r}")
     if n == 1:
         ang = 2 * np.pi * np.arange(order) / order
         nodes = (r * np.exp(1j * ang))[:, None]

@@ -40,7 +40,9 @@ from .transforms import (
     HermiteCoefficients,
     _analyse,
     _block_pairs,
+    _check_twist,
     _full_grid_mean,
+    _replace_spectrum,
     angular_mode_coefficients,
     fourier_coefficient_center,
     mean_eigenvalue,
@@ -57,8 +59,9 @@ USABLE_RADIUS_THRESHOLD = 1e-8
 class RadialMeasure:
     """Finitely supported radial measure: sum_i weights[i] * (sphere of radius
     radii[i]).  With normalized=True the weights must be a probability vector
-    (sum 1 to 1e-12); radii are strictly positive (no mass at the centre) and
-    distinct; weights are positive."""
+    (sum 1 to 1e-12); radii and weights are finite, radii strictly positive
+    (no mass at the centre) and distinct, weights nonnegative.
+    DimensionMismatch otherwise, naming the first bad value."""
 
     radii: np.ndarray
     weights: np.ndarray
@@ -67,8 +70,11 @@ class RadialMeasure:
     def __post_init__(self):
         r = np.asarray(self.radii, dtype=float)
         w = np.asarray(self.weights, dtype=float)
-        if r.ndim != 1 or r.shape != w.shape:
-            raise DimensionMismatch("radii and weights must be matching 1-D arrays")
+        if r.ndim != 1 or r.shape != w.shape or r.size == 0:
+            raise DimensionMismatch("radii and weights must be matching nonempty 1-D arrays")
+        for name, v in (("radii", r), ("weights", w)):
+            if not np.all(np.isfinite(v)):
+                raise DimensionMismatch(f"{name} must be finite, got {v[~np.isfinite(v)][0]}")
         if np.any(r <= 0):
             raise DimensionMismatch("radii must be positive")
         if np.unique(r).size != r.size:
@@ -94,14 +100,17 @@ def measure_mean_at(field, mu, lambda_prime, points):
 
 
 def measure_mean(field, mu, lambda_prime):
-    """Aggregated reduced-twist mean as a field (n = 1)."""
-    out = None
-    for r, w in zip(mu.radii, mu.weights):
-        m = reduced_mean(field, lambda_prime, r)
-        out = m.with_values(w * m.values) if out is None else out.with_values(
-            out.values + w * m.values
-        )
-    return out
+    """Aggregated reduced-twist mean sum_i w_i (f x mu_{r_i}) as a field (n = 1).
+
+    One full-grid mean over all the atoms (transforms._full_grid_mean): one
+    FieldEvaluator and one angular FFT, one barycentric matrix over the
+    folded circle nodes of every atom, one contraction in which each atom's
+    weight multiplies its node weights, and one inverse FFT.
+    measure_mean_at is the pointwise oracle.  UnsupportedDimension for
+    n != 1."""
+    if field.grid.n != 1:
+        raise UnsupportedDimension("full-grid reduced means are implemented for n = 1")
+    return _full_grid_mean(field, _check_twist(lambda_prime, 1)[0], mu.atoms)
 
 
 @dataclass(frozen=True)
@@ -128,24 +137,33 @@ class ReconstructionResult:
 def _invert_blocks(template, lam, k_max, blocks):
     """Sum of the special Hermite blocks |beta| = k of the means, each divided
     by its scalar, with |alpha| <= k_max + 2n + 4 in every block; blocks maps
-    k -> (mean field, scalar).  One analysis call per distinct mean field and
-    one synthesis call.  Returns the field (on the grid and with the metadata
-    of template), the divisors and the L2 norm of each recovered block."""
+    k -> (mean field, scalar), in ascending k.  One analysis call per
+    distinct mean field and one synthesis call.  Returns the field (on the
+    grid and with the metadata of template), the divisors and the L2 norm of
+    each recovered block.
+
+    When every block comes from one mean, the inverse has exactly the pairs
+    analysed, in their order, so it keeps the analysis's pairs object and
+    the synthesis reuses the analysis's basis tables."""
     grid = template.grid
     spectra = {}
     for mean in {id(f): f for f, _ in blocks.values()}.values():
         pairs = [p for k, (f, _) in blocks.items() if f is mean
                  for p in _block_pairs(grid.n, k, k_max + 2 * grid.n + 4)]
-        spectra[id(mean)] = _analyse(mean, lam, pairs).blocks()
+        spectrum = _analyse(mean, lam, pairs)
+        spectra[id(mean)] = spectrum, spectrum.blocks()
     pairs, coefficients, divisor, recovered = [], [], {}, {}
     for k, (mean, scalar) in blocks.items():
-        block = spectra[id(mean)][k]
+        block = spectra[id(mean)][1][k]
         pairs += [(a, b) for a, b, _ in block]
         coefficients += [c / scalar for *_, c in block]
         divisor[k] = float(scalar)
         recovered[k] = float(np.linalg.norm([c for *_, c in block]) / abs(scalar))
-    inverse = HermiteCoefficients(grid, lam, tuple(pairs), np.array(coefficients, dtype=complex),
-                                  sum(v**2 for v in recovered.values()), template.metadata)
+    (analysed, _), *others = spectra.values()
+    inverse = _replace_spectrum(analysed, pairs=tuple(pairs) if others else analysed.pairs,
+                                coefficients=np.array(coefficients, dtype=complex),
+                                total_energy=sum(v**2 for v in recovered.values()),
+                                metadata=template.metadata)
     return synthesize(inverse), divisor, recovered
 
 
@@ -153,7 +171,8 @@ def _reconstruct(means, lambda_prime, k_max, scalars):
     """Blockwise inversion shared by both reconstructions.
 
     means is a nonempty list of (label, mean field) on one grid, and
-    scalars(k, lam) gives the scalar by which each mean acts on the degree-k
+    scalars(degrees, lam) gives, for each degree k of the array degrees =
+    0..k_max, the row of scalars by which each mean acts on the degree-k
     block, in the same order.  Each degree is inverted from the mean with the
     largest |scalar| and recorded under that mean's label; degrees whose
     scalars all fall below USABLE_RADIUS_THRESHOLD are unrecoverable
@@ -164,8 +183,7 @@ def _reconstruct(means, lambda_prime, k_max, scalars):
     if lam.shape != (template.grid.n,):
         raise DimensionMismatch(f"reduced twist must have {template.grid.n} components")
     used, blocks, unrecoverable = {}, {}, []
-    for k in range(k_max + 1):
-        values = scalars(k, lam)
+    for k, values in enumerate(scalars(np.arange(k_max + 1), lam)):
         best = int(np.argmax(np.abs(values)))
         if abs(values[best]) < USABLE_RADIUS_THRESHOLD:
             unrecoverable.append(k)
@@ -198,17 +216,22 @@ def reconstruct_from_means(means, lambda_prime, k_max):
             "means must be a {radius: field} mapping or (radius, field) pairs"
         ) from exc
     radii = np.array([r for r, _ in pairs])
+    if not np.all(np.isfinite(radii)):
+        raise DimensionMismatch(f"radii must be finite, got {radii[~np.isfinite(radii)][0]}")
     if radii.size == 0 or np.unique(radii).size != radii.size:
         raise DimensionMismatch("need at least one mean and distinct radii")
     return _reconstruct(pairs, lambda_prime, k_max,
-                        lambda k, lam: mean_eigenvalue(k, lam, radii))
+                        lambda degrees, lam: mean_eigenvalue(degrees, lam, radii))
 
 
 def reconstruct_from_measure_mean(mean_field, mu, lambda_prime, k_max):
     """Recover f from a single aggregated mean over a radial measure: block k
     is divided by sum_i w_i c_k theta_k(r_i); used_radius records None."""
+    # each degree's row dotted with the weights alone, as a scalar call's
+    # mean_eigenvalue(k, lam, radii) @ weights rounds
     return _reconstruct([(None, mean_field)], lambda_prime, k_max,
-                        lambda k, lam: [mean_eigenvalue(k, lam, mu.radii) @ mu.weights])
+                        lambda degrees, lam: [[row @ mu.weights] for row
+                                              in mean_eigenvalue(degrees, lam, mu.radii)])
 
 
 @dataclass(frozen=True)
@@ -521,7 +544,7 @@ def euclidean_mean(field, r):
     the full-grid mean kernel of reduced_mean at twist 0."""
     if field.grid.n != 1:
         raise UnsupportedDimension("untwisted full-grid means are implemented for n = 1")
-    return _full_grid_mean(field, 0.0, r)
+    return _full_grid_mean(field, 0.0, [(r, 1.0)])
 
 
 def euclidean_two_radii_invert(mean1, mean2, r1, r2):

@@ -127,15 +127,22 @@ def theta_k(k, lambda_prime, z):
     return phi_k(k, lam.size, np.sqrt(lam) * z)
 
 
+def _isotropic_lambda_prime(lambda_prime):
+    """lambda_prime as an array; RangeExceeded unless its components are
+    positive and equal (to 1e-14)."""
+    lam = _check_lambda_prime(lambda_prime)
+    if not np.allclose(lam, lam[0], rtol=0, atol=1e-14):
+        raise RangeExceeded("theta_radial requires isotropic lambda_prime")
+    return lam
+
+
 def theta_radial(k, lambda_prime, r):
     """theta_{k,lam} on the sphere |z| = r for isotropic lambda_prime.
 
     Only meaningful when all components of lambda_prime are equal; theta is
     not constant on Euclidean spheres otherwise.
     """
-    lam = _check_lambda_prime(lambda_prime)
-    if not np.allclose(lam, lam[0], rtol=0, atol=1e-14):
-        raise RangeExceeded("theta_radial requires isotropic lambda_prime")
+    lam = _isotropic_lambda_prime(lambda_prime)
     n = lam.size
     r = np.asarray(r, dtype=float)
     return phi_radial(k, n, np.sqrt(lam[0]) * r)
@@ -230,11 +237,12 @@ def _laguerre_zero_tables(degrees, a):
 
     The roots of each degree are the eigenvalues of its symmetric Jacobi
     matrix (Golub & Welsch), polished by two Newton steps taken for the roots
-    of all degrees at once: d/dx L_k^a = -L_{k-1}^{a+1}, both read off
-    laguerre_sequence, whose recurrence performs the operations of
-    laguerre_L.  The recorded residual is the size of a third Newton step,
-    i.e. the estimated root error; the raw polynomial value is meaningless at
-    high degree where |dL/dx| is astronomically large.
+    of all degrees at once: d/dx L_k^a = -L_{k-1}^{a+1}, both evaluated by
+    _laguerre_at_degree, whose recurrence performs the operations of
+    laguerre_L and holds two rows over the roots, not a table over every
+    degree up to the largest.  The recorded residual is the size of a third
+    Newton step, i.e. the estimated root error; the raw polynomial value is
+    meaningless at high degree where |dL/dx| is astronomically large.
 
     A degree above MAX_LAGUERRE_DEGREE raises RangeExceeded before any
     solve.  The tables are memoized per (degrees, a), the type of a
@@ -259,12 +267,9 @@ def _solve_laguerre_zero_tables(degrees, a):
     except Exception as exc:  # pragma: no cover - LAPACK failure is exotic
         raise NonConvergence("tridiagonal eigen-solver failed") from exc
     degree = np.repeat(degrees, degrees)  # of each root
-    root = np.arange(x.size)
-    kmax = max(degrees)
 
     def newton_step(x):
-        return (laguerre_sequence(kmax, a, x)[degree, root]
-                / laguerre_sequence(kmax - 1, a + 1, x)[degree - 1, root])
+        return _laguerre_at_degree(degree, a, x) / _laguerre_at_degree(degree - 1, a + 1, x)
 
     for _ in range(2):
         x = x + newton_step(x)
@@ -276,6 +281,18 @@ def _solve_laguerre_zero_tables(degrees, a):
     ends = np.cumsum(degrees)[:-1]
     return tuple(LaguerreZeroTable(d, a, xs, rs) for d, xs, rs
                  in zip(degrees, np.split(x, ends), np.split(res, ends)))
+
+
+def _laguerre_at_degree(degree, a, x):
+    """L_{degree[i]}^a(x[i]) for each i: the recurrence of laguerre_sequence,
+    with its arithmetic, keeping only its last two rows and reading each
+    entry's value off at its own degree, so memory stays linear in x.size."""
+    prev, cur = np.ones_like(x), 1.0 + a - x
+    value = np.where(degree == 0, prev, cur)
+    for j in range(1, degree.max(initial=0)):
+        prev, cur = cur, ((2 * j + a + 1 - x) * cur - (j + a) * prev) / (j + 1)
+        value[degree == j + 1] = cur[degree == j + 1]
+    return value
 
 
 def _read_only(v):

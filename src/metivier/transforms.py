@@ -59,7 +59,12 @@ from .grids import (
     build_sphere_rule,
     values_from_mode_coefficients,
 )
-from .special import MAX_MATRIX_INDEX, laguerre_sequence, mean_factor, theta_radial
+from .special import (
+    MAX_MATRIX_INDEX,
+    _isotropic_lambda_prime,
+    laguerre_sequence,
+    mean_factor,
+)
 from .structures import complex_from_real, normal_form_matrix, real_from_complex, v_lambda
 
 DEFAULT_SPHERE_ORDER = {1: 64, 2: 16}
@@ -107,42 +112,75 @@ def _grid_points(grid):
     return np.stack(np.broadcast_arrays(*axes), axis=-1).reshape(-1, grid.n)
 
 
-def _full_grid_mean(field, twist, r):
-    """Full-grid n = 1 sphere mean with phase (i/2) twist Im(z conj(w)).
+# nodes of the folded circle rules contracted at once: four atoms of the
+# default rule, so a measure with many atoms does not grow the barycentric
+# matrix past four times the 2.4 MB of one atom on the default grid
+_MEAN_NODES_PER_PASS = 4 * (DEFAULT_SPHERE_ORDER[1] // 2 + 1)
+
+
+def _full_grid_mean(field, twist, atoms):
+    """Full-grid n = 1 mean over the radial measure sum_i w_i (circle of
+    radius r_i), atoms the pairs (r_i, w_i), with phase (i/2) twist Im(z conj(w)).
 
     The mean commutes with the rotations z -> e^{i phi} z, so angular mode m
     of the result at s e^{i phi} is e^{i m phi} times the mean of the field's
     mode m at the base point s.  The field's live modes are therefore
-    evaluated only on the sphere around each radial node, and one inverse
+    evaluated only on the circles around each radial node, and one inverse
     angular FFT returns the result to the grid.  The radial interpolation
     (FieldEvaluator's barycentric matrix, whose rows at a node are exact
     unit rows) is one real matrix product on the float view of the kept
     coefficients, and the mode phases e^{i m arg u} are the powers of
     u / |u| up to the largest |m|, conjugated for m < 0.  twist = 0 is the
     Euclidean mean.  Beyond r_max the field is zero, as in FieldEvaluator.
+
+    The fold: the circle rule's nodes are r e^{2 pi i k / K} and the base
+    points s are real and positive, so node K - k is the conjugate of node
+    k.  It has the same |s - w|, and its phase e^{i m arg(s - w)}
+    e^{(i/2) twist Im(s conj w)} is the conjugate of node k's.  The sum
+    therefore runs over k = 0..K/2 alone, of weight f_m(|s - w|) 2 Re(phase);
+    the self-conjugate nodes k = 0 and K/2 keep weight 1.  That halves the
+    barycentric rows and makes the phases real.  It is still the quadrature
+    of reduced_mean_at, with the same nodes and weights, and it shares no
+    code with the special Hermite analysis, so the full-grid mean remains
+    an oracle independent of the spectral inversion it feeds.
+
+    All atoms share one FieldEvaluator (one angular FFT), one barycentric
+    matrix over their folded nodes, one contraction in which each atom's
+    weight multiplies its node weights, and one inverse FFT.  The matrix is
+    built in passes of at most _MEAN_NODES_PER_PASS nodes (four atoms), so
+    memory stays bounded for a measure with many atoms.
     """
     g = field.grid
-    rule = build_sphere_rule(1, r, DEFAULT_SPHERE_ORDER[1])
     ev = FieldEvaluator(field)
     s = g.radial_nodes[0]
-    w = rule.nodes[:, 0]
-    u = (s[:, None] - w[None, :]).ravel()  # z - w at the base points z = s, (S K,)
-    rho = np.abs(u)
-    fm = _real_matmul(ev._radial_matrix(0, rho), ev.fhat)  # (S K, M)
-    fm[rho > g.r_max] = 0.0
+    nodes, weights = [], []
+    for r, mass in atoms:
+        rule = build_sphere_rule(1, r, DEFAULT_SPHERE_ORDER[1])
+        k = np.arange(rule.order // 2 + 1)
+        nodes.append(rule.nodes[k, 0])
+        weights.append(mass * np.where((k == 0) | (2 * k == rule.order), 1.0, 2.0)
+                       * rule.weights[k])
+    nodes, weights = np.concatenate(nodes), np.concatenate(weights)
     m = ev.modes[0]
-    powers = np.empty((np.abs(m).max() + 1, u.size), dtype=complex)
-    powers[0] = 1.0
-    powers[1:] = np.divide(u, rho, out=np.ones_like(u), where=rho > 0)  # e^{i arg u}
-    np.cumprod(powers, axis=0, out=powers)
-    phases = powers[np.abs(m)]
-    np.conjugate(phases, out=phases, where=(m < 0)[:, None])
-    phase = np.exp(0.5j * twist * np.imag(s[:, None] * np.conj(w)[None, :])) * rule.weights
-    phases *= phase.ravel()
+    sums = 0.0
+    for start in range(0, nodes.size, _MEAN_NODES_PER_PASS):
+        w = nodes[start:start + _MEAN_NODES_PER_PASS]
+        u = (s[:, None] - w[None, :]).ravel()  # z - w at the base points z = s, (S K,)
+        rho = np.abs(u)
+        fm = _real_matmul(ev._radial_matrix(0, rho), ev.fhat)  # (S K, M)
+        fm[rho > g.r_max] = 0.0
+        powers = np.empty((np.abs(m).max() + 1, u.size), dtype=complex)
+        powers[0] = 1.0
+        powers[1:] = np.divide(u, rho, out=np.ones_like(u), where=rho > 0)  # e^{i arg u}
+        np.cumprod(powers, axis=0, out=powers)
+        phases = powers[np.abs(m)]
+        np.conjugate(phases, out=phases, where=(m < 0)[:, None])
+        phases *= np.exp(0.5j * twist * np.imag(s[:, None] * np.conj(w)[None, :])).ravel()
+        real = phases.real.reshape(len(m), len(s), len(w)) * weights[start:start + len(w)]
+        sums = sums + np.einsum("skm,msk->sm", fm.reshape(len(s), len(w), len(m)), real)
     na = g.angular_counts[0]
     fhat = np.zeros((len(s), na), dtype=complex)
-    fhat[:, m % na] = np.einsum("skm,msk->sm", fm.reshape(len(s), len(w), -1),
-                                phases.reshape(len(m), len(s), len(w)))
+    fhat[:, m % na] = sums
     return field.with_values(values_from_mode_coefficients(g, fhat))
 
 
@@ -156,7 +194,7 @@ def reduced_mean(field, lambda_prime, r):
     """
     if field.grid.n != 1:
         raise UnsupportedDimension("full-grid reduced means are implemented for n = 1")
-    return _full_grid_mean(field, _check_twist(lambda_prime, 1)[0], r)
+    return _full_grid_mean(field, _check_twist(lambda_prime, 1)[0], [(r, 1.0)])
 
 
 def twisted_mean(field, structure, lam, r):
@@ -170,7 +208,7 @@ def twisted_mean(field, structure, lam, r):
         raise UnsupportedDimension("full-grid twisted means are implemented for n = 1")
     if structure.n != g.n:
         raise DimensionMismatch("structure and field dimensions differ")
-    return _full_grid_mean(field, -v_lambda(structure, lam)[0, 1], r)
+    return _full_grid_mean(field, -v_lambda(structure, lam)[0, 1], [(r, 1.0)])
 
 
 def modified_twisted_mean_at(field, spec, r, points):
@@ -371,7 +409,13 @@ def _axis_tables(grid, lam, index_pairs):
     stack, mode, slot, pair_key).  band holds the sorted modes beta_j - alpha_j
     (NyquistViolation past the angular band); stack is the zero-padded
     (len(band), N_r, most keys of one mode) array of profiles, key i's at
-    stack[mode[i], :, slot[i]]; pair_key is the key of each pair."""
+    stack[mode[i], :, slot[i]]; pair_key is the key of each pair.  lam must
+    hold one component per coordinate (DimensionMismatch), each positive
+    (RangeExceeded)."""
+    if lam.shape != (grid.n,):
+        raise DimensionMismatch(f"reduced twist must have {grid.n} components")
+    if np.any(lam <= 0):
+        raise RangeExceeded("spectral analysis requires strictly positive reduced twist")
     ab = np.array(index_pairs, dtype=int).reshape(len(index_pairs), 2, grid.n)
     tables = []
     for j in range(grid.n):
@@ -401,21 +445,18 @@ def matrix_coefficient(field, alpha, beta, lambda_prime):
     return _analyse(field, lambda_prime, [pair]).coefficients[0]
 
 
-def _matrix_coefficients(field, index_pairs, lambda_prime):
-    """Analysis: (f, Psi_{alpha,beta}) for each pair.  Per axis, last first,
-    on the axis's (radial, angular) pair, which ends the array: one angular
-    DFT product writes the band of modes beta_j - alpha_j mode-major, so
-    that each mode's radial slab is contiguous; one batched matmul contracts
-    every slab with the conjugate profiles of its mode's keys, and one
-    gather puts the keys first.  One gather over the keys of each pair ends
-    it."""
+def _matrix_coefficients(field, index_pairs, lambda_prime, tables=None):
+    """Analysis: (f, Psi_{alpha,beta}) for each pair, from tables, the
+    _axis_tables of the pairs at lambda_prime (tabulated here when the
+    caller has none).  Per axis, last first, on the axis's (radial,
+    angular) pair, which ends the array: one angular DFT product writes the
+    band of modes beta_j - alpha_j mode-major, so that each mode's radial
+    slab is contiguous; one batched matmul contracts every slab with the
+    conjugate profiles of its mode's keys, and one gather puts the keys
+    first.  One gather over the keys of each pair ends it."""
     g = field.grid
-    lam = np.atleast_1d(np.asarray(lambda_prime, dtype=float))
-    if lam.shape != (g.n,):
-        raise DimensionMismatch(f"reduced twist must have {g.n} components")
-    if np.any(lam <= 0):
-        raise RangeExceeded("spectral analysis requires strictly positive reduced twist")
-    tables = _axis_tables(g, lam, index_pairs)
+    if tables is None:
+        tables = _axis_tables(g, np.atleast_1d(np.asarray(lambda_prime, dtype=float)), index_pairs)
     coeffs = field.values
     for j in reversed(range(g.n)):
         band, stack, mode, slot, _ = tables[j]
@@ -430,14 +471,16 @@ def _matrix_coefficients(field, index_pairs, lambda_prime):
     return coeffs[tuple(pair_key for *_, pair_key in tables)]
 
 
-def _synthesize_values(grid, lam, terms):
+def _synthesize_values(grid, lam, terms, tables=None):
     """Synthesis: the values of sum c Psi_{alpha,beta} over terms (alpha, beta,
-    c), the transpose of the analysis.  One scatter onto the keys, then per
-    axis, first first: one scatter of the keys into the padded stack, one
-    batched matmul with the profiles that writes each band mode's radial
-    slab, and one angular DFT product from the transposed mode-major slabs
-    that appends the axis's (radial, angular) pair."""
-    tables = _axis_tables(grid, lam, [(a, b) for a, b, _ in terms])
+    c), the transpose of the analysis, from tables, the _axis_tables of the
+    terms' pairs (tabulated here when the caller has none).  One scatter
+    onto the keys, then per axis, first first: one scatter of the keys into
+    the padded stack, one batched matmul with the profiles that writes each
+    band mode's radial slab, and one angular DFT product from the transposed
+    mode-major slabs that appends the axis's (radial, angular) pair."""
+    if tables is None:
+        tables = _axis_tables(grid, lam, [(a, b) for a, b, _ in terms])
     values = np.zeros(tuple(len(mode) for _, _, mode, *_ in tables), dtype=complex)
     np.add.at(values, tuple(pair_key for *_, pair_key in tables), [c for *_, c in terms])
     for j, (band, stack, mode, slot, _) in enumerate(tables):
@@ -519,11 +562,39 @@ class HermiteCoefficients:
 
 
 def _analyse(field, lam, pairs):
-    """HermiteCoefficients of the field over pairs, from one analysis call."""
+    """HermiteCoefficients of the field over pairs, from one analysis call.
+
+    The spectrum carries the basis tables of the analysis, with the grid,
+    twist and pairs objects they were tabulated for; synthesize reuses them
+    (see _analysis_tables)."""
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    coeffs = _matrix_coefficients(field, pairs, lam)
-    return HermiteCoefficients(field.grid, lam, tuple(pairs), coeffs, field.norm2() ** 2,
-                               field.metadata)
+    pairs = tuple(pairs)
+    tables = _axis_tables(field.grid, lam, pairs)
+    spectrum = HermiteCoefficients(field.grid, lam, pairs,
+                                   _matrix_coefficients(field, pairs, lam, tables),
+                                   field.norm2() ** 2, field.metadata)
+    object.__setattr__(spectrum, "_analysis", (field.grid, lam, pairs, tables))
+    return spectrum
+
+
+def _replace_spectrum(spectrum, **changes):
+    """dataclasses.replace that carries the basis tables of the spectrum's
+    analysis along; they serve the result only while its grid, twist and
+    pairs are still the objects they were tabulated for."""
+    out = replace(spectrum, **changes)
+    object.__setattr__(out, "_analysis", getattr(spectrum, "_analysis", None))
+    return out
+
+
+def _analysis_tables(spectrum):
+    """The basis tables of the analysis the spectrum came from, when its
+    grid, twist and pairs are the very objects they were tabulated for;
+    None otherwise (a spectrum built anew or by dataclasses.replace)."""
+    analysis = getattr(spectrum, "_analysis", None)
+    if analysis is None or any(a is not b for a, b in zip(
+            analysis, (spectrum.grid, spectrum.lambda_prime, spectrum.pairs))):
+        return None
+    return analysis[3]
 
 
 MAX_TRUNCATION = {1: 40, 2: 12}
@@ -664,10 +735,18 @@ def read_spectrum(directory):
 
 def synthesize(spectrum):
     """Sum the Laguerre series: the field sum c Psi_{alpha,beta} over every
-    pair of the spectrum, from one synthesis."""
+    pair of the spectrum, from one synthesis.
+
+    The basis tables of the analysis the spectrum came from are reused when
+    the spectrum still holds the grid, twist and pairs objects they were
+    tabulated for: a spectrum straight from _analyse (decompose, for one),
+    or one made from it by _replace_spectrum with its pairs kept, as the
+    inversion of a single mean does.  Any other spectrum, built anew or by
+    dataclasses.replace, tabulates its own."""
     terms = [(a, b, c) for (a, b), c in zip(spectrum.pairs, spectrum.coefficients)]
     return SampledField(spectrum.grid,
-                        _synthesize_values(spectrum.grid, spectrum.lambda_prime, terms),
+                        _synthesize_values(spectrum.grid, spectrum.lambda_prime, terms,
+                                           _analysis_tables(spectrum)),
                         spectrum.metadata)
 
 
@@ -683,11 +762,27 @@ def spectral_projection(field, lambda_prime, k):
 def mean_eigenvalue(k, lambda_prime, r):
     """The scalar c_k theta_k(r) by which the reduced-twist mean over |w| = r
     acts on the block |beta| = k, with c_k = k!(n-1)!/(k+n-1)! and n the
-    number of twist components; vectorised in r.  The mean acts on a block
-    as one scalar only at isotropic twist; theta_radial raises RangeExceeded
-    otherwise."""
-    lam = np.atleast_1d(np.asarray(lambda_prime, dtype=float))
-    return mean_factor(k, lam.size) * theta_radial(k, lam, r)
+    number of twist components.
+
+    k is a degree or an array of degrees and r a radius or an array of
+    radii; the result has shape k.shape + r.shape.  Every degree is read off
+    one laguerre_sequence, whose recurrence performs the operations of
+    laguerre_L, and c_k is mean_factor's, so each entry is bit for bit the
+    scalar call's.  The mean acts on a block as one scalar only at isotropic
+    twist; RangeExceeded otherwise, and for a degree outside
+    [0, MAX_LAGUERRE_DEGREE]."""
+    lam = _isotropic_lambda_prime(lambda_prime)
+    degrees = np.asarray(k, dtype=int)
+    if np.any(degrees < 0):
+        raise RangeExceeded(f"mean degree {degrees.min()} is negative")
+    # theta_k(r) = L_k^{n-1}(s^2 / 2) e^{-s^2 / 4} at s = sqrt(lam) r, as in
+    # theta_radial; s stays an array when r is a scalar, so that s**2 squares
+    # as it does for an array of radii
+    s = np.asarray(np.sqrt(lam[0]) * np.asarray(r, dtype=float))
+    theta = laguerre_sequence(int(degrees.max(initial=0)), lam.size - 1, s**2 / 2)[degrees]
+    theta = theta * np.exp(-(s**2) / 4)
+    factor = [mean_factor(int(d), lam.size) for d in degrees.ravel()]
+    return np.reshape(factor, degrees.shape + (1,) * s.ndim) * theta
 
 
 def m_radialize(field, m_index):

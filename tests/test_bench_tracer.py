@@ -65,6 +65,28 @@ def test_tracer_counts_analysis_and_synthesis():
         assert getattr(sys.modules[f"metivier.{home}"], attr) is fn
 
 
+def test_measure_mean_makes_one_forward_and_one_inverse_fft():
+    tracer = _import_tracer()
+    grid = polar_grid(1, 48, 32, 8.0)
+    f = sample(lambda z: np.exp(-np.abs(z[..., 0]) ** 2) * (1 + z[..., 0]), grid)
+    mu = injectivity.RadialMeasure([0.9, 1.6], [0.5, 0.5])
+    rec = tracer.Recorder().install()
+    try:
+        rec.run_job(0, lambda: injectivity.reconstruct_from_measure_mean(
+            injectivity.measure_mean(f, mu, [1.0]), mu, [1.0], 4))
+    finally:
+        rec.uninstall()
+    counters = rec.jobs[0]["counters"]
+    # both atoms share one evaluator (one forward FFT) and one inverse FFT,
+    # and the mean no longer goes through reduced_mean
+    assert counters["grids.angular_fft.calls"] == 2
+    assert counters["injectivity.measure_mean.calls"] == 1
+    assert counters.get("transforms.reduced_mean.calls", 0) == 0
+    # blocks k <= 4 with |alpha| <= 10: 55 pairs analysed and synthesized
+    assert counters["transforms.analysis.coefficients"] == 55
+    assert counters["transforms.synthesis.terms"] == 55
+
+
 def test_round_trip_makes_one_analysis_and_one_synthesis():
     tracer = _import_tracer()
     grid = polar_grid(2, 12, 32, 6.0)

@@ -10,7 +10,7 @@ from metivier.errors import (
     NoUsableRadius,
     RangeExceeded,
 )
-from metivier.grids import default_grid, polar_grid, sample, sample_periodic
+from metivier.grids import build_sphere_rule, default_grid, polar_grid, sample, sample_periodic
 from metivier.injectivity import (
     RadialMeasure,
     euclidean_mean,
@@ -555,3 +555,38 @@ def test_two_radii_reconstruct_rejects_inadmissible():
     r1, r2 = inadmissible_radius_pair()
     with pytest.raises(InadmissibleRadii):
         two_radii_reconstruct(pf, r1, r2, k_max=4)
+
+
+def test_measure_mean_is_the_weighted_sum_of_reduced_means(g1):
+    # one evaluator and one contraction over every atom's circle nodes
+    f = sample(lambda z: np.exp(-np.abs(z[..., 0]) ** 2 / 3)
+               * (1 + z[..., 0] - 0.3 * np.conj(z[..., 0]) ** 2), g1)
+    mu = RadialMeasure([0.7, 1.3, 2.9], [0.2, 0.5, 0.3])
+    for lam in (LAM1, np.array([-1.4])):
+        want = sum(w * reduced_mean(f, lam, r).values for r, w in mu.atoms)
+        got = measure_mean(f, mu, lam).values
+        assert np.max(np.abs(got - want)) < 1e-14 * f.max_abs()
+    # nine atoms take three passes of the barycentric matrix
+    mu = RadialMeasure(np.linspace(0.5, 4.5, 9), np.full(9, 1 / 9))
+    want = sum(w * reduced_mean(f, LAM1, r).values for r, w in mu.atoms)
+    assert np.max(np.abs(measure_mean(f, mu, LAM1).values - want)) < 1e-14 * f.max_abs()
+
+
+@pytest.mark.parametrize("make, bad", [
+    (lambda f: RadialMeasure([np.nan], [1.0]), "nan"),
+    (lambda f: RadialMeasure([np.inf], [1.0]), "inf"),
+    (lambda f: RadialMeasure([1.0], [np.nan]), "nan"),
+    (lambda f: RadialMeasure([1.0, 2.0], [0.5, np.inf], normalized=False), "inf"),
+    (lambda f: reconstruct_from_means({np.nan: f}, [1.0], 4), "nan"),
+    (lambda f: reconstruct_from_means([(1.0, f), (np.inf, f)], [1.0], 4), "inf"),
+    (lambda f: build_sphere_rule(1, np.nan, 8), "nan"),
+    (lambda f: build_sphere_rule(1, np.inf, 8), "inf"),
+    (lambda f: build_sphere_rule(2, np.nan, 16), "nan"),
+    (lambda f: RadialMeasure([], [], normalized=False), "nonempty"),
+], ids=["measure-radius-nan", "measure-radius-inf", "measure-weight-nan",
+        "measure-weight-inf", "means-radius-nan", "means-radius-inf", "rule-nan",
+        "rule-inf", "rule-n2-nan", "measure-empty"])
+def test_bad_radii_and_weights_are_rejected_by_value(g1, make, bad):
+    f = sample(lambda z: np.exp(-np.abs(z[..., 0]) ** 2), g1)
+    with pytest.raises(DimensionMismatch, match=bad):
+        make(f)

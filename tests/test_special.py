@@ -333,3 +333,31 @@ def test_range_guards():
         special_hermite_1d(0, 1, -1.0, 0.1)
     with pytest.raises(RangeExceeded):
         theta_k(2, [0.0], np.zeros((1, 1), complex))
+
+
+def test_zero_table_polish_memory_is_linear_in_the_roots():
+    # the polish keeps two recurrence rows over the 20100 roots of degrees
+    # <= 200 (161 kB each), not a (201, 20100) table per Newton step (32 MB)
+    import tracemalloc
+
+    import metivier.special as special
+
+    tracemalloc.start()
+    try:
+        tables = special._solve_laguerre_zero_tables.__wrapped__(tuple(range(1, 201)), 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3e6
+    assert [t.zeros.size for t in tables] == list(range(1, 201))
+
+
+def test_laguerre_at_degree_reads_the_sequence_bit_for_bit():
+    from metivier.special import _laguerre_at_degree
+
+    rng = np.random.default_rng(3)
+    x = rng.uniform(0, 60, 500)
+    degree = rng.integers(0, 41, 500)
+    for a in (0, 2, 1.5):
+        want = laguerre_sequence(40, a, x)[degree, np.arange(x.size)]
+        assert np.array_equal(_laguerre_at_degree(degree, a, x), want)

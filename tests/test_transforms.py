@@ -37,6 +37,7 @@ from metivier.structures import (
     real_from_complex,
     rotate_field,
     symplectic_spectrum,
+    v_lambda,
 )
 from metivier.transforms import (
     DEFAULT_SPHERE_ORDER,
@@ -1021,3 +1022,95 @@ def test_fourier_coefficient_center_exactness(g1):
     assert c0.norm2() < 1e-12
     with pytest.raises(NyquistViolation):
         fourier_coefficient_center(pf, [8])
+
+
+def _unfolded_circle_mean(field, twist, r, idx):
+    """The mean at the grid nodes idx as the plain K-node circle sum: by
+    rotation equivariance, at s e^{i phi} it is
+    (1/K) sum_k f(e^{i phi} (s - w_k)) e^{(i/2) twist Im(s conj w_k)} over every
+    node w_k of the order-K rule, f evaluated pointwise (zero past r_max)."""
+    g = field.grid
+    K = DEFAULT_SPHERE_ORDER[1]
+    w = r * np.exp(2j * np.pi * np.arange(K) / K)
+    i, j = np.divmod(idx, g.angular_counts[0])
+    s, phi = g.radial_nodes[0][i], g.angles(0)[j]
+    pts = np.exp(1j * phi)[:, None] * (s[:, None] - w[None, :])
+    values = FieldEvaluator(field)(pts.reshape(-1, 1)).reshape(pts.shape)
+    phase = np.exp(0.5j * twist * np.imag(s[:, None] * np.conj(w)[None, :]))
+    return (values * phase).sum(axis=1) / K
+
+
+def test_folded_full_grid_means_match_the_unfolded_circle_sum(g1):
+    # the fold sums nodes k = 0..K/2 alone; the plain sum over all K nodes is
+    # the same quadrature.  r = 11.5 puts most circles across r_max = 12,
+    # where the second field is still large.
+    from metivier.injectivity import euclidean_mean
+
+    heisenberg = builtin_structure("heisenberg:1")
+    wide = sample(lambda z: np.exp(-np.abs(z[..., 0]) ** 2 / 50) * (1 + np.conj(z[..., 0]) / 4), g1)
+    idx, pts = _seeded_nodes(g1, 40, seed=21)
+    for f in (_psi_sum_field(g1), wide):
+        for r in (0.6, 1.7, 11.5):
+            means = [(reduced_mean(f, [lam], r), lam) for lam in (1.0, -1.3)]
+            # at n = 1 the structure phase is the reduced one at twist -V_lambda[0, 1]
+            means += [(twisted_mean(f, heisenberg, np.array([lam]), r),
+                       -v_lambda(heisenberg, np.array([lam]))[0, 1]) for lam in (0.8, -1.3)]
+            means.append((euclidean_mean(f, r), 0.0))
+            for mean, twist in means:
+                want = _unfolded_circle_mean(f, twist, r, idx)
+                assert np.max(np.abs(mean.values.ravel()[idx] - want)) < 1e-14 * f.max_abs()
+    # and the pointwise oracle still agrees at high order
+    f = _psi_sum_field(g1)
+    for lam in (1.0, -1.3):
+        got = reduced_mean(f, [lam], 1.7).values.ravel()[idx]
+        assert np.max(np.abs(got - reduced_mean_at(f, [lam], 1.7, pts, order=1024))) < 1e-8 * f.max_abs()
+    got = twisted_mean(f, heisenberg, np.array([-1.3]), 1.7).values.ravel()[idx]
+    want = twisted_mean_at(f, heisenberg, np.array([-1.3]), 1.7, pts, order=1024)
+    assert np.max(np.abs(got - want)) < 1e-8 * f.max_abs()
+
+
+def test_mean_eigenvalue_over_an_array_of_degrees_is_the_scalar_calls():
+    degrees = np.arange(31)
+    for lam, r in ((LAM1, np.array([0.3, 1.0, 1.7, 4.2])), (np.array([1.3, 1.3]), 2.05),
+                   (np.array([0.7]), np.linspace(0.1, 9.0, 7))):
+        table = mean_eigenvalue(degrees, lam, r)
+        assert table.shape == degrees.shape + np.shape(r)
+        for k in degrees:
+            assert np.array_equal(table[k], mean_eigenvalue(int(k), lam, r))
+    assert mean_eigenvalue([[0, 2], [5, 1]], LAM1, [1.0, 2.0]).shape == (2, 2, 2)
+    with pytest.raises(RangeExceeded):
+        mean_eigenvalue(degrees, [1.0, 2.0], 1.0)
+    with pytest.raises(RangeExceeded):
+        mean_eigenvalue([2, -1], LAM1, 1.0)
+
+
+def test_synthesis_reuses_the_analysis_tables_only_for_the_analysed_pairs(g1, monkeypatch):
+    import dataclasses
+
+    import metivier.transforms as transforms
+    from metivier.injectivity import RadialMeasure, measure_mean, reconstruct_from_measure_mean
+
+    built = []
+    tabulate = transforms._axis_tables
+    monkeypatch.setattr(transforms, "_axis_tables", lambda *a: built.append(1) or tabulate(*a))
+    f = _psi_sum_field(g1)
+    mu = RadialMeasure([0.9, 1.7], [0.4, 0.6])
+    result = reconstruct_from_measure_mean(measure_mean(f, mu, LAM1), mu, LAM1, 12)
+    assert len(built) == 1
+    spectrum = decompose(f, LAM1, 6)
+    assert len(built) == 2
+    reused = synthesize(spectrum)
+    assert len(built) == 2
+    # a spectrum from replace(pairs=...) or built anew tabulates its own
+    rebuilt = synthesize(dataclasses.replace(spectrum, pairs=tuple(list(spectrum.pairs))))
+    assert len(built) == 3
+    assert np.array_equal(reused.values, rebuilt.values)
+    synthesize(HermiteCoefficients(g1, LAM1, spectrum.pairs, spectrum.coefficients, 1.0, ""))
+    assert len(built) == 4
+    # pairs passed as an array, as twisted_convolution passes them
+    pairs = np.array(spectrum.pairs)
+    array_spectrum = _analyse(f, LAM1, pairs)
+    assert np.array_equal(synthesize(array_spectrum).values, reused.values)
+    assert len(built) == 5
+    err = result.field.with_values(result.field.values - f.values).norm2()
+    assert err < 1e-6 * f.norm2()
