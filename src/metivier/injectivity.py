@@ -1,14 +1,16 @@
 """Injectivity of spherical means: reconstruction, counterexamples, two radii.
 
 The reduced-twist spherical mean acts on the |beta| = k special Hermite block
-as multiplication by c_k theta_k(r), c_k = k!(n-1)!/(k+n-1)!.  Reconstruction
-inverts that scalar blockwise; a degree is unrecoverable from a radius set
-exactly when every theta_k(r_i) vanishes (numerically: falls below a
-threshold).  A single radius therefore never determines f: picking r so that
-lam r^2 / 2 is a zero of L_k^{n-1} makes theta_k itself invisible to the mean
-(the one-radius counterexample).  Two radii determine every f of tempered
-growth iff r1^2/r2^2 avoids all ratios of Laguerre zeros (twisted part) and
-r1/r2 avoids all ratios of Bessel J_{n-1} zeros (the untwisted central mode).
+as multiplication by c_k theta_k(r), c_k = k!(n-1)!/(k+n-1)!, at positive
+twist.  Reconstruction inverts that scalar blockwise at any nonzero twist,
+conjugating the coordinates whose twist is negative; a degree is
+unrecoverable from a radius set exactly when every theta_k(r_i) vanishes
+(numerically: falls below a threshold).  A single radius therefore never
+determines f: picking r so that lam r^2 / 2 is a zero of L_k^{n-1} makes
+theta_k itself invisible to the mean (the one-radius counterexample).  Two
+radii determine every f of tempered growth iff r1^2/r2^2 avoids all ratios
+of Laguerre zeros (twisted part) and r1/r2 avoids all ratios of Bessel
+J_{n-1} zeros (the untwisted central mode).
 """
 
 from collections.abc import Mapping
@@ -29,6 +31,7 @@ from .errors import (
 )
 from .grids import SampledField, build_sphere_rule, default_grid
 from .special import (
+    _check_lambda_prime,
     _laguerre_zero_tables,
     bessel_j,
     bessel_zeros,
@@ -37,10 +40,10 @@ from .special import (
     theta_radial,
 )
 from .transforms import (
-    HermiteCoefficients,
     _analyse,
     _block_pairs,
     _check_twist,
+    _conjugate_coordinates,
     _full_grid_mean,
     _replace_spectrum,
     angular_mode_coefficients,
@@ -108,9 +111,7 @@ def measure_mean(field, mu, lambda_prime):
     weight multiplies its node weights, and one inverse FFT.
     measure_mean_at is the pointwise oracle.  UnsupportedDimension for
     n != 1."""
-    if field.grid.n != 1:
-        raise UnsupportedDimension("full-grid reduced means are implemented for n = 1")
-    return _full_grid_mean(field, _check_twist(lambda_prime, 1)[0], mu.atoms)
+    return _full_grid_mean(field, _check_twist(lambda_prime, field.grid.n)[0], mu.atoms)
 
 
 @dataclass(frozen=True)
@@ -134,70 +135,70 @@ class ReconstructionResult:
         return 1.0 / abs(self.divisor[k]) if k in self.divisor else float("inf")
 
 
-def _invert_blocks(template, lam, k_max, blocks):
-    """Sum of the special Hermite blocks |beta| = k of the means, each divided
-    by its scalar, with |alpha| <= k_max + 2n + 4 in every block; blocks maps
-    k -> (mean field, scalar), in ascending k.  One analysis call per
-    distinct mean field and one synthesis call.  Returns the field (on the
-    grid and with the metadata of template), the divisors and the L2 norm of
-    each recovered block.
-
-    When every block comes from one mean, the inverse has exactly the pairs
-    analysed, in their order, so it keeps the analysis's pairs object and
-    the synthesis reuses the analysis's basis tables."""
-    grid = template.grid
-    spectra = {}
-    for mean in {id(f): f for f, _ in blocks.values()}.values():
-        pairs = [p for k, (f, _) in blocks.items() if f is mean
-                 for p in _block_pairs(grid.n, k, k_max + 2 * grid.n + 4)]
-        spectrum = _analyse(mean, lam, pairs)
-        spectra[id(mean)] = spectrum, spectrum.blocks()
-    pairs, coefficients, divisor, recovered = [], [], {}, {}
-    for k, (mean, scalar) in blocks.items():
-        block = spectra[id(mean)][1][k]
-        pairs += [(a, b) for a, b, _ in block]
-        coefficients += [c / scalar for *_, c in block]
-        divisor[k] = float(scalar)
-        recovered[k] = float(np.linalg.norm([c for *_, c in block]) / abs(scalar))
-    (analysed, _), *others = spectra.values()
-    inverse = _replace_spectrum(analysed, pairs=tuple(pairs) if others else analysed.pairs,
-                                coefficients=np.array(coefficients, dtype=complex),
-                                total_energy=sum(v**2 for v in recovered.values()),
-                                metadata=template.metadata)
-    return synthesize(inverse), divisor, recovered
-
-
 def _reconstruct(means, lambda_prime, k_max, scalars):
     """Blockwise inversion shared by both reconstructions.
 
     means is a nonempty list of (label, mean field) on one grid, and
     scalars(degrees, lam) gives, for each degree k of the array degrees =
     0..k_max, the row of scalars by which each mean acts on the degree-k
-    block, in the same order.  Each degree is inverted from the mean with the
-    largest |scalar| and recorded under that mean's label; degrees whose
-    scalars all fall below USABLE_RADIUS_THRESHOLD are unrecoverable
-    (NoUsableRadius if that is all of them).
+    block at the positive twist lam, in the same order.  Each degree is
+    inverted from the mean with the largest |scalar| and recorded under that
+    mean's label; degrees whose scalars all fall below
+    USABLE_RADIUS_THRESHOLD are unrecoverable (NoUsableRadius if that is all
+    of them).
+
+    The pairs of every usable block, |alpha| <= k_max + 2n + 4, are listed
+    by one _block_pairs call.  Each mean that serves a degree is analysed
+    over the pairs of its degrees, each coefficient is divided by its
+    block's scalar, and the quotients are synthesized once.  When one mean
+    serves every degree, the inverse keeps its analysis's pairs object, so
+    the synthesis reuses the analysis's basis tables.
+
+    Conjugating z_j flips the sign of lam_j in the mean, as in
+    twisted_convolution, so a twist with lam_j < 0 is inverted at |lam| on
+    the means with z_j conjugated, and the result is conjugated back.
     """
     template = means[0][1]
+    n = template.grid.n
     lam = np.atleast_1d(np.asarray(lambda_prime, dtype=float))
-    if lam.shape != (template.grid.n,):
-        raise DimensionMismatch(f"reduced twist must have {template.grid.n} components")
-    used, blocks, unrecoverable = {}, {}, []
-    for k, values in enumerate(scalars(np.arange(k_max + 1), lam)):
-        best = int(np.argmax(np.abs(values)))
-        if abs(values[best]) < USABLE_RADIUS_THRESHOLD:
-            unrecoverable.append(k)
-            continue
-        used[k] = means[best][0]
-        blocks[k] = (means[best][1], values[best])
-    if not blocks:
+    if lam.shape != (n,):
+        raise DimensionMismatch(f"reduced twist must have {n} components")
+    flipped = np.flatnonzero(lam < 0)
+    lam = np.abs(lam)
+    table = np.asarray(scalars(np.arange(k_max + 1), lam))
+    best = np.argmax(np.abs(table), axis=1)
+    divisors = table[np.arange(k_max + 1), best]
+    usable = np.abs(divisors) >= USABLE_RADIUS_THRESHOLD
+    degrees = np.flatnonzero(usable).tolist()
+    if not degrees:
         raise NoUsableRadius(
             f"every degree up to {k_max} has |c_k theta_k| < {USABLE_RADIUS_THRESHOLD:g} "
             f"in every supplied mean"
         )
-    field, divisor, recovered = _invert_blocks(template, lam, k_max, blocks)
-    return ReconstructionResult(field, k_max, used, divisor, recovered,
-                                tuple(unrecoverable), USABLE_RADIUS_THRESHOLD)
+    pairs = tuple(_block_pairs(n, degrees, k_max + 2 * n + 4))
+    degree = np.array([sum(b) for _, b in pairs])
+    analysed = np.empty(len(pairs), dtype=complex)
+    spectra = []
+    for i in np.unique(best[degrees]):
+        serves = np.flatnonzero(best[degree] == i)
+        mean = means[i][1]
+        spectrum = _analyse(mean.with_values(_conjugate_coordinates(mean.values, flipped)),
+                            lam, [pairs[j] for j in serves])
+        analysed[serves] = spectrum.coefficients
+        spectra.append(spectrum)
+    recovered = [float(np.linalg.norm(analysed[degree == k]) / abs(divisors[k]))
+                 for k in degrees]
+    first, *others = spectra
+    inverse = _replace_spectrum(first, pairs=pairs if others else first.pairs,
+                                coefficients=analysed / divisors[degree],
+                                total_energy=sum(v**2 for v in recovered),
+                                metadata=template.metadata)
+    field = synthesize(inverse)
+    field = field.with_values(_conjugate_coordinates(field.values, flipped))
+    return ReconstructionResult(field, k_max, {k: means[best[k]][0] for k in degrees},
+                                {k: float(divisors[k]) for k in degrees},
+                                dict(zip(degrees, recovered)),
+                                tuple(np.flatnonzero(~usable).tolist()), USABLE_RADIUS_THRESHOLD)
 
 
 def reconstruct_from_means(means, lambda_prime, k_max):
@@ -252,9 +253,10 @@ def one_radius_counterexample(l, lambda_prime, n=1, zero_index=0, grid=None):
     so the returned nonzero field has identically vanishing mean; its residual
     is measured at 6 probe points drawn with seed 7, by sphere-rule
     quadrature of the sampled values, relative to max |field|.  Requires
-    l >= 1 (theta_0 has no radial zero) and isotropic lambda_prime, where
-    theta_l depends on |z| alone: the field is sampled on the radial nodes
-    (|z|^2 summed over the coordinates' nodes) and broadcast over the angles.
+    l >= 1 (theta_0 has no radial zero) and positive isotropic lambda_prime
+    (RangeExceeded otherwise, before any work), where theta_l depends on |z|
+    alone: the field is sampled on the radial nodes (|z|^2 summed over the
+    coordinates' nodes) and broadcast over the angles.
     The field is a read-only broadcast that holds one profile per angle of
     the last coordinate, so no full-grid copy is made (2.4 MB, not 151 MB,
     on the default n = 2 grid); write_field writes it out in full.
@@ -268,7 +270,8 @@ def one_radius_counterexample(l, lambda_prime, n=1, zero_index=0, grid=None):
     """
     if l < 1:
         raise RangeExceeded("counterexample degree must be at least 1")
-    lam = np.atleast_1d(np.asarray(lambda_prime, dtype=float))
+    # the twist is checked before r = sqrt(2 x0 / lam) is formed
+    lam = _check_lambda_prime(lambda_prime)
     if lam.shape != (n,):
         raise DimensionMismatch(f"lambda_prime must have {n} components")
     if not np.allclose(lam, lam[0], rtol=0, atol=1e-14):
@@ -542,8 +545,6 @@ def inadmissible_radius_pair(n=1, degree_i=2, index_i=0, index_j=1, r2=1.0):
 def euclidean_mean(field, r):
     """Ordinary spherical mean over |xi| = r (zero twist) as a field (n = 1):
     the full-grid mean kernel of reduced_mean at twist 0."""
-    if field.grid.n != 1:
-        raise UnsupportedDimension("untwisted full-grid means are implemented for n = 1")
     return _full_grid_mean(field, 0.0, [(r, 1.0)])
 
 
@@ -631,10 +632,9 @@ def two_radii_reconstruct(pfield, r1, r2, k_max=20, ell_max=2):
     """Reconstruct every central Fourier mode of a periodized field (n = 1,
     m = 1) from its spherical means at two radii, and report the residuals.
 
-    Mode ell != 0 uses reduced-twist means with twist ell (negative twists are
-    handled by conjugation symmetry); mode 0 uses the Euclidean Hankel
-    inversion.  Raises InadmissibleRadii when the pair fails the
-    admissibility conditions.
+    Mode ell != 0 uses reduced-twist means with twist ell, of either sign;
+    mode 0 uses the Euclidean Hankel inversion.  Raises InadmissibleRadii
+    when the pair fails the admissibility conditions.
     """
     if pfield.grid.n != 1 or pfield.m != 1:
         raise UnsupportedDimension("two-radii verification is implemented for n = m = 1")
@@ -660,14 +660,8 @@ def two_radii_reconstruct(pfield, r1, r2, k_max=20, ell_max=2):
         else:
             m1 = reduced_mean(comp, [float(ell)], r1)
             m2 = reduced_mean(comp, [float(ell)], r2)
-            if ell > 0:
-                result = reconstruct_from_means([(r1, m1), (r2, m2)], [float(ell)], k_max)
-                recon = result.field
-            else:
-                c1 = m1.with_values(np.conj(m1.values))
-                c2 = m2.with_values(np.conj(m2.values))
-                result = reconstruct_from_means([(r1, c1), (r2, c2)], [float(-ell)], k_max)
-                recon = result.field.with_values(np.conj(result.field.values))
+            result = reconstruct_from_means([(r1, m1), (r2, m2)], [float(ell)], k_max)
+            recon = result.field
         err_field = comp.with_values(recon.values - comp.values)
         err = err_field.norm2()
         mode_errors[ell] = float(err / nrm)

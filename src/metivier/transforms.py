@@ -35,6 +35,7 @@ independent grid-quadrature oracle.
 
 from dataclasses import dataclass, replace
 from itertools import product as iter_product
+from math import comb
 
 import numpy as np
 from scipy.special import gammaln
@@ -148,9 +149,12 @@ def _full_grid_mean(field, twist, atoms):
     matrix over their folded nodes, one contraction in which each atom's
     weight multiplies its node weights, and one inverse FFT.  The matrix is
     built in passes of at most _MEAN_NODES_PER_PASS nodes (four atoms), so
-    memory stays bounded for a measure with many atoms.
+    memory stays bounded for a measure with many atoms.  UnsupportedDimension
+    for n != 1, before any work.
     """
     g = field.grid
+    if g.n != 1:
+        raise UnsupportedDimension("full-grid means are implemented for n = 1")
     ev = FieldEvaluator(field)
     s = g.radial_nodes[0]
     nodes, weights = [], []
@@ -192,9 +196,7 @@ def reduced_mean(field, lambda_prime, r):
     independent pointwise quadrature oracle.  The n = 2 full-grid mean is
     unsupported; use reduced_mean_at or the eigenfunction identity instead.
     """
-    if field.grid.n != 1:
-        raise UnsupportedDimension("full-grid reduced means are implemented for n = 1")
-    return _full_grid_mean(field, _check_twist(lambda_prime, 1)[0], [(r, 1.0)])
+    return _full_grid_mean(field, _check_twist(lambda_prime, field.grid.n)[0], [(r, 1.0)])
 
 
 def twisted_mean(field, structure, lam, r):
@@ -203,10 +205,7 @@ def twisted_mean(field, structure, lam, r):
     For n = 1, V_lambda is the skew matrix [[0, a], [-a, 0]] and the phase
     (i/2) x^T V_lambda xi is the reduced one at twist -a.
     """
-    g = field.grid
-    if g.n != 1:
-        raise UnsupportedDimension("full-grid twisted means are implemented for n = 1")
-    if structure.n != g.n:
+    if structure.n != field.grid.n:
         raise DimensionMismatch("structure and field dimensions differ")
     return _full_grid_mean(field, -v_lambda(structure, lam)[0, 1], [(r, 1.0)])
 
@@ -500,18 +499,21 @@ def _multi_indices(n, total_max):
     return sorted(out, key=lambda a: (sum(a), a))
 
 
-def _degree_indices(n, k):
-    """All multi-indices in N^n with |beta| = k."""
-    return [b for b in _multi_indices(n, k) if sum(b) == k]
+def _block_pairs(n, degrees, alpha_max=None):
+    """(alpha, beta) over the blocks |beta| = k, k in degrees, block after
+    block in the order of degrees: each block, on which the reduced mean acts
+    as one scalar, lists alpha-major the pairs with |alpha| <= alpha_max
+    (default k + 2n + 4), alpha and beta each in _multi_indices order.
 
-
-def _block_pairs(n, k, alpha_max=None):
-    """(alpha, beta) over the block |beta| = k, |alpha| <= alpha_max (default
-    k + 2n + 4): the block on which the reduced mean acts as one scalar."""
-    if alpha_max is None:
-        alpha_max = k + 2 * n + 4
-    betas = _degree_indices(n, k)
-    return [(a, b) for a in _multi_indices(n, alpha_max) for b in betas]
+    The alphas and the betas are each listed by one _multi_indices call; the
+    multi-indices with |a| <= t are the first C(t + n, n) of that list."""
+    degrees = list(degrees)
+    bounds = [k + 2 * n + 4 if alpha_max is None else alpha_max for k in degrees]
+    alphas = _multi_indices(n, max(bounds, default=-1))
+    betas = _multi_indices(n, max(degrees, default=-1))
+    return [(a, b) for k, bound in zip(degrees, bounds)
+            for a in alphas[:comb(bound + n, n)]
+            for b in betas[comb(k + n - 1, n):comb(k + n, n)]]
 
 
 @dataclass(frozen=True)
@@ -521,9 +523,10 @@ class HermiteCoefficients:
 
     The spectral degree of a pair is |beta|: twisted convolution on the right,
     and in particular the reduced spherical mean, acts by one scalar on each
-    block of fixed |beta|.  total_energy is the squared grid norm of the
-    analysed field; by Bessel's inequality captured_energy does not exceed it
-    up to the grid rule's error.
+    block of fixed |beta|.  degrees holds each pair's |beta|, and k_max,
+    projection(k) and decompose's tail check select blocks from it.
+    total_energy is the squared grid norm of the analysed field; by Bessel's
+    inequality captured_energy does not exceed it up to the grid rule's error.
     """
 
     grid: PolarGrid
@@ -538,24 +541,21 @@ class HermiteCoefficients:
         return float(np.sum(np.abs(self.coefficients) ** 2))
 
     @property
+    def degrees(self):
+        """The degree |beta| of each pair, as an integer array."""
+        return np.array([sum(b) for _, b in self.pairs], dtype=int)
+
+    @property
     def k_max(self):
         """The largest degree |beta| among the pairs, -1 when there are none."""
-        return max((sum(b) for _, b in self.pairs), default=-1)
-
-    def blocks(self):
-        """{k: [(alpha, beta, coefficient), ...]} over the degrees k = |beta|
-        of the pairs, each block in pair order."""
-        out = {}
-        for (a, b), c in zip(self.pairs, self.coefficients):
-            out.setdefault(sum(b), []).append((a, b, c))
-        return out
+        return int(self.degrees.max(initial=-1))
 
     def projection(self, k):
         """The Laguerre projection f x_lam theta_k, synthesized on the grid:
         prod_j (2 pi / lam_j) times the sum of block k."""
         if not 0 <= k <= self.k_max:
             raise RangeExceeded(f"degree {k} outside [0, {self.k_max}]")
-        block = [i for i, (_, b) in enumerate(self.pairs) if sum(b) == k]
+        block = np.flatnonzero(self.degrees == k)
         prefactor = float(np.prod(2 * np.pi / self.lambda_prime))
         return synthesize(replace(self, pairs=tuple(self.pairs[i] for i in block),
                                   coefficients=prefactor * self.coefficients[block]))
@@ -615,11 +615,10 @@ def decompose(field, lambda_prime, k_max, tail_tol=None):
         raise RangeExceeded(
             f"truncation {k_max} outside [0, {MAX_TRUNCATION.get(g.n)}] for n={g.n}"
         )
-    pairs = [p for k in range(k_max + 1) for p in _block_pairs(g.n, k)]
-    spectrum = _analyse(field, lambda_prime, pairs)
+    spectrum = _analyse(field, lambda_prime, _block_pairs(g.n, range(k_max + 1)))
     if tail_tol is not None:
         fn = np.sqrt(spectrum.total_energy)
-        tail = float(np.linalg.norm([c for *_, c in spectrum.blocks()[k_max]]))
+        tail = float(np.linalg.norm(spectrum.coefficients[spectrum.degrees == k_max]))
         if fn > 0 and tail > tail_tol * fn:
             raise TruncationDominates(
                 f"last block carries {tail / fn:.3e} of the field norm; "
@@ -756,7 +755,7 @@ def spectral_projection(field, lambda_prime, k):
     Equals (prod lam_j / 2 pi) f x_lam theta_k; computed as the orthonormal
     expansion over Psi_{alpha,beta} with |beta| = k, |alpha| <= k + 2n + 4.
     """
-    return synthesize(_analyse(field, lambda_prime, _block_pairs(field.grid.n, k)))
+    return synthesize(_analyse(field, lambda_prime, _block_pairs(field.grid.n, [k])))
 
 
 def mean_eigenvalue(k, lambda_prime, r):
@@ -854,7 +853,8 @@ def homogeneous_projection_expand(field, k, lambda_prime, m=None):
         raise NotHomogeneous(
             f"||f - R_m f|| / ||f|| = {off / fn:.3e} for m = {tuple(int(v) for v in m)}"
         )
-    pairs = [(tuple(int(v) for v in np.subtract(b, m)), b) for b in _degree_indices(g.n, k)
+    # the betas of block k, each listed once with alpha = 0
+    pairs = [(tuple(int(v) for v in np.subtract(b, m)), b) for _, b in _block_pairs(g.n, [k], 0)
              if min(np.subtract(b, m)) >= 0]
     spectrum = _analyse(field, lam, pairs)
     prefactor = float(np.prod(2 * np.pi / lam))

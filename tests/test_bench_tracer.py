@@ -87,6 +87,37 @@ def test_measure_mean_makes_one_forward_and_one_inverse_fft():
     assert counters["transforms.synthesis.terms"] == 55
 
 
+def test_reconstruction_analyses_each_mean_over_its_own_degrees(monkeypatch):
+    tracer = _import_tracer()
+    grid = polar_grid(1, 48, 32, 8.0)
+    f = sample(lambda z: np.exp(-np.abs(z[..., 0]) ** 2) * (1 + z[..., 0]), grid)
+    radii, k_max = [0.9, 1.7], 6
+    means = {r: transforms.reduced_mean(f, [1.0], r) for r in radii}
+    # each degree is inverted from the radius with the larger |c_k theta_k|;
+    # here both radii serve some degree, and every degree is usable
+    best = np.argmax(np.abs(transforms.mean_eigenvalue(np.arange(k_max + 1), [1.0], radii)),
+                     axis=1)
+    assert set(best) == {0, 1}
+    block = k_max + 7  # pairs per block at n = 1: |alpha| <= k_max + 6, one beta
+    served = [int(np.sum(best == i)) * block for i in (0, 1)]
+    tables = []
+    tabulate = transforms._axis_tables
+    monkeypatch.setattr(transforms, "_axis_tables",
+                        lambda g, lam, pairs: tables.append(len(pairs)) or tabulate(g, lam, pairs))
+    rec = tracer.Recorder().install()
+    try:
+        rec.run_job(0, injectivity.reconstruct_from_means, means, [1.0], k_max)
+    finally:
+        rec.uninstall()
+    counters = rec.jobs[0]["counters"]
+    # one analysis per radius over its degrees' pairs, and one synthesis over
+    # all of them, which tabulates its own basis tables
+    assert tables == served + [(k_max + 1) * block]
+    assert counters["transforms.analysis.calls"] == 2
+    assert counters["transforms.analysis.coefficients"] == sum(served)
+    assert counters["transforms.synthesis.terms"] == (k_max + 1) * block
+
+
 def test_round_trip_makes_one_analysis_and_one_synthesis():
     tracer = _import_tracer()
     grid = polar_grid(2, 12, 32, 6.0)

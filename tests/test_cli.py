@@ -143,6 +143,30 @@ def test_reconstruct_round_trip(tmp_path):
     assert (tmp_path / "reconstruction.field").exists()
 
 
+def test_reconstruct_at_negative_twist(tmp_path):
+    import numpy as np
+
+    from metivier.fieldio import write_field
+    from metivier.grids import default_grid, sample
+
+    f = sample(lambda z: np.exp(-0.4 * np.abs(z[..., 0]) ** 2) * (1 + z[..., 0]),
+               default_grid(1))
+    input_path = tmp_path / "input.field"
+    write_field(f, input_path)
+    proc = run_cli("reconstruct", "--input", str(input_path), "--lam=-1",
+                   "--output", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads((tmp_path / "reconstruct.json").read_text())
+    assert report["relative_l2_residual"] < 1e-6
+
+
+@pytest.mark.parametrize("lam", ["-1", "0"])
+def test_counterexample_nonpositive_twist_is_typed_without_warnings(tmp_path, lam):
+    proc = run_cli("counterexample", f"--lam={lam}", "--output", str(tmp_path))
+    assert proc.returncode == 2
+    assert "Warning" not in proc.stderr
+
+
 def test_reconstruct_missing_input_is_usage(tmp_path):
     proc = run_cli("reconstruct", "--input", str(tmp_path / "absent.field"),
                    "--output", str(tmp_path))

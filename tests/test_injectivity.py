@@ -9,6 +9,7 @@ from metivier.errors import (
     InadmissibleRadii,
     NoUsableRadius,
     RangeExceeded,
+    UnsupportedDimension,
 )
 from metivier.grids import build_sphere_rule, default_grid, polar_grid, sample, sample_periodic
 from metivier.injectivity import (
@@ -26,7 +27,7 @@ from metivier.injectivity import (
 )
 from metivier.special import bessel_zeros, laguerre_zeros, psi_alpha_beta, theta_k, theta_radial
 from metivier.structures import builtin_structure, symplectic_spectrum
-from metivier.transforms import mean_eigenvalue, reduced_mean
+from metivier.transforms import mean_eigenvalue, reduced_mean, twisted_mean
 
 LAM1 = np.array([1.0])
 
@@ -69,6 +70,10 @@ def test_one_radius_counterexample_annihilation(g1):
         one_radius_counterexample(0, LAM1)
     with pytest.raises(RangeExceeded):
         one_radius_counterexample(1, [1.0, 2.0], n=2)
+    # the twist is checked before the blind radius sqrt(2 x0 / lam) is formed
+    for lam in ([-1.0], [0.0]):
+        with pytest.raises(RangeExceeded):
+            one_radius_counterexample(1, lam)
 
 
 def test_measure_multiplier_and_designed_cancellation():
@@ -196,6 +201,23 @@ def test_reconstructions_divide_by_mean_eigenvalue(g1):
     for k in measure.divisor:
         assert measure.divisor[k] == mean_eigenvalue(k, LAM1, mu.radii) @ mu.weights
     assert set(measure.used_radius.values()) == {None}
+
+
+def test_negative_twist_is_inverted_by_conjugation(g1):
+    # conjugated in z, the means at lam = -1.3 are the means at 1.3 of f
+    # conjugated in z, so both reconstructions divide by the scalars at |lam|
+    f = sample(lambda z: np.exp(-0.4 * np.abs(z[..., 0]) ** 2)
+               * (1 + 0.5j * z[..., 0] - 0.3 * np.conj(z[..., 0]) ** 2), g1)
+    lam, radii = [-1.3], [0.9, 1.6]
+    mu = RadialMeasure(radii, [0.5, 0.5])
+    means = reconstruct_from_means({r: reduced_mean(f, lam, r) for r in radii}, lam, 25)
+    measure = reconstruct_from_measure_mean(measure_mean(f, mu, lam), mu, lam, 25)
+    for result in (means, measure):
+        assert result.unrecoverable == ()
+        err = result.field.with_values(result.field.values - f.values).norm2()
+        assert err < 1e-10 * f.norm2()
+    for k, r in means.used_radius.items():
+        assert means.divisor[k] == mean_eigenvalue(k, [1.3], r)
 
 
 # ---------------------------------------------------------------------------
@@ -555,6 +577,18 @@ def test_two_radii_reconstruct_rejects_inadmissible():
     r1, r2 = inadmissible_radius_pair()
     with pytest.raises(InadmissibleRadii):
         two_radii_reconstruct(pf, r1, r2, k_max=4)
+
+
+@pytest.mark.parametrize("mean", [
+    lambda f: reduced_mean(f, [1.0, 1.0], 1.0),
+    lambda f: twisted_mean(f, builtin_structure("heisenberg:2"), [1.0], 1.0),
+    lambda f: measure_mean(f, RadialMeasure([1.0], [1.0]), [1.0, 1.0]),
+    lambda f: euclidean_mean(f, 1.0),
+], ids=["reduced", "twisted", "measure", "euclidean"])
+def test_full_grid_means_reject_n2_fields(mean):
+    f = sample(lambda z: np.exp(-np.sum(np.abs(z) ** 2, axis=-1)), polar_grid(2, 8, 8, 4.0))
+    with pytest.raises(UnsupportedDimension):
+        mean(f)
 
 
 def test_measure_mean_is_the_weighted_sum_of_reduced_means(g1):

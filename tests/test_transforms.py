@@ -1,6 +1,7 @@
 """Twisted means, twisted convolution, spectral projections and series,
 radialization, homogeneous expansions, the twisted Laplacian, center Fourier."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -572,7 +573,7 @@ def test_band_transforms_hold_no_field_sized_intermediate():
     rng = np.random.default_rng(15)
     f = SampledField(grid, rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape))
     lam = np.array([1.8, 2.1])
-    pairs = [p for k in range(5) for p in _block_pairs(2, k)]
+    pairs = _block_pairs(2, range(5))
     coeffs, analysis_peak = _peak_bytes(lambda: _matrix_coefficients(f, pairs, lam))
     terms = [(a, b, c) for (a, b), c in zip(pairs, coeffs)]
     values, synthesis_peak = _peak_bytes(lambda: _synthesize_values(grid, lam, terms))
@@ -629,6 +630,24 @@ def test_decompose_blocks_are_scaled_spectral_projections(grid, lam, k_max):
         want = spectral_projection(f, lam, k)
         err = p.with_values(p.values - scale * want.values).norm2()
         assert err < 1e-13 * scale * want.norm2()
+
+
+@seed(2026)
+@settings(max_examples=25, deadline=None, database=None)
+@given(n=st.integers(1, 3), degrees=st.lists(st.integers(0, 6), max_size=5),
+       alpha_max=st.one_of(st.none(), st.integers(0, 5)))
+def test_block_pairs_lists_each_block_alpha_major(n, degrees, alpha_max):
+    # the reference: block after block, every alpha with |alpha| <= the
+    # block's bound against every beta with |beta| = k, each ordered by
+    # (total, tuple)
+    def indices(total):
+        return sorted((a for a in itertools.product(range(total + 1), repeat=n)
+                       if sum(a) <= total), key=lambda a: (sum(a), a))
+
+    want = [(a, b) for k in degrees
+            for a in indices(k + 2 * n + 4 if alpha_max is None else alpha_max)
+            for b in indices(k) if sum(b) == k]
+    assert _block_pairs(n, degrees, alpha_max) == want
 
 
 def test_projection_is_convolution_eigenvalue(g1):
