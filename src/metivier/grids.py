@@ -103,9 +103,12 @@ class PolarGrid:
 
 def polar_grid(n, radial, angular, r_max):
     """Build a PolarGrid with `radial` Gauss-Legendre nodes on (0, r_max] and
-    `angular` equispaced angles per coordinate (scalars or per-coordinate lists)."""
+    `angular` equispaced angles per coordinate (scalars or per-coordinate lists).
+    A radial count that is not a positive integer raises DimensionMismatch."""
     radial = [radial] * n if np.isscalar(radial) else list(radial)
     angular = [angular] * n if np.isscalar(angular) else list(angular)
+    if any(int(c) != c or c < 1 for c in radial):
+        raise DimensionMismatch(f"radial node counts {radial} must be positive integers")
     nodes, weights = [], []
     for j in range(n):
         x, w = leggauss(int(radial[j]))
@@ -147,6 +150,23 @@ def _checked_values(v, label):
     return v
 
 
+def _rule_energy(grid, values, rows=slice(None)):
+    """The grid rule's sum of |f|^2 over the rows `rows` of the first radial
+    axis of values (of the grid's shape, last axis contiguous): one einsum of
+    the real view with itself sums |f|^2 over the angles, with no full-size
+    temporary, then each radial axis is contracted with its weights, last
+    axis first.  The energies of disjoint rows add up to the whole's."""
+    v = values[rows].view(float)
+    axes = list(range(v.ndim))
+    e = np.einsum(v, axes, v, axes, axes[::2])
+    weights = [2 * np.pi / grid.angular_counts[j] * grid.radial_weights[j] * grid.radial_nodes[j]
+               for j in range(grid.n)]
+    weights[0] = weights[0][rows]
+    for w in reversed(weights):
+        e = e @ w
+    return float(e)
+
+
 @dataclass(frozen=True)
 class SampledField:
     """Complex samples of a function on C^n over a PolarGrid.
@@ -173,17 +193,19 @@ class SampledField:
         """The same grid and metadata with new values."""
         return SampledField(self.grid, values, self.metadata)
 
+    @classmethod
+    def _proven_finite(cls, grid, values, metadata):
+        """The field of values, a C-contiguous complex array of the grid's
+        shape whose finiteness the caller has proven, built without the
+        finiteness read of the constructor."""
+        field = object.__new__(cls)
+        for name, value in (("grid", grid), ("values", values), ("metadata", metadata)):
+            object.__setattr__(field, name, value)
+        return field
+
     def norm2(self):
-        """L2 norm by the grid rule: one einsum of the values' real view with
-        itself sums |f|^2 over the angles, with no full-size temporary, then
-        each radial axis is contracted with its weights, last axis first."""
-        g = self.grid
-        v = self.values.view(float)
-        axes = list(range(v.ndim))
-        e = np.einsum(v, axes, v, axes, axes[::2])
-        for j in reversed(range(g.n)):
-            e = e @ (2 * np.pi / g.angular_counts[j] * g.radial_weights[j] * g.radial_nodes[j])
-        return float(np.sqrt(e))
+        """L2 norm by the grid rule (_rule_energy)."""
+        return float(np.sqrt(_rule_energy(self.grid, self.values)))
 
     def max_abs(self):
         return float(np.max(np.abs(_distinct_entries(self.values))))
@@ -220,14 +242,21 @@ def sample(expr, grid, metadata=""):
     """Evaluate a vectorized pointwise function on every grid node.
 
     `expr` receives a complex array of shape (..., n) and must return (...);
-    a result that broadcasts to the grid is kept as a read-only broadcast.
-    A non-finite value raises NonFiniteValue naming its first node.
+    a result that broadcasts to the grid is kept as a read-only broadcast,
+    and any other shape raises DimensionMismatch.  A non-finite value raises
+    NonFiniteValue naming its first node.
     """
     axes = grid.coordinate_axes()
     z = np.stack(np.broadcast_arrays(*axes), axis=-1)
     vals = np.asarray(expr(z), dtype=complex)
     if vals.shape != grid.shape:
-        vals = np.broadcast_to(vals, grid.shape)
+        try:
+            vals = np.broadcast_to(vals, grid.shape)
+        except ValueError:
+            raise DimensionMismatch(
+                f"expression returned shape {vals.shape}, which does not broadcast "
+                f"to the grid shape {grid.shape}"
+            ) from None
     try:
         return SampledField(grid, vals, metadata)
     except NonFiniteValue:

@@ -24,6 +24,7 @@ from scipy.special import logsumexp
 
 from .errors import (
     DimensionMismatch,
+    GridMismatch,
     InadmissibleRadii,
     NoUsableRadius,
     RangeExceeded,
@@ -31,6 +32,7 @@ from .errors import (
 )
 from .grids import SampledField, build_sphere_rule, default_grid
 from .special import (
+    MAX_MATRIX_INDEX,
     _check_lambda_prime,
     _laguerre_zero_tables,
     bessel_j,
@@ -42,6 +44,7 @@ from .special import (
 from .transforms import (
     _analyse,
     _block_pairs,
+    _check_degree,
     _check_twist,
     _conjugate_coordinates,
     _full_grid_mean,
@@ -138,9 +141,11 @@ class ReconstructionResult:
 def _reconstruct(means, lambda_prime, k_max, scalars):
     """Blockwise inversion shared by both reconstructions.
 
-    means is a nonempty list of (label, mean field) on one grid, and
-    scalars(degrees, lam) gives, for each degree k of the array degrees =
-    0..k_max, the row of scalars by which each mean acts on the degree-k
+    means is a nonempty list of (label, mean field) on one grid
+    (GridMismatch otherwise), k_max an integer in [0, MAX_MATRIX_INDEX]
+    (RangeExceeded otherwise), and scalars(degrees, lam) gives, for each
+    degree k of the array degrees = 0..k_max, the row of scalars by which
+    each mean acts on the degree-k
     block at the positive twist lam, in the same order.  Each degree is
     inverted from the mean with the largest |scalar| and recorded under that
     mean's label; degrees whose scalars all fall below
@@ -163,6 +168,9 @@ def _reconstruct(means, lambda_prime, k_max, scalars):
     lam = np.atleast_1d(np.asarray(lambda_prime, dtype=float))
     if lam.shape != (n,):
         raise DimensionMismatch(f"reduced twist must have {n} components")
+    if any(mean.grid != template.grid for _, mean in means):
+        raise GridMismatch("the means live on different grids")
+    k_max = _check_degree(k_max, MAX_MATRIX_INDEX, "k_max")
     flipped = np.flatnonzero(lam < 0)
     lam = np.abs(lam)
     table = np.asarray(scalars(np.arange(k_max + 1), lam))

@@ -21,7 +21,13 @@ at a time on the band of modes their pairs use: one angular DFT matrix
 product that keeps the band modes first (mode-major), then one batched
 radial matmul of every mode's slab with the profiles of that mode's
 distinct keys (alpha_j, beta_j), tabulated once per call from Laguerre
-sequences.  No loop runs over the band modes or the pairs.  _analyse is the
+sequences.  No loop runs over the band modes or the pairs.  The passes that
+read or write the whole field (the analysis's first, the synthesis's last)
+run slab by slab over the first radial axis into preallocated results, so
+each slab and its band stay in cache; the analysis sums the field's grid
+norm over the same slabs, and the synthesis skips the finiteness read of
+its output when a bound from the coefficients and the profiles proves it
+finite.  Each field is thus read or written once.  _analyse is the
 one analysis and synthesize the one synthesis; projections, convolution and
 reconstruction transform the HermiteCoefficients between them.
 
@@ -36,6 +42,7 @@ independent grid-quadrature oracle.
 from dataclasses import dataclass, replace
 from itertools import product as iter_product
 from math import comb
+from numbers import Integral
 
 import numpy as np
 from scipy.special import gammaln
@@ -56,6 +63,7 @@ from .grids import (
     PolarGrid,
     SampledField,
     _real_matmul,
+    _rule_energy,
     angular_mode_coefficients,
     build_sphere_rule,
     values_from_mode_coefficients,
@@ -78,6 +86,13 @@ def _check_twist(lambda_prime, n):
     if np.any(lam == 0):
         raise DimensionMismatch("reduced twist components must be nonzero")
     return lam
+
+
+def _check_degree(k, upper, label):
+    """k as an int; RangeExceeded unless it is an integer in [0, upper]."""
+    if not isinstance(k, Integral) or not 0 <= k <= upper:
+        raise RangeExceeded(f"{label} must be an integer in [0, {upper}], got {k!r}")
+    return int(k)
 
 
 def _mean_at(field, v, r, points, order):
@@ -444,52 +459,106 @@ def matrix_coefficient(field, alpha, beta, lambda_prime):
     return _analyse(field, lambda_prime, [pair]).coefficients[0]
 
 
+# complex entries of the field in one slab of the analysis's first axis pass
+# and of the synthesis's last, the passes over the whole field: 4 MB, so
+# that a slab and its band of modes stay in cache
+_BAND_SLAB = 1 << 18
+
+
+def _slab_rows(lead, nr, na):
+    """(count, width, rows) for a pass over an array of shape lead + (nr, na):
+    the length of lead's leading axis (1 when lead is empty), the product of
+    lead's other axes, and how many leading indices one slab of at most
+    _BAND_SLAB entries takes (at least one, at most count)."""
+    count, width = int(np.prod(lead[:1])), int(np.prod(lead[1:]))
+    return count, width, max(1, min(count, _BAND_SLAB // max(width * nr * na, 1)))
+
+
 def _matrix_coefficients(field, index_pairs, lambda_prime, tables=None):
-    """Analysis: (f, Psi_{alpha,beta}) for each pair, from tables, the
-    _axis_tables of the pairs at lambda_prime (tabulated here when the
-    caller has none).  Per axis, last first, on the axis's (radial,
-    angular) pair, which ends the array: one angular DFT product writes the
-    band of modes beta_j - alpha_j mode-major, so that each mode's radial
-    slab is contiguous; one batched matmul contracts every slab with the
-    conjugate profiles of its mode's keys, and one gather puts the keys
-    first.  One gather over the keys of each pair ends it."""
+    """Analysis: (coefficients, energy), the (f, Psi_{alpha,beta}) of each
+    pair and the grid rule's sum of |f|^2 (grids._rule_energy), from tables,
+    the _axis_tables of the pairs at lambda_prime (tabulated here when the
+    caller has none).
+
+    Per axis, last first, on the axis's (radial, angular) pair, which ends
+    the array: one angular DFT product writes the band of modes
+    beta_j - alpha_j mode-major, so that each mode's radial slab is
+    contiguous; one batched matmul contracts every slab with the conjugate
+    profiles of its mode's keys, and one gather puts the keys first into the
+    preallocated result.  Each pass runs slab by slab over the leading axis
+    of the array it reads (_slab_rows; one slab when that axis is the one
+    contracted, as at n = 1), so on the first pass, which reads the whole
+    field, a slab of _BAND_SLAB entries and its band stay in cache, and the
+    field's energy is summed over the same slab then.  One gather over the
+    keys of each pair ends it."""
     g = field.grid
     if tables is None:
         tables = _axis_tables(g, np.atleast_1d(np.asarray(lambda_prime, dtype=float)), index_pairs)
-    coeffs = field.values
+    coeffs, energy = field.values, 0.0
     for j in reversed(range(g.n)):
         band, stack, mode, slot, _ = tables[j]
         lead, (nr, na) = coeffs.shape[:-2], coeffs.shape[-2:]
-        rows = coeffs.reshape(-1, na).T  # a transposed view, which BLAS reads without a copy
-        rows = (_angular_phases(na, band, -1) / na).T @ rows
-        slabs = rows.reshape(len(band), int(np.prod(lead)), nr)
+        count, width, rows = _slab_rows(lead, nr, na)
+        blocks = coeffs.reshape((count, width, nr, na))
+        phases = (_angular_phases(na, band, -1) / na).T
         # radial measure s ds times the 2 pi of the angular integral
-        weighted = np.conj(stack) * (2 * np.pi * g.radial_weights[j] * g.radial_nodes[j])[:, None]
-        keyed = np.matmul(weighted.transpose(0, 2, 1), slabs.transpose(0, 2, 1))[mode, slot]
+        weighted = (np.conj(stack) * (2 * np.pi * g.radial_weights[j] * g.radial_nodes[j])[:, None]
+                    ).transpose(0, 2, 1)
+        keyed = np.empty((len(mode), count, width), dtype=complex)
+        buffer = np.empty(len(band) * rows * width * nr, dtype=complex)  # one slab's band
+        for i in range(0, count, rows):
+            slab = blocks[i:i + rows]
+            h = len(slab)
+            cols = h * width * nr
+            # a transposed view, which BLAS reads without a copy
+            bands = np.matmul(phases, slab.reshape(cols, na).T,
+                              out=buffer[:len(band) * cols].reshape(len(band), cols))
+            slabs = bands.reshape(len(band), h * width, nr).transpose(0, 2, 1)
+            keyed[:, i:i + h] = np.matmul(weighted, slabs)[mode, slot].reshape(len(mode), h, width)
+            if j == g.n - 1:  # the first pass reads the field: the energy of the slab's rows
+                per = len(coeffs) // count  # rows of the field per leading index
+                energy += _rule_energy(g, coeffs, slice(i * per, (i + h) * per))
         coeffs = keyed.reshape(mode.shape + lead)
-    return coeffs[tuple(pair_key for *_, pair_key in tables)]
+    return coeffs[tuple(pair_key for *_, pair_key in tables)], energy
 
 
 def _synthesize_values(grid, lam, terms, tables=None):
     """Synthesis: the values of sum c Psi_{alpha,beta} over terms (alpha, beta,
     c), the transpose of the analysis, from tables, the _axis_tables of the
-    terms' pairs (tabulated here when the caller has none).  One scatter
-    onto the keys, then per axis, first first: one scatter of the keys into
-    the padded stack, one batched matmul with the profiles that writes each
-    band mode's radial slab, and one angular DFT product from the transposed
-    mode-major slabs that appends the axis's (radial, angular) pair."""
+    terms' pairs (tabulated here when the caller has none).
+
+    One scatter onto the keys, then per axis, first first: one scatter of
+    the keys into the padded stack, one batched matmul with the profiles
+    that writes each band mode's radial slab, and one angular DFT product
+    from the transposed mode-major slabs that appends the axis's (radial,
+    angular) pair.  Each pass runs slab by slab over the leading axis of the
+    array it writes (_slab_rows; one slab at n = 1), so the last pass, which
+    writes the whole field, writes each slab of _BAND_SLAB entries in place
+    (np.matmul(..., out=...)) from a band that stays in cache."""
     if tables is None:
         tables = _axis_tables(grid, lam, [(a, b) for a, b, _ in terms])
     values = np.zeros(tuple(len(mode) for _, _, mode, *_ in tables), dtype=complex)
     np.add.at(values, tuple(pair_key for *_, pair_key in tables), [c for *_, c in terms])
     for j, (band, stack, mode, slot, _) in enumerate(tables):
         lead, nr, na = values.shape[1:], stack.shape[1], grid.angular_counts[j]
-        width = int(np.prod(lead))
-        padded = np.zeros((len(band), stack.shape[2], width), dtype=complex)
-        padded[mode, slot] = values.reshape(len(mode), width)
-        slabs = np.matmul(padded.transpose(0, 2, 1), stack.transpose(0, 2, 1))
-        values = (slabs.reshape(len(band), width * nr).T @ _angular_phases(na, band, 1).T
-                  ).reshape(lead + (nr, na))
+        count, width, rows = _slab_rows(lead, nr, na)
+        keys = values.reshape(len(mode), count * width)
+        out = np.empty(lead + (nr, na), dtype=complex)
+        written = out.reshape(count * width * nr, na)
+        profiles = stack.transpose(0, 2, 1)
+        phases = _angular_phases(na, band, 1).T
+        # the slab's keys scattered into the padded stack: entries off (mode, slot) stay zero
+        padded = np.zeros((len(band), stack.shape[2], rows * width), dtype=complex)
+        buffer = np.empty(len(band) * rows * width * nr, dtype=complex)  # one slab's band
+        for i in range(0, count, rows):
+            h = min(rows, count - i)
+            cols = h * width * nr
+            padded[mode, slot, :h * width] = keys[:, i * width:(i + h) * width]
+            slabs = np.matmul(padded[:, :, :h * width].transpose(0, 2, 1), profiles,
+                              out=buffer[:len(band) * cols].reshape(len(band), h * width, nr))
+            start = i * width * nr
+            np.matmul(slabs.reshape(len(band), cols).T, phases, out=written[start:start + cols])
+        values = out
     return values
 
 
@@ -562,7 +631,8 @@ class HermiteCoefficients:
 
 
 def _analyse(field, lam, pairs):
-    """HermiteCoefficients of the field over pairs, from one analysis call.
+    """HermiteCoefficients of the field over pairs, from one analysis call,
+    whose slab loop also takes total_energy: the field is read once.
 
     The spectrum carries the basis tables of the analysis, with the grid,
     twist and pairs objects they were tabulated for; synthesize reuses them
@@ -570,9 +640,8 @@ def _analyse(field, lam, pairs):
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
     pairs = tuple(pairs)
     tables = _axis_tables(field.grid, lam, pairs)
-    spectrum = HermiteCoefficients(field.grid, lam, pairs,
-                                   _matrix_coefficients(field, pairs, lam, tables),
-                                   field.norm2() ** 2, field.metadata)
+    coefficients, energy = _matrix_coefficients(field, pairs, lam, tables)
+    spectrum = HermiteCoefficients(field.grid, lam, pairs, coefficients, energy, field.metadata)
     object.__setattr__(spectrum, "_analysis", (field.grid, lam, pairs, tables))
     return spectrum
 
@@ -606,15 +675,15 @@ def decompose(field, lambda_prime, k_max, tail_tol=None):
 
     The Laguerre projections f x_lam theta_k = prod_j (2 pi / lam_j) times
     the block |beta| = k are synthesized on demand by projection(k), and
-    synthesize sums the series.  Raises TruncationDominates when tail_tol is
-    given and the last block still carries more than tail_tol of the
-    field's norm.
+    synthesize sums the series.  RangeExceeded unless k_max is an integer
+    in [0, MAX_TRUNCATION[n]].  When tail_tol is given, raises
+    TruncationDominates when the last block still carries more than tail_tol
+    of the field's norm, or when the coefficients miss more than tail_tol^2
+    of its squared norm (total_energy - captured_energy), as they do for a
+    field with energy outside the blocks' alpha bound.
     """
     g = field.grid
-    if k_max < 0 or k_max > MAX_TRUNCATION.get(g.n, 0):
-        raise RangeExceeded(
-            f"truncation {k_max} outside [0, {MAX_TRUNCATION.get(g.n)}] for n={g.n}"
-        )
+    k_max = _check_degree(k_max, MAX_TRUNCATION.get(g.n, 0), f"truncation for n={g.n}")
     spectrum = _analyse(field, lambda_prime, _block_pairs(g.n, range(k_max + 1)))
     if tail_tol is not None:
         fn = np.sqrt(spectrum.total_energy)
@@ -623,6 +692,12 @@ def decompose(field, lambda_prime, k_max, tail_tol=None):
             raise TruncationDominates(
                 f"last block carries {tail / fn:.3e} of the field norm; "
                 f"raise k_max or loosen tail_tol"
+            )
+        missed = spectrum.total_energy - spectrum.captured_energy
+        if missed > tail_tol**2 * spectrum.total_energy:
+            raise TruncationDominates(
+                f"the blocks |beta| <= {k_max}, |alpha| <= |beta| + {2 * g.n + 4} miss "
+                f"{missed / spectrum.total_energy:.3e} of the field's squared norm"
             )
     return spectrum
 
@@ -732,6 +807,11 @@ def read_spectrum(directory):
                                float(energy), manifest["metadata"])
 
 
+# below half the largest float: rounding cannot carry a value bounded by
+# this past overflow
+_FINITE_BOUND = np.finfo(float).max / 2
+
+
 def synthesize(spectrum):
     """Sum the Laguerre series: the field sum c Psi_{alpha,beta} over every
     pair of the spectrum, from one synthesis.
@@ -741,12 +821,25 @@ def synthesize(spectrum):
     tabulated for: a spectrum straight from _analyse (decompose, for one),
     or one made from it by _replace_spectrum with its pairs kept, as the
     inversion of a single mean does.  Any other spectrum, built anew or by
-    dataclasses.replace, tabulates its own."""
+    dataclasses.replace, tabulates its own.
+
+    The field's values are finite when sum |c| prod_j max |R_j| stays below
+    overflow, the R_j the profiles of the tables' axis j: every value and
+    every partial sum of the synthesis is bounded by it (the angular phases
+    have modulus 1), and a coefficient that is not finite makes it not
+    finite.  Then the field is built without SampledField's second read of
+    the values; otherwise that full finiteness check runs."""
+    grid = spectrum.grid
+    tables = _analysis_tables(spectrum) or _axis_tables(grid, spectrum.lambda_prime, spectrum.pairs)
     terms = [(a, b, c) for (a, b), c in zip(spectrum.pairs, spectrum.coefficients)]
-    return SampledField(spectrum.grid,
-                        _synthesize_values(spectrum.grid, spectrum.lambda_prime, terms,
-                                           _analysis_tables(spectrum)),
-                        spectrum.metadata)
+    # overflow and inf - inf are reported as NonFiniteValue by the check
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = float(np.sum(np.abs(spectrum.coefficients))) * float(np.prod(
+            [np.max(np.abs(stack), initial=0.0) for _, stack, *_ in tables]))
+        values = _synthesize_values(grid, spectrum.lambda_prime, terms, tables)
+    if bound < _FINITE_BOUND:
+        return SampledField._proven_finite(grid, values, spectrum.metadata)
+    return SampledField(grid, values, spectrum.metadata)
 
 
 def spectral_projection(field, lambda_prime, k):
@@ -754,7 +847,9 @@ def spectral_projection(field, lambda_prime, k):
 
     Equals (prod lam_j / 2 pi) f x_lam theta_k; computed as the orthonormal
     expansion over Psi_{alpha,beta} with |beta| = k, |alpha| <= k + 2n + 4.
+    RangeExceeded unless k is an integer in [0, MAX_MATRIX_INDEX].
     """
+    k = _check_degree(k, MAX_MATRIX_INDEX, "projection degree")
     return synthesize(_analyse(field, lambda_prime, _block_pairs(field.grid.n, [k])))
 
 

@@ -81,3 +81,13 @@ def test_analysis_and_synthesis_have_one_entry_each():
     analysis = next(fn for fn in ast.walk(transforms)
                     if isinstance(fn, ast.FunctionDef) and fn.name == "_matrix_coefficients")
     assert "fhat" not in {arg.arg for arg in analysis.args.args + analysis.args.kwonlyargs}
+
+
+def test_the_unchecked_field_constructor_has_one_caller():
+    # SampledField._proven_finite skips the finiteness read, so only the
+    # synthesis, which proves its values finite first, may call it
+    callers = {(path.stem, fn.name) for path in SOURCE.glob("*.py")
+               for fn in ast.walk(ast.parse(path.read_text())) if isinstance(fn, ast.FunctionDef)
+               for node in ast.walk(fn) if isinstance(node, ast.Attribute)
+               and node.attr == "_proven_finite"}
+    assert callers == {("transforms", "synthesize")}

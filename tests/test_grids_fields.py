@@ -86,6 +86,18 @@ def test_sample_rejects_nonfinite():
                               g2.radial_nodes[1][3] * np.exp(1j * g2.angles(1)[2]))
 
 
+def test_sample_rejects_a_result_that_does_not_broadcast_to_the_grid():
+    g = polar_grid(1, 8, 8, 4.0)
+    with pytest.raises(DimensionMismatch):
+        sample(lambda z: np.ones(3), g)
+
+
+@pytest.mark.parametrize("radial", [0, -2, 2.5, [8, 0]])
+def test_polar_grid_radial_counts_must_be_positive_integers(radial):
+    with pytest.raises(DimensionMismatch):
+        polar_grid(1 if np.isscalar(radial) else 2, radial, 16, 5.0)
+
+
 def test_sample_keeps_a_broadcast_result():
     g = polar_grid(2, 6, 8, 4.0)
     profile = np.exp(-np.abs(g.coordinate_axes()[1][0, 0]) ** 2) * (1 + 0.5j)

@@ -6,6 +6,7 @@ import pytest
 
 from metivier.errors import (
     DimensionMismatch,
+    GridMismatch,
     InadmissibleRadii,
     NoUsableRadius,
     RangeExceeded,
@@ -178,6 +179,25 @@ def test_one_atom_measure_matches_single_radius_reconstruction(g1):
     assert a.divisor == b.divisor
     assert a.recovered_norm == b.recovered_norm
     assert a.unrecoverable == b.unrecoverable
+
+
+def test_reconstruction_rejects_means_on_different_grids():
+    near, far = (sample(lambda z: np.exp(-np.abs(z[..., 0]) ** 2), grid)
+                 for grid in (polar_grid(1, 48, 32, 8.0), polar_grid(1, 40, 32, 7.0)))
+    with pytest.raises(GridMismatch):
+        reconstruct_from_means({0.9: near, 1.7: far}, LAM1, 4)
+    with pytest.raises(GridMismatch):
+        reconstruct_from_means([(1.7, far), (0.9, near)], LAM1, 4)
+
+
+def test_reconstruction_degree_must_be_a_nonnegative_integer(g1):
+    mean = reduced_mean(sample(lambda z: np.exp(-np.abs(z[..., 0]) ** 2), g1), LAM1, 1.0)
+    mu = RadialMeasure([1.0], [1.0])
+    for k in (-1, 2.5):
+        with pytest.raises(RangeExceeded):
+            reconstruct_from_means({1.0: mean}, LAM1, k)
+        with pytest.raises(RangeExceeded):
+            reconstruct_from_measure_mean(mean, mu, LAM1, k)
 
 
 def test_means_input_forms(g1):

@@ -14,6 +14,7 @@ from metivier.errors import (
     GridMismatch,
     GridTooCoarse,
     MalformedFile,
+    NonFiniteValue,
     NotHomogeneous,
     NyquistViolation,
     RangeExceeded,
@@ -495,7 +496,7 @@ def test_band_analysis_matches_the_full_angular_fft(grid, lam, pairs):
             c = np.tensordot(w * np.conj(special_hermite_1d(a[j], b[j], lam[j],
                                                             grid.radial_nodes[j])), c, axes=1)
         want.append(c)
-    assert np.max(np.abs(_matrix_coefficients(f, pairs, lam) - want)) < 1e-14 * f.norm2()
+    assert np.max(np.abs(_matrix_coefficients(f, pairs, lam)[0] - want)) < 1e-14 * f.norm2()
 
 
 @BAND_CASES
@@ -542,9 +543,9 @@ def test_synthesis_of_no_terms_is_zero(grid):
 def test_band_analysis_of_no_pairs_or_a_zero_field(grid, lam, pairs):
     rng = np.random.default_rng(14)
     f = SampledField(grid, rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape))
-    assert _matrix_coefficients(f, [], lam).shape == (0,)
+    assert _matrix_coefficients(f, [], lam)[0].shape == (0,)
     zero = f.with_values(np.zeros(grid.shape, dtype=complex))
-    got = _matrix_coefficients(zero, pairs, lam)
+    got = _matrix_coefficients(zero, pairs, lam)[0]
     assert got.shape == (len(pairs),) and not np.any(got)
 
 
@@ -565,20 +566,27 @@ def _peak_bytes(fn):
         tracemalloc.stop()
 
 
-def test_band_transforms_hold_no_field_sized_intermediate():
-    # the DFT products write the band mode-major, so the analysis holds the
-    # band (17 of 64 modes here) and the synthesis its output plus the band;
-    # a field-sized transpose or copy would break either bound
+def _band_transform_peaks():
+    """Peak traced bytes of the analysis over the field's bytes and of the
+    synthesis over its output's, for a seeded n = 2 field and K = 4 blocks."""
     grid = polar_grid(2, 24, 64, 8.0)
     rng = np.random.default_rng(15)
     f = SampledField(grid, rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape))
     lam = np.array([1.8, 2.1])
     pairs = _block_pairs(2, range(5))
-    coeffs, analysis_peak = _peak_bytes(lambda: _matrix_coefficients(f, pairs, lam))
+    (coeffs, _), analysis_peak = _peak_bytes(lambda: _matrix_coefficients(f, pairs, lam))
     terms = [(a, b, c) for (a, b), c in zip(pairs, coeffs)]
     values, synthesis_peak = _peak_bytes(lambda: _synthesize_values(grid, lam, terms))
-    assert analysis_peak < 0.5 * f.values.nbytes
-    assert synthesis_peak < 1.5 * values.nbytes
+    return analysis_peak / f.values.nbytes, synthesis_peak / values.nbytes
+
+
+def test_band_transforms_hold_no_field_sized_intermediate():
+    # the DFT products write the band mode-major, so the analysis holds the
+    # band (17 of 64 modes here) and the synthesis its output plus the band;
+    # a field-sized transpose or copy would break either bound
+    analysis, synthesis = _band_transform_peaks()
+    assert analysis < 0.5
+    assert synthesis < 1.5
 
 
 def test_gram_defect_builds_one_resolving_rule_per_axis(monkeypatch):
@@ -611,6 +619,56 @@ def test_round_trip_peak_memory_stays_near_one_field():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * f.values.nbytes
+
+
+def test_band_transforms_hold_no_field_sized_band():
+    # the first analysis pass and the last synthesis pass run slab by slab
+    # over the first radial axis, so the analysis holds a slab's band and
+    # the synthesis little beyond its output
+    analysis, synthesis = _band_transform_peaks()
+    assert analysis < 0.1
+    assert synthesis < 1.1
+
+
+@pytest.mark.parametrize("field, broadcast", [
+    (_gauss_field(polar_grid(1, 40, 32, 6.0)), False),
+    (sample(lambda z: np.exp(-np.sum(np.abs(z) ** 2, axis=-1) / 3) * (z[..., 0] + 2j * z[..., 1] ** 2),
+            polar_grid(2, 25, 64, 8.0)), False),
+    # a read-only broadcast over the first angle and the second radius
+    (sample(lambda z: (np.exp(-np.abs(z[..., 0]) ** 2 / 2) * np.exp(1j * np.angle(z[..., 1])))
+            [:, :1, :1, :], polar_grid(2, 25, 64, 8.0)), True),
+], ids=["n1", "n2", "n2-broadcast"])
+def test_analysis_energy_is_the_squared_grid_norm(field, broadcast):
+    assert (0 in field.values.strides) == broadcast
+    spectrum = _analyse(field, np.full(field.grid.n, 1.5), _block_pairs(field.grid.n, range(3)))
+    assert spectrum.total_energy == pytest.approx(field.norm2() ** 2, rel=1e-14)
+
+
+def test_round_trip_over_a_partial_last_slab():
+    # 31 leading radial rows do not divide into slabs of _BAND_SLAB entries
+    import metivier.transforms as transforms
+
+    grid, lam = polar_grid(2, 31, 64, 8.0), [1.9, 2.1]
+    rows = transforms._BAND_SLAB // (grid.shape[1] * grid.shape[2] * grid.shape[3])
+    assert 1 < rows < 31 and 31 % rows
+    f = _psi_sum(grid, lam, [((1, 3), (2, 0), 0.7 - 0.2j), ((0, 2), (4, 0), 1j),
+                             ((2, 2), (1, 1), -0.4)])
+    back = synthesize(decompose(f, lam, 4))
+    assert back.with_values(back.values - f.values).norm2() <= 1e-10 * f.norm2()
+
+
+def test_synthesize_rejects_values_that_are_not_finite(g1):
+    pairs = (((0,), (0,)), ((1,), (0,)))
+    with pytest.raises(NonFiniteValue):
+        synthesize(HermiteCoefficients(g1, LAM1, pairs, np.array([np.inf, 1.0]), 1.0, ""))
+    # finite coefficients whose sum overflows: the bound fails and the full
+    # check decides, on values that overflow and on values that cancel
+    repeated = (((0,), (0,)), ((0,), (0,)))
+    with pytest.raises(NonFiniteValue):
+        synthesize(HermiteCoefficients(g1, LAM1, repeated, np.array([1e308, 1e308]), 1.0, ""))
+    cancelled = synthesize(HermiteCoefficients(g1, LAM1, repeated, np.array([1e308, -1e308]),
+                                               1.0, ""))
+    assert not np.any(cancelled.values)
 
 
 @pytest.mark.parametrize("grid, lam, k_max", [
@@ -700,6 +758,26 @@ def test_decompose_guards(g1):
         decompose(f, LAM1, 41)
     with pytest.raises(TruncationDominates):
         decompose(f, LAM1, 2, tail_tol=1e-8)
+
+
+def test_degrees_that_are_not_nonnegative_integers_are_range_errors(g1):
+    f = _gauss_field(g1)
+    with pytest.raises(RangeExceeded):
+        decompose(f, LAM1, 2.5)
+    with pytest.raises(RangeExceeded):
+        spectral_projection(f, LAM1, -1)
+
+
+def test_decompose_tail_guard_sees_energy_outside_the_alpha_bound(g1):
+    # Psi_{(8),(0)} lies in block 0 but past its bound |alpha| <= 6, so every
+    # block misses it: the last block is empty and captured / total ~ 1e-31
+    f = sample(lambda z: psi_alpha_beta((8,), (0,), LAM1, z), g1)
+    spectrum = decompose(f, LAM1, 4)
+    assert spectrum.captured_energy < 1e-20 * spectrum.total_energy
+    with pytest.raises(TruncationDominates):
+        decompose(f, LAM1, 4, tail_tol=1e-6)
+    # a field the blocks capture passes the same guard
+    decompose(sample(lambda z: psi_alpha_beta((3,), (2,), LAM1, z), g1), LAM1, 4, tail_tol=1e-6)
 
 
 def test_spectrum_serialization(tmp_path, g1):
