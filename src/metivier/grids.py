@@ -13,6 +13,7 @@ accurate, far below the quadrature error budget.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -101,6 +102,17 @@ class PolarGrid:
         )
 
 
+@lru_cache(maxsize=64)
+def _gauss_legendre(count):
+    """The count-point Gauss-Legendre rule on [-1, 1] (leggauss), as
+    (nodes, weights), memoized per count: every caller shares one read-only
+    pair, so a default grid or a sphere rule built again does not solve the
+    same eigenproblem again.  A call that raises is not memoized."""
+    x, w = leggauss(count)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def polar_grid(n, radial, angular, r_max):
     """Build a PolarGrid with `radial` Gauss-Legendre nodes on (0, r_max] and
     `angular` equispaced angles per coordinate (scalars or per-coordinate lists).
@@ -111,7 +123,7 @@ def polar_grid(n, radial, angular, r_max):
         raise DimensionMismatch(f"radial node counts {radial} must be positive integers")
     nodes, weights = [], []
     for j in range(n):
-        x, w = leggauss(int(radial[j]))
+        x, w = _gauss_legendre(int(radial[j]))
         nodes.append((x + 1) * (r_max / 2))
         weights.append(w * (r_max / 2))
     return PolarGrid(n, float(r_max), tuple(nodes), tuple(weights), tuple(int(a) for a in angular))
@@ -301,9 +313,19 @@ class FieldEvaluator:
     the first coordinate meets the complex coefficients as one real matrix
     product on their float view.
 
+    That product runs once per distinct first-coordinate radius, and its
+    rows are gathered back to the points, when a chunk holds at most half
+    as many distinct radii as points (the n = 2 sphere-rule nodes around a
+    point repeat each radius about 17 times); otherwise, as for the nodes
+    of a generically rotated grid, where only a node and its negative share
+    their radii, it runs once per point.  An axis that keeps a single angular mode m multiplies
+    by e^{i m beta}, or by nothing when m = 0, instead of summing over it.
+
     The field is zero beyond r_max (appropriate for the Gaussian-decay
     fields this package integrates): the barycentric formula does not
-    extrapolate accurately past the last node.
+    extrapolate accurately past the last node.  A point with a non-finite
+    coordinate raises DimensionMismatch naming its index, as
+    build_sphere_rule does for a non-finite radius.
     """
 
     def __init__(self, field):
@@ -368,12 +390,18 @@ class FieldEvaluator:
         return B
 
     def __call__(self, zpts):
-        """Evaluate at complex points of shape (P, n) (or (P,) when n == 1)."""
+        """Evaluate at complex points of shape (P, n) (or (P,) when n == 1).
+        A point with a non-finite coordinate raises DimensionMismatch naming
+        the first such point, before any evaluation."""
         z = np.asarray(zpts, dtype=complex)
         if z.ndim == 1:
             z = z[:, None]
         if z.ndim != 2 or z.shape[1] != self.grid.n:
             raise DimensionMismatch("points must have shape (P, n)")
+        finite = np.isfinite(z).all(axis=1)
+        if not finite.all():
+            first = int(np.argmin(finite))
+            raise DimensionMismatch(f"point {first} is not finite: {tuple(z[first])}")
         t = np.abs(z)
         beta = np.angle(z)
         out = np.zeros(z.shape[0], dtype=complex)
@@ -390,16 +418,26 @@ class FieldEvaluator:
         """Contract the kept coefficients one coordinate at a time: the radial
         interpolation matrix, then each kept mode's phase summed over the
         coordinate's modes.  The matrix is built once per distinct radius of
-        the coordinate and its rows are gathered back to the points."""
+        the coordinate and its rows are gathered back to the points; so is
+        the first coordinate's product when the distinct radii are at most
+        half the points.  A single kept mode is a factor, not a sum."""
         out = None
         for j in range(self.grid.n):
             radii, point_row = np.unique(t[:, j], return_inverse=True)
-            B = self._radial_matrix(j, radii)[point_row]
+            B = self._radial_matrix(j, radii)
             if out is None:  # the coefficients have no points axis yet
-                out = _real_matmul(B, self.fhat)
+                out = (_real_matmul(B, self.fhat)[point_row] if 2 * radii.size <= t.shape[0]
+                       else _real_matmul(B[point_row], self.fhat))
             else:
-                out = np.einsum("pi...,pi->p...", out, B)
-            out = np.einsum("pm...,pm->p...", out, np.exp(1j * beta[:, [j]] * self.modes[j]))
+                out = np.einsum("pi...,pi->p...", out, B[point_row])
+            modes = self.modes[j]
+            if modes.size > 1:
+                out = np.einsum("pm...,pm->p...", out, np.exp(1j * beta[:, [j]] * modes))
+            elif modes[0] == 0:
+                out = out[:, 0]
+            else:
+                phase = np.exp(1j * beta[:, j] * modes[0])
+                out = out[:, 0] * phase.reshape(phase.shape + (1,) * (out.ndim - 2))
         return out
 
 
@@ -474,7 +512,7 @@ def build_sphere_rule(n, r, order):
     if n == 2:
         nu = order // 2 + 1
         nxi = order + 1
-        u, wu = leggauss(nu)
+        u, wu = _gauss_legendre(nu)
         eta = np.arccos(u) / 2  # u = cos(2 eta)
         xi = 2 * np.pi * np.arange(nxi) / nxi
         c, s = np.cos(eta), np.sin(eta)

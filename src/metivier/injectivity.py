@@ -18,7 +18,6 @@ from dataclasses import dataclass, replace
 from functools import reduce
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 from scipy.optimize import brentq
 from scipy.special import logsumexp
 
@@ -30,7 +29,7 @@ from .errors import (
     RangeExceeded,
     UnsupportedDimension,
 )
-from .grids import SampledField, build_sphere_rule, default_grid
+from .grids import SampledField, _gauss_legendre, build_sphere_rule, default_grid
 from .special import (
     MAX_MATRIX_INDEX,
     _check_lambda_prime,
@@ -189,9 +188,8 @@ def _reconstruct(means, lambda_prime, k_max, scalars):
     spectra = []
     for i in np.unique(best[degrees]):
         serves = np.flatnonzero(best[degree] == i)
-        mean = means[i][1]
-        spectrum = _analyse(mean.with_values(_conjugate_coordinates(mean.values, flipped)),
-                            lam, [pairs[j] for j in serves])
+        spectrum = _analyse(_conjugate_coordinates(means[i][1], flipped), lam,
+                            [pairs[j] for j in serves])
         analysed[serves] = spectrum.coefficients
         spectra.append(spectrum)
     recovered = [float(np.linalg.norm(analysed[degree == k]) / abs(divisors[k]))
@@ -201,8 +199,7 @@ def _reconstruct(means, lambda_prime, k_max, scalars):
                                 coefficients=analysed / divisors[degree],
                                 total_energy=sum(v**2 for v in recovered),
                                 metadata=template.metadata)
-    field = synthesize(inverse)
-    field = field.with_values(_conjugate_coordinates(field.values, flipped))
+    field = _conjugate_coordinates(synthesize(inverse), flipped)
     return ReconstructionResult(field, k_max, {k: means[best[k]][0] for k in degrees},
                                 {k: float(divisors[k]) for k in degrees},
                                 dict(zip(degrees, recovered)),
@@ -568,7 +565,7 @@ def euclidean_two_radii_invert(mean1, mean2, r1, r2):
     g = mean1.grid
     if g.n != 1 or mean2.grid != g:
         raise DimensionMismatch("need two n = 1 means on a common grid")
-    x, wq = leggauss(2 * len(g.radial_nodes[0]))
+    x, wq = _gauss_legendre(2 * len(g.radial_nodes[0]))
     rho = (x + 1) * (g.r_max / 2)
     wrho = wq * (g.r_max / 2)
     s = g.radial_nodes[0]

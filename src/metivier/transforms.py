@@ -62,6 +62,7 @@ from .grids import (
     PeriodicField,
     PolarGrid,
     SampledField,
+    _gauss_legendre,
     _real_matmul,
     _rule_energy,
     angular_mode_coefficients,
@@ -260,12 +261,16 @@ def _live_modes(g, fhat):
     return [tuple(int(freqs[j][i[j]]) for j in range(g.n)) for i in live]
 
 
-def _conjugate_coordinates(values, coords):
-    """Values of f(z) with z_j replaced by conj(z_j) for each j in coords:
-    angle index i becomes -i modulo the angle count."""
+def _conjugate_coordinates(field, coords):
+    """The field f(z) with z_j replaced by conj(z_j) for each j in coords:
+    angle index i becomes -i modulo the angle count.  With no coords it is
+    the field itself, so no copy and no finiteness read is made."""
+    if len(coords) == 0:
+        return field
+    values = field.values
     for j in coords:
         values = np.roll(np.flip(values, axis=2 * j + 1), 1, axis=2 * j + 1)
-    return values
+    return field.with_values(values)
 
 
 def twisted_convolution(f, g, lambda_prime):
@@ -307,9 +312,8 @@ def twisted_convolution(f, g, lambda_prime):
             f"the grid truncates the convolution integrand"
         )
     flipped = np.flatnonzero(lam < 0)
-    if flipped.size:
-        f, g = (field.with_values(_conjugate_coordinates(field.values, flipped)) for field in (f, g))
-        lam = np.abs(lam)
+    f, g = (_conjugate_coordinates(field, flipped) for field in (f, g))
+    lam = np.abs(lam)
     # one row and column per multi-index alpha, every index <= bound
     bound = MAX_TRUNCATION.get(grid.n, 0) + 2 * grid.n + 4
     alphas = np.indices((bound + 1,) * grid.n).reshape(grid.n, -1).T
@@ -332,7 +336,7 @@ def twisted_convolution(f, g, lambda_prime):
     pairs = tuple((tuple(alphas[i]), tuple(alphas[k])) for i, k in zip(rows, cols))
     h = synthesize(HermiteCoefficients(grid, lam, pairs, H[rows, cols],
                                        float(np.sum(np.abs(H) ** 2)), f.metadata))
-    return h.with_values(_conjugate_coordinates(h.values, flipped))
+    return _conjugate_coordinates(h, flipped)
 
 
 def _coefficient_matrix(field, lam, alphas, truncation_tol):
@@ -371,7 +375,7 @@ def _gram_defect(grid, lam, matrices, bound):
     defect = 0.0
     for j in range(n):
         # the grid rule minus the resolving rule, as one rule on both node sets
-        x, w = np.polynomial.legendre.leggauss(2 * len(grid.radial_nodes[j]) + 2 * bound)
+        x, w = _gauss_legendre(2 * len(grid.radial_nodes[j]) + 2 * bound)
         s = np.concatenate([grid.radial_nodes[j], (x + 1) * grid.r_max / 2])
         ws = np.concatenate([grid.radial_weights[j], -w * grid.r_max / 2])
         for energy in energies:

@@ -5,7 +5,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 
+from metivier import grids
 from metivier.errors import (
     DimensionMismatch,
     GridMismatch,
@@ -17,6 +19,7 @@ from metivier.fieldio import export_radial_slice_csv, read_field, write_field
 from metivier.grids import (
     FieldEvaluator,
     SampledField,
+    _real_matmul,
     angular_mode_coefficients,
     build_sphere_rule,
     default_grid,
@@ -26,7 +29,8 @@ from metivier.grids import (
     sample_periodic,
     values_from_mode_coefficients,
 )
-from metivier.special import phi_k
+from metivier.special import phi_k, psi_alpha_beta
+from metivier.structures import complex_from_real, real_from_complex
 
 
 def test_gaussian_integral_n1():
@@ -262,6 +266,108 @@ def test_evaluator_rows_per_distinct_radius_match_pointwise_evaluation(n):
     assert np.max(np.abs(ev(pts[perm]) - got[perm])) <= 1e-15 * scale
     assert not np.any(ev(past))
     assert np.all(np.isfinite(got)) and np.max(np.abs(got)) > 0.1 * scale
+
+
+def _per_point(ev, z):
+    """ev(z) for points z of shape (P, n) in one chunk, with the first
+    coordinate's radial product run once per point, as the evaluator does
+    when a chunk's radii are mostly distinct, and every phase summed over the
+    coordinate's modes, except a single nonzero mode, which is a factor."""
+    t, beta = np.abs(z), np.angle(z)
+    out = None
+    for j in range(ev.grid.n):
+        radii, row = np.unique(t[:, j], return_inverse=True)
+        B = ev._radial_matrix(j, radii)[row]
+        out = _real_matmul(B, ev.fhat) if out is None else np.einsum("pi...,pi->p...", out, B)
+        m = ev.modes[j]
+        if m.size == 1 and m[0] != 0:
+            phase = np.exp(1j * beta[:, j] * m[0])
+            out = out[:, 0] * phase.reshape(phase.shape + (1,) * (out.ndim - 2))
+        else:
+            out = np.einsum("pm...,pm->p...", out, np.exp(1j * beta[:, [j]] * m))
+    return out
+
+
+def _sphere_nodes_around(points, n, r, order):
+    """The shifted points at which the pointwise means evaluate a field."""
+    rule = build_sphere_rule(n, r, order)
+    return complex_from_real(real_from_complex(points)[:, None, :]
+                             - rule.nodes_real()[None, :, :]).reshape(-1, n)
+
+
+@pytest.mark.parametrize("case", ["sphere-nodes", "rotated-grid", "one-mode-per-axis", "n1"])
+def test_radial_product_per_distinct_radius_matches_the_per_point_product(case, monkeypatch):
+    n = 1 if case == "n1" else 2
+    g = polar_grid(n, 24, 16, 7.0)
+    rng = np.random.default_rng(8)
+    probes = rng.uniform(0.3, 2.5, (3, n)) * np.exp(1j * rng.uniform(0, 2 * np.pi, (3, n)))
+    if case == "n1":
+        # |z| = |conj z| = |-z|: four points per radius, and one mode, m = 1
+        f = sample(lambda z: psi_alpha_beta((1,), (2,), [1.0], z), g)
+        base = rng.uniform(0.1, 6.5, 25) * np.exp(1j * rng.uniform(0, np.pi / 2, 25))
+        z = np.concatenate([base, np.conj(base), -base, -np.conj(base)])[:, None]
+    elif case == "one-mode-per-axis":
+        f = sample(lambda z: psi_alpha_beta((2, 0), (0, 1), [1.0, 1.0], z), g)
+        z = _sphere_nodes_around(probes, n, 1.1, 8)
+    else:
+        f = sample(lambda z: psi_alpha_beta((1, 0), (0, 2), [1.0, 1.0], z)
+                   + 0.3 * psi_alpha_beta((0, 1), (2, 1), [1.0, 1.0], z), g)
+        if case == "sphere-nodes":
+            z = _sphere_nodes_around(probes, n, 1.1, 8)
+        else:
+            # the nodes of a small grid under a generic rotation: only a node
+            # and its negative can share their radii
+            nodes = np.stack(np.broadcast_arrays(*polar_grid(2, 8, 8, 5.0).coordinate_axes()),
+                             axis=-1).reshape(-1, 2)
+            rotation = np.linalg.qr(rng.normal(size=(4, 4)))[0]
+            z = complex_from_real(real_from_complex(nodes) @ rotation.T)
+    ev = FieldEvaluator(f)
+    assert len(z) <= 4096  # one chunk
+    one_mode = {"n1": [[1]], "one-mode-per-axis": [[-2], [1]]}
+    if case in one_mode:
+        assert [m.tolist() for m in ev.modes] == one_mode[case]
+    rows = []
+    monkeypatch.setattr(grids, "_real_matmul", lambda B, c: rows.append(B.shape[0]) or _real_matmul(B, c))
+    got = ev(z)
+    want = _per_point(ev, z)
+    distinct = np.unique(np.abs(z[:, 0])).size
+    if case == "rotated-grid":
+        assert 2 * distinct > len(z) and rows == [len(z)]
+    else:
+        assert 2 * distinct <= len(z) and rows == [distinct]
+    if n == 2:
+        assert np.array_equal(got, want)
+    else:
+        # a one-mode n = 1 product has two float columns; the BLAS computes the
+        # last rows of so narrow a product with other kernels, so a row's
+        # last bit depends on where it sits
+        assert np.max(np.abs(got - want)) <= 4 * np.finfo(float).eps * f.max_abs()
+    assert np.max(np.abs(got)) > 0.01 * f.max_abs()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(1, np.nan)])
+def test_evaluator_rejects_nonfinite_points(bad):
+    # a NaN point used to evaluate to NaN and an infinite one to 0
+    g = polar_grid(1, 16, 16, 3.0)
+    ev = FieldEvaluator(sample(lambda z: np.exp(-np.abs(z[..., 0]) ** 2), g))
+    with pytest.raises(DimensionMismatch, match="point 2 is not finite"):
+        ev(np.array([0.5, 1 + 1j, bad, np.nan]))
+
+
+def test_gauss_legendre_rules_are_built_once_and_read_only(monkeypatch):
+    x, w = grids._gauss_legendre(9)
+    for a in (x, w):
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+    grids._gauss_legendre.cache_clear()
+    solves = []
+    monkeypatch.setattr(grids, "leggauss", lambda count: solves.append(count) or leggauss(count))
+    rules = [build_sphere_rule(2, r, 16) for r in (1.1, 2.3)]
+    grid = default_grid(2)
+    assert default_grid(2) == grid
+    # the order-16 rule's 9 Gauss-Legendre nodes, and the grid's 48
+    assert solves == [9, 48]
+    assert np.array_equal(rules[0].weights, rules[1].weights)
 
 
 def test_angular_transforms_leave_their_input_unchanged():

@@ -4,6 +4,7 @@ weighted norms, and two-radii admissibility / recovery."""
 import numpy as np
 import pytest
 
+from metivier import grids, injectivity, transforms
 from metivier.errors import (
     DimensionMismatch,
     GridMismatch,
@@ -238,6 +239,29 @@ def test_negative_twist_is_inverted_by_conjugation(g1):
         assert err < 1e-10 * f.norm2()
     for k, r in means.used_radius.items():
         assert means.divisor[k] == mean_eigenvalue(k, [1.3], r)
+
+
+def test_positive_twist_returns_the_synthesized_field_unread(g1, monkeypatch):
+    # with no negative twist component nothing is conjugated, so neither the
+    # means nor the results are wrapped again, each a full finiteness read:
+    # the reconstruction and the convolution return the field synthesize built
+    f = sample(lambda z: np.exp(-0.4 * np.abs(z[..., 0]) ** 2)
+               * (1 + 0.5j * z[..., 0] - 0.3 * np.conj(z[..., 0]) ** 2), g1)
+    means = {lam: {r: reduced_mean(f, [lam], r) for r in (0.9, 1.6)} for lam in (1.3, -1.3)}
+    h = sample(lambda z: np.exp(-np.abs(z[..., 0]) ** 2) * (1 + z[..., 0]),
+               polar_grid(1, 48, 32, 8.0))
+    built, checked = [], []
+    synthesize, check = transforms.synthesize, grids._checked_values
+    for module in (injectivity, transforms):
+        monkeypatch.setattr(module, "synthesize", lambda c: built.append(synthesize(c)) or built[-1])
+    monkeypatch.setattr(grids, "_checked_values", lambda v, label: checked.append(v) or check(v, label))
+    result = reconstruct_from_means(means[1.3], [1.3], 25)
+    convolution = transforms.twisted_convolution(h, h, [0.8])
+    assert result.field is built[0] and convolution is built[1]
+    assert checked == []
+    # a negative twist conjugates the means and the result, and checks them
+    reconstruct_from_means(means[-1.3], [-1.3], 25)
+    assert len(checked) >= 2
 
 
 # ---------------------------------------------------------------------------

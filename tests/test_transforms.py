@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from metivier import grids
 from metivier.errors import (
     DimensionMismatch,
     GridMismatch,
@@ -591,7 +592,8 @@ def test_band_transforms_hold_no_field_sized_intermediate():
 
 def test_gram_defect_builds_one_resolving_rule_per_axis(monkeypatch):
     # twisted_convolution checks F and G in one call: one Gauss-Legendre rule
-    # per axis, and the defect is the larger of the two matrices' defects
+    # per axis, and the defect is the larger of the two matrices' defects;
+    # the rule is memoized, so a second convolution solves no rule again
     grid, lam, bound = default_grid(1), np.array([1.05]), MAX_TRUNCATION[1] + 6
     f, g = (_psi_sum(grid, lam, terms) for terms in ([((0,), (2,), 1.0), ((3,), (1,), 0.5j)],
                                                      [((1,), (1,), 0.7), ((2,), (0,), 0.2)]))
@@ -600,10 +602,11 @@ def test_gram_defect_builds_one_resolving_rule_per_axis(monkeypatch):
     assert _gram_defect(grid, lam, (F, G), bound) == max(_gram_defect(grid, lam, (M,), bound)
                                                          for M in (F, G))
     calls = []
-    leggauss = np.polynomial.legendre.leggauss
-    monkeypatch.setattr(np.polynomial.legendre, "leggauss",
-                        lambda deg: calls.append(deg) or leggauss(deg))
-    twisted_convolution(f, g, lam)
+    leggauss = grids.leggauss
+    grids._gauss_legendre.cache_clear()
+    monkeypatch.setattr(grids, "leggauss", lambda deg: calls.append(deg) or leggauss(deg))
+    for _ in range(2):
+        twisted_convolution(f, g, lam)
     assert calls == [2 * len(grid.radial_nodes[0]) + 2 * bound]
 
 
