@@ -102,12 +102,14 @@ class PolarGrid:
         )
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=64, typed=True)
 def _gauss_legendre(count):
     """The count-point Gauss-Legendre rule on [-1, 1] (leggauss), as
     (nodes, weights), memoized per count: every caller shares one read-only
     pair, so a default grid or a sphere rule built again does not solve the
-    same eigenproblem again.  A call that raises is not memoized."""
+    same eigenproblem again.  A call that raises is not memoized, and the
+    memo is typed, so a float count that leggauss rejects is rejected on
+    every call, not only before an int call of the same value."""
     x, w = leggauss(count)
     x.flags.writeable = w.flags.writeable = False
     return x, w
@@ -313,13 +315,12 @@ class FieldEvaluator:
     the first coordinate meets the complex coefficients as one real matrix
     product on their float view.
 
-    That product runs once per distinct first-coordinate radius, and its
-    rows are gathered back to the points, when a chunk holds at most half
-    as many distinct radii as points (the n = 2 sphere-rule nodes around a
-    point repeat each radius about 17 times); otherwise, as for the nodes
-    of a generically rotated grid, where only a node and its negative share
-    their radii, it runs once per point.  An axis that keeps a single angular mode m multiplies
-    by e^{i m beta}, or by nothing when m = 0, instead of summing over it.
+    That product runs on the gathered rows, once per point: run once per
+    distinct radius, its result would need a gather as large as itself,
+    which costs more than it saves where the radii are mostly distinct (the
+    nodes of a rotated grid).  An axis that keeps a single angular mode m
+    is not summed over: its phase e^{i m beta} is one factor per point,
+    taken out of the remaining sums and applied to the result.
 
     The field is zero beyond r_max (appropriate for the Gaussian-decay
     fields this package integrates): the barycentric formula does not
@@ -418,27 +419,28 @@ class FieldEvaluator:
         """Contract the kept coefficients one coordinate at a time: the radial
         interpolation matrix, then each kept mode's phase summed over the
         coordinate's modes.  The matrix is built once per distinct radius of
-        the coordinate and its rows are gathered back to the points; so is
-        the first coordinate's product when the distinct radii are at most
-        half the points.  A single kept mode is a factor, not a sum."""
-        out = None
+        the coordinate and its rows are gathered back to the points.  A
+        single kept mode m is not summed: m beta joins the points' spin, and
+        e^{i spin} multiplies the result (exactly 1 when every m is 0)."""
+        out, spin = None, 0.0
         for j in range(self.grid.n):
             radii, point_row = np.unique(t[:, j], return_inverse=True)
             B = self._radial_matrix(j, radii)
+            # the gathered rows are a temporary, freed as soon as they are
+            # used: kept alive past the next allocations, they put those on
+            # fresh pages (the n = 2 witness then made 6090 minor page faults
+            # instead of 1486)
             if out is None:  # the coefficients have no points axis yet
-                out = (_real_matmul(B, self.fhat)[point_row] if 2 * radii.size <= t.shape[0]
-                       else _real_matmul(B[point_row], self.fhat))
+                out = _real_matmul(B[point_row], self.fhat)
             else:
                 out = np.einsum("pi...,pi->p...", out, B[point_row])
             modes = self.modes[j]
             if modes.size > 1:
                 out = np.einsum("pm...,pm->p...", out, np.exp(1j * beta[:, [j]] * modes))
-            elif modes[0] == 0:
-                out = out[:, 0]
             else:
-                phase = np.exp(1j * beta[:, j] * modes[0])
-                out = out[:, 0] * phase.reshape(phase.shape + (1,) * (out.ndim - 2))
-        return out
+                out = out[:, 0]
+                spin = spin + modes[0] * beta[:, j]
+        return out * np.exp(1j * spin)
 
 
 def _real_matmul(B, c):

@@ -268,23 +268,17 @@ def test_evaluator_rows_per_distinct_radius_match_pointwise_evaluation(n):
     assert np.all(np.isfinite(got)) and np.max(np.abs(got)) > 0.1 * scale
 
 
-def _per_point(ev, z):
-    """ev(z) for points z of shape (P, n) in one chunk, with the first
-    coordinate's radial product run once per point, as the evaluator does
-    when a chunk's radii are mostly distinct, and every phase summed over the
-    coordinate's modes, except a single nonzero mode, which is a factor."""
+def _mode_sums(ev, z):
+    """ev(z) for points z of shape (P, n) in one chunk, computed as the
+    evaluator did before single modes became factors: every coordinate's
+    phase is summed over its kept modes, one or several."""
     t, beta = np.abs(z), np.angle(z)
     out = None
     for j in range(ev.grid.n):
         radii, row = np.unique(t[:, j], return_inverse=True)
         B = ev._radial_matrix(j, radii)[row]
         out = _real_matmul(B, ev.fhat) if out is None else np.einsum("pi...,pi->p...", out, B)
-        m = ev.modes[j]
-        if m.size == 1 and m[0] != 0:
-            phase = np.exp(1j * beta[:, j] * m[0])
-            out = out[:, 0] * phase.reshape(phase.shape + (1,) * (out.ndim - 2))
-        else:
-            out = np.einsum("pm...,pm->p...", out, np.exp(1j * beta[:, [j]] * m))
+        out = np.einsum("pm...,pm->p...", out, np.exp(1j * beta[:, [j]] * ev.modes[j]))
     return out
 
 
@@ -295,19 +289,22 @@ def _sphere_nodes_around(points, n, r, order):
                              - rule.nodes_real()[None, :, :]).reshape(-1, n)
 
 
-@pytest.mark.parametrize("case", ["sphere-nodes", "rotated-grid", "one-mode-per-axis", "n1"])
-def test_radial_product_per_distinct_radius_matches_the_per_point_product(case, monkeypatch):
+@pytest.mark.parametrize("case", ["sphere-nodes", "rotated-grid", "radial", "one-mode-per-axis",
+                                  "n1"])
+def test_single_mode_factors_match_the_mode_sums(case):
     n = 1 if case == "n1" else 2
     g = polar_grid(n, 24, 16, 7.0)
     rng = np.random.default_rng(8)
     probes = rng.uniform(0.3, 2.5, (3, n)) * np.exp(1j * rng.uniform(0, 2 * np.pi, (3, n)))
     if case == "n1":
-        # |z| = |conj z| = |-z|: four points per radius, and one mode, m = 1
         f = sample(lambda z: psi_alpha_beta((1,), (2,), [1.0], z), g)
-        base = rng.uniform(0.1, 6.5, 25) * np.exp(1j * rng.uniform(0, np.pi / 2, 25))
-        z = np.concatenate([base, np.conj(base), -base, -np.conj(base)])[:, None]
+        z = (rng.uniform(0.1, 6.5, 100) * np.exp(1j * rng.uniform(0, 2 * np.pi, 100)))[:, None]
     elif case == "one-mode-per-axis":
         f = sample(lambda z: psi_alpha_beta((2, 0), (0, 1), [1.0, 1.0], z), g)
+        z = _sphere_nodes_around(probes, n, 1.1, 8)
+    elif case == "radial":
+        # the one-radius witness's kind of field: mode 0 on both axes
+        f = sample(lambda z: np.exp(-np.sum(np.abs(z) ** 2, axis=-1)), g)
         z = _sphere_nodes_around(probes, n, 1.1, 8)
     else:
         f = sample(lambda z: psi_alpha_beta((1, 0), (0, 2), [1.0, 1.0], z)
@@ -323,25 +320,21 @@ def test_radial_product_per_distinct_radius_matches_the_per_point_product(case, 
             z = complex_from_real(real_from_complex(nodes) @ rotation.T)
     ev = FieldEvaluator(f)
     assert len(z) <= 4096  # one chunk
-    one_mode = {"n1": [[1]], "one-mode-per-axis": [[-2], [1]]}
-    if case in one_mode:
-        assert [m.tolist() for m in ev.modes] == one_mode[case]
-    rows = []
-    monkeypatch.setattr(grids, "_real_matmul", lambda B, c: rows.append(B.shape[0]) or _real_matmul(B, c))
+    modes = {"n1": [[1]], "one-mode-per-axis": [[-2], [1]], "radial": [[0], [0]]}
+    if case in modes:
+        assert [m.tolist() for m in ev.modes] == modes[case]
+    else:
+        assert all(m.size > 1 for m in ev.modes)
     got = ev(z)
-    want = _per_point(ev, z)
-    distinct = np.unique(np.abs(z[:, 0])).size
-    if case == "rotated-grid":
-        assert 2 * distinct > len(z) and rows == [len(z)]
+    want = _mode_sums(ev, z)
+    if case in ("n1", "one-mode-per-axis"):
+        # one e^{i (m1 beta1 + m2 beta2)} rounds apart from the product of the
+        # summed phases: the argument reaches 3 pi, about 5 ulp of max|f| here
+        assert np.max(np.abs(got - want)) <= 16 * np.finfo(float).eps * f.max_abs()
     else:
-        assert 2 * distinct <= len(z) and rows == [distinct]
-    if n == 2:
+        # several modes are summed as before, and mode 0 is a factor of
+        # exactly 1
         assert np.array_equal(got, want)
-    else:
-        # a one-mode n = 1 product has two float columns; the BLAS computes the
-        # last rows of so narrow a product with other kernels, so a row's
-        # last bit depends on where it sits
-        assert np.max(np.abs(got - want)) <= 4 * np.finfo(float).eps * f.max_abs()
     assert np.max(np.abs(got)) > 0.01 * f.max_abs()
 
 
@@ -368,6 +361,21 @@ def test_gauss_legendre_rules_are_built_once_and_read_only(monkeypatch):
     # the order-16 rule's 9 Gauss-Legendre nodes, and the grid's 48
     assert solves == [9, 48]
     assert np.array_equal(rules[0].weights, rules[1].weights)
+
+
+def test_float_sphere_rule_order_fails_alike_with_a_cold_and_a_warm_memo():
+    # order 16.0 asks leggauss for 9.0 nodes, which it rejects; the typed memo
+    # keeps an int 9 rule from answering for it
+    def outcome():
+        try:
+            return len(build_sphere_rule(2, 1.0, 16.0).nodes)
+        except TypeError as err:
+            return str(err)
+
+    grids._gauss_legendre.cache_clear()
+    cold = outcome()
+    build_sphere_rule(2, 1.0, 16)
+    assert outcome() == cold
 
 
 def test_angular_transforms_leave_their_input_unchanged():
