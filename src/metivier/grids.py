@@ -309,9 +309,9 @@ class FieldEvaluator:
     global barycentric Lagrange interpolation on the Gauss-Legendre nodes;
     a radius within 1e-15 r_max of a node (found by bisection) takes that
     node's sample exactly.  The interpolation matrix is built once per
-    distinct radius of each coordinate in a chunk of points (the nodes of
-    a sphere rule around a point repeat each coordinate's radii many
-    times) and its rows are gathered back to the points; the real matrix of
+    distinct radius of each coordinate in a chunk of points (points that
+    repeat a coordinate's radius, as a polar grid's nodes do, share its
+    row) and its rows are gathered back to the points; the real matrix of
     the first coordinate meets the complex coefficients as one real matrix
     product on their float view.
 
@@ -327,6 +327,11 @@ class FieldEvaluator:
     extrapolate accurately past the last node.  A point with a non-finite
     coordinate raises DimensionMismatch naming its index, as
     build_sphere_rule does for a non-finite radius.
+
+    A weighted sum of the field over a product of points, such as a sphere
+    rule's nodes around a point, is not evaluated point by point:
+    _product_sums sums each coordinate over its own points and then
+    contracts the coefficients, with the same rows, modes and zero fill.
     """
 
     def __init__(self, field):
@@ -442,6 +447,50 @@ class FieldEvaluator:
                 spin = spin + modes[0] * beta[:, j]
         return out * np.exp(1j * spin)
 
+    def _product_sums(self, points, weights):
+        """For each row r, the field summed over a product of points, one
+        coordinate at a time:
+
+            sum over x_1..x_n of  prod_j weights[j][r, x_j]
+                                  * f(points[0][r, x_1], ..., points[n-1][r, x_n])
+
+        with points[j] and weights[j] of shape (R, X_j) and the points finite.
+        Coordinate j is summed over its own points first, into
+        a_j[r, i, m] = sum_x weights[j][r, x] B_j(|z|)[i] e^{i m arg z}, with
+        the barycentric rows B_j of _radial_matrix (exact node rows) and the
+        kept modes m; the row of a point past r_max is zero, so a product
+        point with any coordinate past r_max adds nothing, as in __call__.
+        The kept coefficients then meet a_1, ..., a_n in turn.  That is the
+        weighted sum of __call__'s values over the X_1 ... X_n product
+        points, summed in another order from X_1 + ... + X_n barycentric
+        rows per row.  Rows are taken in chunks that keep the workspace near
+        2e7 complex entries.
+        """
+        rows = len(points[0])
+        out = np.empty(rows, dtype=complex)
+        per_row = max([self.fhat.size // (self.fhat.shape[0] * self.fhat.shape[1])]
+                      + [p.shape[1] * (self.grid.radial_nodes[j].size + self.modes[j].size)
+                         for j, p in enumerate(points)])
+        chunk = max(1, int(2e7) // per_row)
+        for start in range(0, rows, chunk):
+            acc = None
+            for j in range(self.grid.n):
+                z, w = points[j][start:start + chunk], weights[j][start:start + chunk]
+                t = np.abs(z).ravel()
+                B = self._radial_matrix(j, t)
+                B[t > self.grid.r_max] = 0.0
+                phased = w[..., None] * np.exp(1j * np.angle(z)[..., None] * self.modes[j])
+                # sum over the coordinate's points: one real product per row on
+                # the float view of the phased weights
+                a = B.reshape(z.shape + (-1,)).transpose(0, 2, 1) @ phased.view(float)
+                a = a.view(complex).reshape(len(z), -1)
+                if acc is None:  # the coefficients have no row axis yet
+                    acc = a @ self.fhat.reshape(a.shape[1], -1)
+                else:
+                    acc = np.einsum("rks,rk->rs", acc.reshape(len(z), a.shape[1], -1), a)
+            out[start:start + chunk] = acc[:, 0]
+        return out
+
 
 def _real_matmul(B, c):
     """B @ c over c's first axis for a real matrix B and complex c, as one
@@ -458,8 +507,10 @@ def angular_mode_coefficients(field):
     """
     fhat = None  # the first FFT allocates the result; the others transform it in place
     for j in range(field.grid.n):
-        fhat = np.fft.fft(field.values if fhat is None else fhat, axis=2 * j + 1, out=fhat)
-        fhat /= field.grid.angular_counts[j]
+        # the 1 / (angle count) scaling inside the transform, with no pass of
+        # its own (bit-identical for the power-of-two counts a grid has)
+        fhat = np.fft.fft(field.values if fhat is None else fhat, axis=2 * j + 1, out=fhat,
+                          norm="forward")
     return fhat
 
 
@@ -467,20 +518,28 @@ def values_from_mode_coefficients(grid, fhat):
     """Inverse of angular_mode_coefficients."""
     v = None  # the first inverse FFT allocates the result; the others transform it in place
     for j in range(grid.n):
-        v = np.fft.ifft(fhat if v is None else v, axis=2 * j + 1, out=v)
-        v *= grid.angular_counts[j]
+        v = np.fft.ifft(fhat if v is None else v, axis=2 * j + 1, out=v, norm="forward")
     return v
 
 
 @dataclass(frozen=True)
 class SphereRule:
-    """Quadrature rule for the normalized surface measure on |w| = r in C^n."""
+    """Quadrature rule for the normalized surface measure on |w| = r in C^n.
+
+    A rule that build_sphere_rule makes is a product over the coordinates:
+    node (q, x_1, ..., x_n) is (w_1[q, x_1], ..., w_n[q, x_n]) with weight
+    outer[q] / (X_1 ... X_n), X_j the length of w_j's second axis.  The
+    factors (outer, (w_1, ..., w_n)) are kept on the rule as `_factors`
+    (None on a rule built by hand), and `nodes` and `weights` are that
+    product written out, in the order of (q, x_1, ..., x_n).
+    """
 
     n: int
     r: float
     nodes: np.ndarray  # (K, n) complex
     weights: np.ndarray  # (K,), sums to 1
     order: int
+    _factors = None  # (outer, coordinate nodes), set by build_sphere_rule
 
     def __post_init__(self):
         if abs(self.weights.sum() - 1.0) > 1e-13:
@@ -494,12 +553,30 @@ class SphereRule:
         return np.concatenate([self.nodes.real, self.nodes.imag], axis=1)
 
 
+def _product_rule(r, order, outer, coordinates):
+    """The SphereRule of outer weights (Q,) and per-coordinate nodes (Q, X_j)
+    with uniform inner weights 1 / X_j, written out from those factors and
+    keeping them as `_factors`."""
+    n = len(coordinates)
+    shape = (outer.size,) + tuple(w.shape[1] for w in coordinates)
+    # coordinate j's nodes along axes 0 and j + 1 of the product
+    nodes = np.stack([np.broadcast_to(np.expand_dims(w, tuple(1 + i for i in range(n) if i != j)),
+                                      shape).ravel() for j, w in enumerate(coordinates)], axis=1)
+    size = nodes.shape[0] // outer.size
+    rule = SphereRule(n, float(r), nodes, np.repeat(outer, size) / size, order)
+    object.__setattr__(rule, "_factors", (outer, tuple(coordinates)))
+    return rule
+
+
 def build_sphere_rule(n, r, order):
-    """Quadrature for the normalized sphere measure.
+    """Quadrature for the normalized sphere measure, built as a product over
+    the coordinates (SphereRule).
 
     n=1: equispaced circle rule with `order` points (exact for trigonometric
-    polynomials of degree < order).  n=2: Hopf-coordinate product rule,
-    Gauss-Legendre in cos(2*eta) x trapezoid in both phases, exact for
+    polynomials of degree < order), one outer weight of 1.  n=2:
+    Hopf-coordinate product rule, Gauss-Legendre in cos(2*eta) (the
+    order // 2 + 1 outer weights) x trapezoid with order + 1 points in both
+    phases, nodes (r cos eta e^{i xi_1}, r sin eta e^{i xi_2}), exact for
     polynomials in (w, conj w) of total degree <= order.
     """
     if order < 1 or order > 4096:
@@ -508,20 +585,12 @@ def build_sphere_rule(n, r, order):
         raise DimensionMismatch(f"sphere radius must be finite and positive, got {r}")
     if n == 1:
         ang = 2 * np.pi * np.arange(order) / order
-        nodes = (r * np.exp(1j * ang))[:, None]
-        weights = np.full(order, 1.0 / order)
-        return SphereRule(1, float(r), nodes, weights, order)
+        return _product_rule(r, order, np.ones(1), [(r * np.exp(1j * ang))[None, :]])
     if n == 2:
-        nu = order // 2 + 1
-        nxi = order + 1
-        u, wu = _gauss_legendre(nu)
+        u, wu = _gauss_legendre(order // 2 + 1)
         eta = np.arccos(u) / 2  # u = cos(2 eta)
-        xi = 2 * np.pi * np.arange(nxi) / nxi
-        c, s = np.cos(eta), np.sin(eta)
-        e1 = np.exp(1j * xi)
-        w1 = (c[:, None, None] * e1[None, :, None]) * np.ones((1, 1, nxi))
-        w2 = (s[:, None, None] * e1[None, None, :]) * np.ones((1, nxi, 1))
-        nodes = r * np.stack([w1.ravel(), w2.ravel()], axis=1)
-        weights = np.repeat(wu / wu.sum(), nxi * nxi) / (nxi * nxi)
-        return SphereRule(2, float(r), nodes, weights, order)
+        nxi = order + 1
+        e1 = np.exp(1j * (2 * np.pi * np.arange(nxi) / nxi))
+        return _product_rule(r, order, wu / wu.sum(),
+                             [r * (np.cos(eta)[:, None] * e1), r * (np.sin(eta)[:, None] * e1)])
     raise UnsupportedDimension("sphere rules implemented for n in {1, 2}")

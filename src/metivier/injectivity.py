@@ -40,6 +40,7 @@ from .special import (
     theta_k,
     theta_radial,
 )
+from .structures import normal_form_matrix
 from .transforms import (
     _analyse,
     _block_pairs,
@@ -47,6 +48,7 @@ from .transforms import (
     _check_twist,
     _conjugate_coordinates,
     _full_grid_mean,
+    _mean_at,
     _replace_spectrum,
     angular_mode_coefficients,
     fourier_coefficient_center,
@@ -97,11 +99,12 @@ class RadialMeasure:
 
 
 def measure_mean_at(field, mu, lambda_prime, points):
-    """Aggregated reduced-twist mean sum_i w_i (f x mu_{r_i}) at points."""
-    out = 0.0
-    for r, w in zip(mu.radii, mu.weights):
-        out = out + w * reduced_mean_at(field, lambda_prime, r, points)
-    return out
+    """Aggregated reduced-twist mean sum_i w_i (f x mu_{r_i}) at points: one
+    FieldEvaluator and one contraction over the sphere rules of every atom,
+    each atom's weight multiplying its rule's outer weights
+    (transforms._mean_at)."""
+    lam = _check_twist(lambda_prime, field.grid.n)
+    return _mean_at(field, normal_form_matrix(lam), mu.atoms, points, None)
 
 
 def measure_mean(field, mu, lambda_prime):

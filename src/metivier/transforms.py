@@ -96,24 +96,55 @@ def _check_degree(k, upper, label):
     return int(k)
 
 
-def _mean_at(field, v, r, points, order):
-    """Sphere-rule mean over |xi| = r at complex points (P, n) with the phase
-    (i/2) x^T v xi, x and xi the real forms of the point and the node."""
+def _mean_at(field, v, atoms, points, order):
+    """Sphere-rule mean at complex points (P, n) over the radial measure
+    sum_i w_i (sphere of radius r_i), atoms the pairs (r_i, w_i), with the
+    phase (i/2) x^T v xi, x and xi the real forms of the point and the node.
+
+    The sphere rule is a product over the coordinates (SphereRule), and so
+    is the rest of the summand: the phase is linear in xi, so it is
+    prod_j e^{(i/2) (c_j Re xi_j + c_{n+j} Im xi_j)} with c = x^T v, and
+    coordinate j of x - xi depends on xi_j alone.  Each point's mean is
+    therefore one FieldEvaluator._product_sums row per outer node of each
+    atom's rule, weighted by that atom's weight times the outer weights:
+    the rule's quadrature with the same nodes, weights and interpolant,
+    summed one coordinate at a time.  All atoms share one evaluator.
+
+    UnsupportedDimension for n not in {1, 2}, and DimensionMismatch for an
+    order that is not an integer in [1, 4096] (None takes
+    DEFAULT_SPHERE_ORDER) or a non-finite point, naming its index, before
+    any work.
+    """
     g = field.grid
-    rule = build_sphere_rule(g.n, r, order or DEFAULT_SPHERE_ORDER.get(g.n))
-    x = real_from_complex(np.asarray(points, dtype=complex).reshape(-1, g.n))  # (P, 2n)
-    xi = rule.nodes_real()  # (K, 2n)
-    phase = np.exp(0.5j * ((x @ v) @ xi.T))  # the real product first
-    shifted = complex_from_real(x[:, None, :] - xi[None, :, :]).reshape(-1, g.n)
-    fvals = FieldEvaluator(field)(shifted).reshape(len(x), len(xi))
-    return (fvals * phase) @ rule.weights
+    if g.n not in DEFAULT_SPHERE_ORDER:
+        raise UnsupportedDimension(f"pointwise sphere means are implemented for n in {{1, 2}}, "
+                                   f"got n = {g.n}")
+    order = DEFAULT_SPHERE_ORDER[g.n] if order is None else order
+    if not isinstance(order, Integral):
+        raise DimensionMismatch(f"sphere rule order must be an integer, got {order!r}")
+    z = np.asarray(points, dtype=complex).reshape(-1, g.n)
+    finite = np.isfinite(z).all(axis=1)
+    if not finite.all():
+        first = int(np.argmin(finite))
+        raise DimensionMismatch(f"point {first} is not finite: {tuple(z[first])}")
+    rules = [build_sphere_rule(g.n, r, order) for r, _ in atoms]
+    outer = np.concatenate([mass * rule._factors[0] for (_, mass), rule in zip(atoms, rules)])
+    c = real_from_complex(z) @ v  # (P, 2n)
+    points, weights = [], []
+    for j in range(g.n):
+        xi = np.concatenate([rule._factors[1][j] for rule in rules])  # (A Q, X_j)
+        shape = (-1, xi.shape[1])
+        points.append((z[:, j, None, None] - xi).reshape(shape))
+        phase = np.exp(0.5j * (c[:, j, None, None] * xi.real + c[:, g.n + j, None, None] * xi.imag))
+        weights.append((phase / xi.shape[1]).reshape(shape))
+    return FieldEvaluator(field)._product_sums(points, weights).reshape(len(z), -1) @ outer
 
 
 def twisted_mean_at(field, structure, lam, r, points, order=None):
     """Twisted spherical mean (full structure phase) at complex points (P, n)."""
     if structure.n != field.grid.n:
         raise DimensionMismatch("structure and field dimensions differ")
-    return _mean_at(field, v_lambda(structure, lam), r, points, order)
+    return _mean_at(field, v_lambda(structure, lam), [(r, 1.0)], points, order)
 
 
 def reduced_mean_at(field, lambda_prime, r, points, order=None):
@@ -121,7 +152,7 @@ def reduced_mean_at(field, lambda_prime, r, points, order=None):
     mean of the normal-form pencil, whose phase (i/2) x^T U xi is
     (i/2) sum_j lam_j Im(z_j conj(w_j))."""
     lam = _check_twist(lambda_prime, field.grid.n)
-    return _mean_at(field, normal_form_matrix(lam), r, points, order)
+    return _mean_at(field, normal_form_matrix(lam), [(r, 1.0)], points, order)
 
 
 def _grid_points(grid):

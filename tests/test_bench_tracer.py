@@ -6,7 +6,7 @@ import sys
 
 import numpy as np
 
-from metivier import injectivity, transforms
+from metivier import grids, injectivity, transforms
 from metivier.grids import build_sphere_rule, polar_grid, sample
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench")
@@ -135,15 +135,20 @@ def test_round_trip_makes_one_analysis_and_one_synthesis():
     assert counters.get("grids.angular_fft.calls", 0) == 0
 
 
-def test_admissibility_builds_one_sphere_rule_per_degree_and_samples_no_grid():
+def test_admissibility_builds_one_sphere_rule_per_degree_and_samples_no_grid(monkeypatch):
     tracer = _import_tracer()
     originals = {(home, attr): getattr(sys.modules[f"metivier.{home}"], attr)
                  for home, attr, *_ in tracer.FUNCTIONS}
     grid = polar_grid(2, 16, 8, 6.0)
+    rows = []
+    radial_matrix = grids.FieldEvaluator._radial_matrix
+    monkeypatch.setattr(grids.FieldEvaluator, "_radial_matrix",
+                        lambda ev, j, t: rows.append(t.size) or radial_matrix(ev, j, t))
     rec = tracer.Recorder().install()
     try:
         rec.run_job(0, lambda: injectivity.two_radii_check(
             1.0, 1.7, n=2, lambda_prime=(1.0, 2.0), k_max=3, bessel_count=10))
+        rows.clear()
         rec.run_job(1, lambda: injectivity.one_radius_counterexample(
             1, [1.1, 1.1], n=2, grid=grid))
     finally:
@@ -159,8 +164,12 @@ def test_admissibility_builds_one_sphere_rule_per_degree_and_samples_no_grid():
     assert counters["injectivity.one_radius_counterexample.calls"] == 1
     assert counters.get("grids.sample.calls", 0) == 0
     assert counters["grids.build_sphere_rule.calls"] == 1
-    # the order-16 rule's nodes around each of the 6 probes
-    assert counters["grids.FieldEvaluator.points"] == 6 * len(build_sphere_rule(2, 1.0, 16).nodes)
+    # the means sum the order-16 rule one coordinate at a time and evaluate
+    # no point: one barycentric row per coordinate node (17 per coordinate)
+    # of each of the rule's 9 outer nodes around each of the 6 probes
+    assert "grids.FieldEvaluator.points" not in counters
+    _, coordinates = build_sphere_rule(2, 1.0, 16)._factors
+    assert sum(rows) == 2 * 6 * 9 * 17 == sum(6 * w.size for w in coordinates)
     # its evaluator transforms a 4-angle copy of the grid, not the grid: the
     # tracer counts a read and a write per angular axis of the 16 x 4 x 16 x 4
     # complex array

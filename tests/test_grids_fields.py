@@ -483,6 +483,22 @@ def test_sphere_rule_circle_moments():
     assert np.sum(rule.weights * np.abs(w) ** 2) == pytest.approx(1.3**2, rel=1e-13)
 
 
+@pytest.mark.parametrize("n, order, outer_count, inner_count", [
+    (1, 64, 1, 64), (1, 7, 1, 7), (2, 16, 9, 17), (2, 5, 3, 6)])
+def test_sphere_rule_is_its_factors_written_out(n, order, outer_count, inner_count):
+    # node (q, x_1, .., x_n) = (w_1[q, x_1], .., w_n[q, x_n]), weight
+    # outer[q] / (X_1 .. X_n), in that order
+    rule = build_sphere_rule(n, 1.3, order)
+    outer, coordinates = rule._factors
+    assert outer.shape == (outer_count,)
+    assert [w.shape for w in coordinates] == [(outer_count, inner_count)] * n
+    grid = np.meshgrid(np.arange(outer_count), *[np.arange(inner_count)] * n, indexing="ij")
+    q = grid[0].ravel()
+    nodes = np.stack([w[q, x.ravel()] for w, x in zip(coordinates, grid[1:])], axis=1)
+    assert np.array_equal(rule.nodes, nodes)
+    assert np.array_equal(rule.weights, outer[q] / inner_count**n)
+
+
 def test_sphere_rule_n2_consistency():
     # doubling the order does not change smooth integrals (exactness check)
     fn = lambda w: np.exp(w[:, 0].real) * (1 + np.abs(w[:, 1]) ** 2) + (w[:, 0] * np.conj(w[:, 1])).real

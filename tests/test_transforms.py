@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from metivier import grids
+from metivier import grids, transforms
 from metivier.errors import (
     DimensionMismatch,
     GridMismatch,
@@ -20,12 +20,14 @@ from metivier.errors import (
     NyquistViolation,
     RangeExceeded,
     TruncationDominates,
+    UnsupportedDimension,
     VersionMismatch,
 )
 from metivier.grids import (
     FieldEvaluator,
     SampledField,
     angular_mode_coefficients,
+    build_sphere_rule,
     default_grid,
     inner_product,
     polar_grid,
@@ -37,6 +39,7 @@ from metivier.structures import (
     MetivierStructure,
     builtin_structure,
     complex_from_real,
+    normal_form_matrix,
     real_from_complex,
     rotate_field,
     symplectic_spectrum,
@@ -276,6 +279,98 @@ def test_reduced_mean_of_psi_is_the_isotropic_eigenvalue(c, r, alpha, beta, poin
     pts = rng.uniform(0.2, 1.0, (3, 2)) * np.exp(1j * rng.uniform(0, 2 * np.pi, (3, 2)))
     want = mean_eigenvalue(sum(beta), lam, r) * psi_alpha_beta(alpha, beta, lam, pts)
     assert np.max(np.abs(reduced_mean_at(f, lam, r, pts) - want)) < 1e-8
+
+
+def _flat_rule_mean(field, v, r, points, order):
+    """The pointwise sphere mean written out over the flat rule: the field
+    evaluated at every node x - xi, times the phase e^{(i/2) x^T v xi}, summed
+    with the node weights."""
+    rule = build_sphere_rule(field.grid.n, r, order)
+    x, xi = real_from_complex(points), rule.nodes_real()
+    phase = np.exp(0.5j * ((x @ v) @ xi.T))
+    shifted = complex_from_real(x[:, None, :] - xi[None, :, :]).reshape(-1, field.grid.n)
+    return (FieldEvaluator(field)(shifted).reshape(len(x), -1) * phase) @ rule.weights
+
+
+_MEAN_FIELDS = {
+    # modes 0 on every axis, a single mode m != 0 per axis, several modes;
+    # all still large at r_max = 5, so the zero fill past it shows
+    "radial": lambda z: np.exp(-np.sum(np.abs(z) ** 2, axis=-1) / 8),
+    "one-mode": lambda z: (z[..., 0] ** 3 * np.conj(z[..., -1]) ** (2 * (z.shape[-1] - 1))
+                           * np.exp(-np.sum(np.abs(z) ** 2, axis=-1) / 8)),
+    "multi-mode": lambda z: ((1 + z[..., 0] - 0.4j * np.conj(z[..., -1]) ** 2
+                              + 0.1 * z[..., 0] * z[..., -1] ** 3)
+                             * np.exp(-np.sum(np.abs(z) ** 2, axis=-1) / 8)),
+}
+_MEAN_TWISTS = {1: ["isotropic", "negative", "heisenberg"],
+                2: ["isotropic", "anisotropic", "negative", "quaternionic"]}
+
+
+@pytest.fixture(scope="module")
+def mean_fields():
+    grids_by_n = {1: polar_grid(1, 24, 32, 5.0), 2: polar_grid(2, 20, 16, 5.0)}
+    return {(n, kind): sample(expr, g) for n, g in grids_by_n.items()
+            for kind, expr in _MEAN_FIELDS.items()}
+
+
+@pytest.mark.parametrize("kind", sorted(_MEAN_FIELDS))
+@pytest.mark.parametrize("n, twist", [(n, t) for n in (1, 2) for t in _MEAN_TWISTS[n]])
+@seed(23)
+@settings(max_examples=4, deadline=None, database=None)
+@given(r=st.floats(0.3, 2.5), order=st.sampled_from([None, 5, 8]),
+       ell=st.sampled_from([(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (1.0, 1.0, 0.0)]),
+       point_seed=st.integers(0, 2**16))
+def test_factored_sphere_mean_is_the_flat_rule_sum(mean_fields, kind, n, twist, r, order, ell,
+                                                   point_seed):
+    f = mean_fields[(n, kind)]
+    rng = np.random.default_rng(point_seed)
+    moduli = rng.uniform(0.2, 3.0, (3, n))
+    # the first probe's sphere crosses r_max, the last lies past r_max + r
+    moduli[0, 0] = f.grid.r_max - r / 2
+    moduli[2, -1] = f.grid.r_max + 1.1 * r
+    pts = moduli * np.exp(1j * rng.uniform(0, 2 * np.pi, (3, n)))
+    if twist in ("heisenberg", "quaternionic"):
+        structure = builtin_structure("heisenberg:1" if n == 1 else twist)
+        lam = np.array([-0.8]) if n == 1 else np.array(ell)
+        got = twisted_mean_at(f, structure, lam, r, pts, order=order)
+        v = v_lambda(structure, lam)
+    else:
+        lam = {"isotropic": [1.5] * n, "anisotropic": [1.0, 2.0],
+               "negative": [-1.3, 0.7][:n]}[twist]
+        got = reduced_mean_at(f, lam, r, pts, order=order)
+        v = normal_form_matrix(np.array(lam))
+    want = _flat_rule_mean(f, v, r, pts, DEFAULT_SPHERE_ORDER[n] if order is None else order)
+    assert np.max(np.abs(got - want)) <= 1e-14 * f.max_abs()
+    assert got[2] == 0
+
+
+@pytest.mark.parametrize("mean", [
+    lambda f, pts, order: reduced_mean_at(f, [1.0] * f.grid.n, 1.0, pts, order=order),
+    lambda f, pts, order: twisted_mean_at(f, builtin_structure(f"heisenberg:{f.grid.n}"), [1.0],
+                                          1.0, pts, order=order),
+], ids=["reduced", "twisted"])
+@pytest.mark.parametrize("n, order, bad, error", [
+    (2, 0, "order", DimensionMismatch),
+    (1, 0, "order", DimensionMismatch),
+    (2, 16.0, "integer", DimensionMismatch),
+    (2, -3, "order", DimensionMismatch),
+    (2, 4097, "order", DimensionMismatch),
+    (3, None, "n in", UnsupportedDimension),
+    (3, 0, "n in", UnsupportedDimension),
+    (2, None, "point 2 ", DimensionMismatch),
+], ids=["order-0", "order-0-n1", "float-order", "negative-order", "large-order", "n3", "n3-order-0",
+        "nonfinite-point"])
+def test_pointwise_mean_rejects_bad_input_before_any_work(monkeypatch, mean, n, order, bad,
+                                                          error):
+    # a typed error, raised before an evaluator is built: order 0 is not the
+    # default order, and n = 3 has no sphere rule
+    f = sample(lambda z: np.exp(-np.sum(np.abs(z) ** 2, axis=-1)), polar_grid(n, 6, 4, 4.0))
+    pts = np.full((4, n), 0.3 + 0.2j)
+    if bad.startswith("point"):
+        pts[2, -1] = np.nan
+    monkeypatch.setattr(transforms, "FieldEvaluator", None)
+    with pytest.raises(error, match=bad):
+        mean(f, pts, order)
 
 
 # ---------------------------------------------------------------------------
