@@ -16,15 +16,16 @@ J_{n-1} zeros (the untwisted central mode).
 from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from functools import reduce
+from numbers import Integral
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import logsumexp
 
 from .errors import (
     DimensionMismatch,
     GridMismatch,
     InadmissibleRadii,
+    NonConvergence,
     NoUsableRadius,
     RangeExceeded,
     UnsupportedDimension,
@@ -33,11 +34,12 @@ from .grids import SampledField, _gauss_legendre, build_sphere_rule, default_gri
 from .special import (
     MAX_MATRIX_INDEX,
     _check_lambda_prime,
+    _laguerre_at_degree,
     _laguerre_zero_tables,
     bessel_j,
     bessel_zeros,
+    laguerre_sequence,
     laguerre_zeros,
-    theta_k,
     theta_radial,
 )
 from .structures import normal_form_matrix
@@ -404,50 +406,90 @@ class RadiiVerdict:
                 fh.write(f"bessel,,{i},,{j},{err!r}\n")
 
 
-def _sphere_average_profile(k, lam):
-    """r -> the order-16 sphere-rule average of theta_k over |w| = r,
-    vectorised in r.
+def _torus_orbits(lam):
+    """(c, outer) for the order-16 unit sphere rule at reduced twist lam.
 
-    theta_k depends on w only through the moduli |w_j|, so the unit rule is
-    reduced to its T^n orbits: one node per distinct moduli tuple, carrying
-    the summed weight of the orbit (9 nodes at n = 2, order 16).  Moduli are
-    matched after rounding to 12 decimals, as the nodes of one orbit agree
-    only to rounding.  Scaling the moduli by r gives the same quadrature as
-    the rule built at radius r.
-    """
-    rule = build_sphere_rule(lam.size, 1.0, 16)
-    moduli = np.abs(rule.nodes)
-    _, first, orbit = np.unique(np.round(moduli, 12), axis=0, return_index=True,
-                                return_inverse=True)
-    weights = np.bincount(orbit.ravel(), weights=rule.weights)
-    moduli = moduli[first]
-
-    def profile(r):
-        r = np.asarray(r, dtype=float)
-        return theta_k(k, lam, r[..., None, None] * moduli) @ weights
-
-    return profile
+    theta_k depends on w only through the moduli |w_j|, which are constant
+    on each T^n orbit of the product rule (SphereRule): orbit q is the set of
+    nodes sharing outer node q, of weight outer[q] and moduli |w_j[q, 0]|.
+    On |w| = r, theta_k at orbit q is L_k^{n-1}(s / 2) e^{-s / 4} with
+    s = r^2 c_q, c_q = sum_j lam_j |w_j[q, 0]|^2."""
+    outer, coordinates = build_sphere_rule(lam.size, 1.0, 16)._factors
+    return sum(l * np.abs(w[:, 0]) ** 2 for l, w in zip(lam, coordinates)), outer
 
 
-def _anisotropic_block_zeros(k, lam, r_max):
-    """Radial sign changes of the sphere average of theta_k for anisotropic
-    reduced twist, by bracketing on 600 equispaced radii and bisection.
+def _orbit_averages(k_max, lam, r, orbits):
+    """Order-16 sphere-rule averages of theta_0, ..., theta_{k_max} over
+    |w| = r, shape (k_max + 1,) + r.shape, from the rule's torus orbits
+    (c, outer) = _torus_orbits(lam): one Laguerre recurrence for every degree
+    and radius, the same quadrature as the full rule at radius r."""
+    c, outer = orbits
+    s = np.multiply.outer(np.square(r), c)
+    averages = laguerre_sequence(k_max, lam.size - 1, s / 2)
+    averages *= np.exp(-s / 4)
+    return averages @ outer
 
-    The average is the T^n-orbit reduction of the sphere rule
-    (`_sphere_average_profile`): the same quadrature as the full rule, built
-    once per call.  It is still the averaged-kernel criterion described in
+
+def _illinois(f, lo, hi, f_lo, f_hi):
+    """A root in each bracket [lo[i], hi[i]] with f_lo[i] f_hi[i] < 0, for all
+    brackets at once, by the Illinois variant of regula falsi.
+
+    f(x, live) evaluates the functions of brackets `live` at x.  Every step
+    keeps a bracket; a bracket is done when its width is within
+    1e-12 + 4 eps |x| (brentq's test at xtol 1e-12 and its default rtol) or
+    f vanishes at its latest point, which is returned.  NonConvergence after
+    100 steps."""
+    a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    fa, fb = np.array(f_lo, dtype=float), np.array(f_hi, dtype=float)
+    live = np.arange(a.size)
+    for _ in range(100):
+        if live.size == 0:
+            return b
+        A, B, FA, FB = a[live], b[live], fa[live], fb[live]
+        x = B - FB * (B - A) / (FB - FA)
+        fx = f(x, live)
+        crossed = np.sign(fx) != np.sign(FB)
+        # the end kept twice in a row has its value halved
+        A, FA = np.where(crossed, B, A), np.where(crossed, FB, FA / 2)
+        a[live], fa[live], b[live], fb[live] = A, FA, x, fx
+        done = (fx == 0) | (np.abs(x - A) <= 1e-12 + 4 * np.finfo(float).eps * np.abs(x))
+        live = live[~done]
+    if live.size:
+        raise NonConvergence(f"{live.size} anisotropic zero brackets did not converge")
+    return b
+
+
+def _anisotropic_block_zeros(degrees, lam, r_max):
+    """Radial sign changes of the sphere averages of theta_k, k in degrees,
+    for anisotropic reduced twist: the pool [(k, i, zero), ...] in the order
+    of degrees, each degree's zeros ascending.
+
+    The averages of every degree come from one recurrence over the order-16
+    rule's torus orbits (`_orbit_averages`), on 600 equispaced radii up to
+    r_max.  A scan radius where an average vanishes is a zero; otherwise each
+    sign change brackets one, and the brackets of all degrees are polished
+    together (`_illinois`), each evaluated at its own degree
+    only.  This is still the averaged-kernel criterion described in
     `two_radii_check`, not the per-multi-index one."""
-    profile = _sphere_average_profile(k, lam)
+    degrees = np.asarray(degrees, dtype=int)
+    orbits = c, outer = _torus_orbits(lam)
     rs = np.linspace(r_max / 600, r_max, 600)
-    vals = profile(rs)
-    zeros = []
-    for i in range(len(rs) - 1):
-        if vals[i] == 0.0:
-            zeros.append(float(rs[i]))
-        elif vals[i] * vals[i + 1] < 0:
-            zeros.append(float(brentq(lambda r: float(profile(r)), rs[i], rs[i + 1],
-                                      xtol=1e-12)))
-    return zeros
+    vals = _orbit_averages(int(degrees.max(initial=0)), lam, rs, orbits)[degrees]
+    exact = vals[:, :-1] == 0.0
+    row, col = np.nonzero(exact | (vals[:, :-1] * vals[:, 1:] < 0))
+    degree, zeros = degrees[row], rs[col]
+    bracket = np.flatnonzero(~exact[row, col])
+    b_row, b_col, b_degree = row[bracket], col[bracket], degree[bracket]
+
+    def average(x, live):
+        s = np.multiply.outer(np.square(x), c)
+        k = np.broadcast_to(b_degree[live, None], s.shape)
+        return (_laguerre_at_degree(k, lam.size - 1, s / 2) * np.exp(-s / 4)) @ outer
+
+    zeros[bracket] = _illinois(average, rs[b_col], rs[b_col + 1], vals[b_row, b_col],
+                               vals[b_row, b_col + 1])
+    index = np.arange(row.size) - np.searchsorted(row, row)  # within its degree
+    return [(int(k), int(j), float(z)) for k, j, z in zip(degree, index, zeros)]
 
 
 def _ratio_conflicts(zeros, target, tol, squared=False):
@@ -498,38 +540,54 @@ def two_radii_check(r1, r2, n=1, lambda_prime=None, k_max=30, bessel_count=60,
 
     For genuinely anisotropic lambda_prime the Laguerre scan is replaced by
     a scan over radial sign changes of the sphere-averaged block kernel, and
-    the verdict is flagged anisotropic_best_effort.  That scan is not the
-    blindness criterion: each Psi_{alpha,beta} has its own radial multiplier
-    m_beta(r), the averaged kernel of block k is the sum of m_beta over
-    |beta| = k, and the block is blind only where a single m_beta vanishes.
-    Anisotropic verdicts can therefore be wrong in either direction.
+    the verdict is flagged anisotropic_best_effort.  One call of
+    `_anisotropic_block_zeros` gives the zeros of every degree k <= k_max
+    (at most 200 here): the averages come from the order-16 sphere rule's
+    torus orbits, and all sign changes are polished together.  That scan is
+    not the blindness criterion: each Psi_{alpha,beta} has its own radial
+    multiplier m_beta(r), the averaged kernel of block k is the sum of
+    m_beta over |beta| = k, and the block is blind only where a single
+    m_beta vanishes.  Anisotropic verdicts can therefore be wrong in either
+    direction.
 
-    Raises DimensionMismatch unless r1, r2 and tol are finite and positive
-    and n and k_max are at least 1.
+    Raises DimensionMismatch, before any work, unless r1, r2 and tol are
+    finite and positive, n, k_max and bessel_count are integers, n and k_max
+    at least 1, and lambda_prime (when given) has n finite positive
+    components.
     """
     if not (0 < r1 < np.inf and 0 < r2 < np.inf and 0 < tol < np.inf):
         raise DimensionMismatch("radii and tol must be finite and positive")
+    if not all(isinstance(v, Integral) for v in (n, k_max, bessel_count)):
+        raise DimensionMismatch(f"n, k_max and bessel_count must be integers, got "
+                                f"{n!r}, {k_max!r} and {bessel_count!r}")
     if n < 1 or k_max < 1:
         raise DimensionMismatch("n and k_max must be at least 1")
     anisotropic = False
     if lambda_prime is not None:
         lam = np.atleast_1d(np.asarray(lambda_prime, dtype=float))
-        if lam.shape != (n,) or np.any(lam <= 0):
-            raise DimensionMismatch(f"lambda_prime must be {n} positive components")
+        if lam.shape != (n,) or not np.all((0 < lam) & (lam < np.inf)):
+            raise DimensionMismatch(f"lambda_prime must be {n} finite positive components")
         anisotropic = not np.allclose(lam, lam[0], rtol=0, atol=1e-14)
     target = (r1 / r2) ** 2
     if not anisotropic:
-        pool = [(t.degree, i, z) for t in _laguerre_zero_tables(range(1, k_max + 1), n - 1)
-                for i, z in enumerate(t.zeros)]
+        tables = _laguerre_zero_tables(range(1, k_max + 1), n - 1)
+        zeros = np.concatenate([t.zeros for t in tables])
+        starts = np.cumsum([0] + [t.zeros.size for t in tables[:-1]])
+
+        def label(flat):  # (degree, index) of a pooled zero
+            t = int(np.searchsorted(starts, flat, side="right")) - 1
+            return tables[t].degree, flat - int(starts[t])
     else:
         # scan radii out to where the largest-degree kernel has all its
         # sign changes under the smallest twist component
         r_scan = float(np.sqrt(2 * laguerre_zeros(k_max, n - 1).zeros[-1] / lam.min())) * 1.05
-        pool = [(k, i, z) for k in range(1, k_max + 1)
-                for i, z in enumerate(_anisotropic_block_zeros(k, lam, r_scan))]
-    zeros = np.array([z for *_, z in pool], dtype=float)
+        pool = _anisotropic_block_zeros(range(1, k_max + 1), lam, r_scan)
+        zeros = np.array([z for *_, z in pool], dtype=float)
+
+        def label(flat):
+            return pool[flat][:2]
     # anisotropic zeros are radii, so their ratio is squared
-    lag_hits = [pool[i][:2] + pool[j][:2] + (err,)
+    lag_hits = [label(i) + label(j) + (err,)
                 for i, j, err in _ratio_conflicts(zeros, target, tol, squared=anisotropic)]
     bz = bessel_zeros(n - 1, bessel_count).zeros
     bes_hits = _ratio_conflicts(bz, r1 / r2, tol)

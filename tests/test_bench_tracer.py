@@ -135,7 +135,7 @@ def test_round_trip_makes_one_analysis_and_one_synthesis():
     assert counters.get("grids.angular_fft.calls", 0) == 0
 
 
-def test_admissibility_builds_one_sphere_rule_per_degree_and_samples_no_grid(monkeypatch):
+def test_admissibility_builds_one_sphere_rule_per_check_and_samples_no_grid(monkeypatch):
     tracer = _import_tracer()
     originals = {(home, attr): getattr(sys.modules[f"metivier.{home}"], attr)
                  for home, attr, *_ in tracer.FUNCTIONS}
@@ -147,17 +147,20 @@ def test_admissibility_builds_one_sphere_rule_per_degree_and_samples_no_grid(mon
     rec = tracer.Recorder().install()
     try:
         rec.run_job(0, lambda: injectivity.two_radii_check(
-            1.0, 1.7, n=2, lambda_prime=(1.0, 2.0), k_max=3, bessel_count=10))
+            1.0, 1.7, n=2, lambda_prime=(1.0, 2.0), k_max=6, bessel_count=10))
         rows.clear()
         rec.run_job(1, lambda: injectivity.one_radius_counterexample(
             1, [1.1, 1.1], n=2, grid=grid))
     finally:
         rec.uninstall()
-    # the anisotropic scan builds one unit rule per degree and reduces it to
-    # its torus orbits, for the scan and the root refinement alike
+    # the anisotropic scan builds one unit rule per check and reads its
+    # torus orbits off the rule's factors, for every degree's scan and polish
     counters = rec.jobs[0]["counters"]
-    assert counters["grids.build_sphere_rule.calls"] == 3
+    assert counters["grids.build_sphere_rule.calls"] == 1
     assert counters["injectivity.two_radii_check.calls"] == 1
+    # the tracer counts the pool from one _anisotropic_block_zeros call: at
+    # lam' = (1, 2) degree k has k zeros, 21 up to k = 6
+    assert counters["injectivity.two_radii_check.pairs"] == 21**2 + 10**2
     # the witness samples theta_l on the radial nodes only; its residual's
     # sphere means build one rule
     counters = rec.jobs[1]["counters"]

@@ -3,6 +3,8 @@ weighted norms, and two-radii admissibility / recovery."""
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from metivier import grids, injectivity, transforms
 from metivier.errors import (
@@ -360,6 +362,31 @@ def test_two_radii_check_anisotropic_best_effort():
     assert not v2.anisotropic_best_effort
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"n": 2, "lambda_prime": (np.nan, 1.0), "k_max": 3},
+    {"n": 2, "lambda_prime": (1.0, np.inf), "k_max": 3},
+    {"k_max": 2.5},
+    {"bessel_count": 2.5},
+    {"n": 1.5},
+], ids=["lambda-nan", "lambda-inf", "k-fraction", "bessel-count-fraction", "n-fraction"])
+def test_two_radii_check_rejects_bad_arguments_before_any_work(monkeypatch, kwargs):
+    def no_work(*args, **kw):
+        raise AssertionError("zeros computed for rejected arguments")
+
+    for name in ("_laguerre_zero_tables", "_anisotropic_block_zeros", "laguerre_zeros",
+                 "bessel_zeros"):
+        monkeypatch.setattr(injectivity, name, no_work)
+    with pytest.raises(DimensionMismatch):
+        two_radii_check(1.3, 1.0, **kwargs)
+
+
+@pytest.mark.xfail(strict=True, reason="the anisotropic check pools the zeros of the "
+                   "averaged block kernel; m_(0,2) vanishes at both radii")
+def test_anisotropic_pair_blind_to_one_multiplier_is_inadmissible():
+    verdict = two_radii_check(2.25755, 1.16560, n=2, lambda_prime=(1, 2), k_max=6)
+    assert not verdict.admissible
+
+
 def _double_loop_conflicts(zeros, target, tol=1e-9, squared=False):
     hits = []
     for i, zi in enumerate(zeros):
@@ -389,7 +416,7 @@ def test_two_radii_anisotropic_conflicts_match_double_loop():
 
     lam = np.array([1.0, 2.0])
     r_scan = float(np.sqrt(2 * laguerre_zeros(2, 1).zeros[-1] / lam.min())) * 1.05
-    pool = [(k, i, z) for k in (1, 2) for i, z in enumerate(_anisotropic_block_zeros(k, lam, r_scan))]
+    pool = _anisotropic_block_zeros(range(1, 3), lam, r_scan)
     r1, r2 = pool[0][2], pool[-1][2]
     verdict = two_radii_check(r1, r2, n=2, lambda_prime=lam, k_max=2, bessel_count=10)
     want = [pool[i][:2] + pool[j][:2] + (err,) for i, j, err in
@@ -415,7 +442,7 @@ def _conflict_pools():
     yield isotropic, (r1 / r2) ** 2, False
     lam = np.array([1.0, 2.0])
     r_scan = float(np.sqrt(2 * laguerre_zeros(4, 1).zeros[-1] / lam.min())) * 1.05
-    anisotropic = np.concatenate([_anisotropic_block_zeros(k, lam, r_scan) for k in range(1, 5)])
+    anisotropic = np.array([z for *_, z in _anisotropic_block_zeros(range(1, 5), lam, r_scan)])
     yield anisotropic, (anisotropic[1] / anisotropic[-2]) ** 2, True
 
 
@@ -435,18 +462,21 @@ def test_ratio_conflicts_match_the_full_matrix(tol, offset):
 
 @pytest.mark.parametrize("lam", [(1.0, 2.0), (0.7, 1.9)])
 def test_sphere_average_profile_equals_full_sphere_rule(lam):
+    # the averages of every degree, from the rule's torus orbits, are the
+    # flat order-16 rule's averages of theta_k at each radius
     from metivier.grids import build_sphere_rule
-    from metivier.injectivity import _sphere_average_profile
+    from metivier.injectivity import _orbit_averages, _torus_orbits
 
     lam = np.array(lam)
     rs = np.linspace(0.1, 6.0, 20)
-    for k in range(5):
+    got = _orbit_averages(6, lam, rs, _torus_orbits(lam))
+    assert got.shape == (7, rs.size)
+    for k in range(7):
         full = []
         for r in rs:
             rule = build_sphere_rule(2, r, 16)
             full.append(np.real(np.sum(rule.weights * theta_k(k, lam, rule.nodes))))
-        got = _sphere_average_profile(k, lam)(rs)
-        assert np.max(np.abs(got - full)) < 1e-14
+        assert np.max(np.abs(got[k] - full)) < 1e-14
 
 
 @pytest.mark.parametrize("lam", [(1.0, 2.0), (0.7, 1.9)])
@@ -463,6 +493,8 @@ def test_anisotropic_block_zeros_match_simplex_integral(lam):
     t, w = (x + 1) / 2, w / 2
     r_scan = float(np.sqrt(2 * laguerre_zeros(4, 1).zeros[-1] / lam.min())) * 1.05
     rr = np.linspace(r_scan / 2000, r_scan, 2000)
+    pool = _anisotropic_block_zeros(range(1, 5), lam, r_scan)
+    assert [(k, i) for k, i, _ in pool] == [(k, i) for k in range(1, 5) for i in range(k)]
     for k in range(1, 5):
         def average(r):
             s = np.multiply.outer(np.square(r), lam[0] * t + lam[1] * (1 - t)) / 2
@@ -471,9 +503,52 @@ def test_anisotropic_block_zeros_match_simplex_integral(lam):
         v = average(rr)
         want = [brentq(average, rr[i], rr[i + 1], xtol=1e-15)
                 for i in np.flatnonzero(v[:-1] * v[1:] < 0)]
-        got = _anisotropic_block_zeros(k, lam, r_scan)
+        got = [z for degree, _, z in pool if degree == k]
         assert len(got) == len(want) == k
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
+
+
+def _orbit_reference_pool(lam, k_max, r_scan):
+    """[(k, i, zero, lo, hi)]: brentq on the order-16 rule's T^n orbit
+    average of theta_k, bracketed on the 600 scan radii, [lo, hi] the scan
+    bracket (lo = hi at a scan radius where the average vanishes)."""
+    from scipy.optimize import brentq
+
+    outer, coordinates = build_sphere_rule(2, 1.0, 16)._factors
+    moduli = np.stack([np.abs(w[:, 0]) for w in coordinates], axis=1)
+    rs = np.linspace(r_scan / 600, r_scan, 600)
+    pool = []
+    for k in range(1, k_max + 1):
+        def average(r):
+            return theta_k(k, lam, np.multiply.outer(r, moduli)) @ outer
+
+        v = average(rs)
+        zeros = []
+        for i in range(rs.size - 1):
+            if v[i] == 0.0:
+                zeros.append((rs[i], rs[i], rs[i]))
+            elif v[i] * v[i + 1] < 0:
+                zeros.append((brentq(average, rs[i], rs[i + 1], xtol=1e-14), rs[i], rs[i + 1]))
+        pool += [(k, i) + z for i, z in enumerate(zeros)]
+    return pool
+
+
+@seed(24)
+@settings(max_examples=12, deadline=None, database=None)
+@given(low=st.floats(0.3, 3.0), ratio=st.floats(1.1, 10.0), swap=st.booleans(),
+       k_max=st.integers(1, 8))
+def test_anisotropic_pool_matches_brentq_on_the_orbit_average(low, ratio, swap, k_max):
+    from metivier.injectivity import _anisotropic_block_zeros
+
+    lam = np.array([low * ratio, low] if swap else [low, low * ratio])
+    r_scan = float(np.sqrt(2 * laguerre_zeros(k_max, 1).zeros[-1] / lam.min())) * 1.05
+    pool = _anisotropic_block_zeros(range(1, k_max + 1), lam, r_scan)
+    want = _orbit_reference_pool(lam, k_max, r_scan)
+    assert [p[:2] for p in pool] == [w[:2] for w in want]
+    got = np.array([z for *_, z in pool])
+    ref, lo, hi = np.array([w[2:] for w in want]).T
+    np.testing.assert_allclose(got, ref, rtol=1e-11, atol=0)
+    assert np.all((lo <= got) & (got <= hi))
 
 
 @pytest.mark.parametrize("n, l, lam, grid", [
