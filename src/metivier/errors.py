@@ -106,12 +106,6 @@ class NyquistViolation(MetivierError):
     exit_code = 2
 
 
-class NotHomogeneous(MetivierError):
-    """Input field fails the m-homogeneity check."""
-
-    exit_code = 2
-
-
 class GridTooCoarse(MetivierError):
     """Finite-difference Richardson check exceeded its tolerance."""
 

@@ -159,13 +159,3 @@ def read_field(path):
     except (DimensionMismatch, NonFiniteValue) as exc:
         raise MalformedFile(f"invalid {kind} file: {exc}") from exc
 
-
-def export_radial_slice_csv(field, path):
-    """Write a CSV of the field along the first radial axis, with every other
-    axis at index 0.  Columns: r, re, im."""
-    g = field.grid
-    sl = field.values[(slice(None),) + (0,) * (field.values.ndim - 1)]
-    with open(path, "w") as fh:
-        fh.write("r,re,im\n")
-        for r, v in zip(g.radial_nodes[0], sl):
-            fh.write(f"{r!r},{v.real!r},{v.imag!r}\n")

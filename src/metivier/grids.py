@@ -524,48 +524,52 @@ def values_from_mode_coefficients(grid, fhat):
 
 @dataclass(frozen=True)
 class SphereRule:
-    """Quadrature rule for the normalized surface measure on |w| = r in C^n.
+    """Quadrature rule for the normalized surface measure on |w| = r in C^n,
+    kept as its product factors: outer weights (Q,) and per-coordinate nodes
+    coordinates[j] (Q, X_j).  Node (q, x_1, ..., x_n) is
+    (w_1[q, x_1], ..., w_n[q, x_n]) with weight outer[q] / (X_1 ... X_n).
 
-    A rule that build_sphere_rule makes is a product over the coordinates:
-    node (q, x_1, ..., x_n) is (w_1[q, x_1], ..., w_n[q, x_n]) with weight
-    outer[q] / (X_1 ... X_n), X_j the length of w_j's second axis.  The
-    factors (outer, (w_1, ..., w_n)) are kept on the rule as `_factors`
-    (None on a rule built by hand), and `nodes` and `weights` are that
-    product written out, in the order of (q, x_1, ..., x_n).
+    `nodes` and `weights` write that product out, in the order of
+    (q, x_1, ..., x_n), each time they are read; the pointwise means read
+    the factors alone.  Raises DimensionMismatch unless the outer weights
+    sum to 1 and every product node lies on |w| = r.
     """
 
     n: int
     r: float
-    nodes: np.ndarray  # (K, n) complex
-    weights: np.ndarray  # (K,), sums to 1
+    outer: np.ndarray  # (Q,), sums to 1
+    coordinates: tuple  # n arrays (Q, X_j) complex
     order: int
-    _factors = None  # (outer, coordinate nodes), set by build_sphere_rule
 
     def __post_init__(self):
-        if abs(self.weights.sum() - 1.0) > 1e-13:
+        if abs(self.outer.sum() - 1.0) > 1e-13:
             raise DimensionMismatch("sphere rule weights must sum to 1")
-        rad = np.sqrt(np.sum(np.abs(self.nodes) ** 2, axis=1))
+        # |w|^2 of a product node is a sum of one |w_j|^2 per coordinate,
+        # so each orbit's extreme radii come from its per-coordinate extremes
+        sq = [np.abs(w) ** 2 for w in self.coordinates]
+        rad = np.sqrt([sum(m.min(axis=1) for m in sq), sum(m.max(axis=1) for m in sq)])
         if np.max(np.abs(rad - self.r)) > 1e-11 * max(1.0, self.r):
             raise DimensionMismatch("sphere rule nodes must lie on |w| = r")
 
+    @property
+    def nodes(self):
+        """The product nodes (K, n), K = Q X_1 ... X_n."""
+        shape = (self.outer.size,) + tuple(w.shape[1] for w in self.coordinates)
+        # coordinate j's nodes along axes 0 and j + 1 of the product
+        return np.stack([np.broadcast_to(
+            np.expand_dims(w, tuple(1 + i for i in range(self.n) if i != j)), shape).ravel()
+            for j, w in enumerate(self.coordinates)], axis=1)
+
+    @property
+    def weights(self):
+        """The product weights (K,), outer[q] / (X_1 ... X_n) at node (q, ...)."""
+        size = int(np.prod([w.shape[1] for w in self.coordinates]))
+        return np.repeat(self.outer, size) / size
+
     def nodes_real(self):
         """Real form (K, 2n): (Re w_1..Re w_n, Im w_1..Im w_n)."""
-        return np.concatenate([self.nodes.real, self.nodes.imag], axis=1)
-
-
-def _product_rule(r, order, outer, coordinates):
-    """The SphereRule of outer weights (Q,) and per-coordinate nodes (Q, X_j)
-    with uniform inner weights 1 / X_j, written out from those factors and
-    keeping them as `_factors`."""
-    n = len(coordinates)
-    shape = (outer.size,) + tuple(w.shape[1] for w in coordinates)
-    # coordinate j's nodes along axes 0 and j + 1 of the product
-    nodes = np.stack([np.broadcast_to(np.expand_dims(w, tuple(1 + i for i in range(n) if i != j)),
-                                      shape).ravel() for j, w in enumerate(coordinates)], axis=1)
-    size = nodes.shape[0] // outer.size
-    rule = SphereRule(n, float(r), nodes, np.repeat(outer, size) / size, order)
-    object.__setattr__(rule, "_factors", (outer, tuple(coordinates)))
-    return rule
+        nodes = self.nodes
+        return np.concatenate([nodes.real, nodes.imag], axis=1)
 
 
 def build_sphere_rule(n, r, order):
@@ -585,12 +589,12 @@ def build_sphere_rule(n, r, order):
         raise DimensionMismatch(f"sphere radius must be finite and positive, got {r}")
     if n == 1:
         ang = 2 * np.pi * np.arange(order) / order
-        return _product_rule(r, order, np.ones(1), [(r * np.exp(1j * ang))[None, :]])
+        return SphereRule(1, float(r), np.ones(1), ((r * np.exp(1j * ang))[None, :],), order)
     if n == 2:
         u, wu = _gauss_legendre(order // 2 + 1)
         eta = np.arccos(u) / 2  # u = cos(2 eta)
         nxi = order + 1
         e1 = np.exp(1j * (2 * np.pi * np.arange(nxi) / nxi))
-        return _product_rule(r, order, wu / wu.sum(),
-                             [r * (np.cos(eta)[:, None] * e1), r * (np.sin(eta)[:, None] * e1)])
+        return SphereRule(2, float(r), wu / wu.sum(),
+                          (r * (np.cos(eta)[:, None] * e1), r * (np.sin(eta)[:, None] * e1)), order)
     raise UnsupportedDimension("sphere rules implemented for n in {1, 2}")

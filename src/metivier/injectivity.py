@@ -33,6 +33,7 @@ from .errors import (
 from .grids import SampledField, _gauss_legendre, build_sphere_rule, default_grid
 from .special import (
     MAX_MATRIX_INDEX,
+    _check_bessel_count,
     _check_lambda_prime,
     _laguerre_at_degree,
     _laguerre_zero_tables,
@@ -414,8 +415,8 @@ def _torus_orbits(lam):
     nodes sharing outer node q, of weight outer[q] and moduli |w_j[q, 0]|.
     On |w| = r, theta_k at orbit q is L_k^{n-1}(s / 2) e^{-s / 4} with
     s = r^2 c_q, c_q = sum_j lam_j |w_j[q, 0]|^2."""
-    outer, coordinates = build_sphere_rule(lam.size, 1.0, 16)._factors
-    return sum(l * np.abs(w[:, 0]) ** 2 for l, w in zip(lam, coordinates)), outer
+    rule = build_sphere_rule(lam.size, 1.0, 16)
+    return sum(l * np.abs(w[:, 0]) ** 2 for l, w in zip(lam, rule.coordinates)), rule.outer
 
 
 def _orbit_averages(k_max, lam, r, orbits):
@@ -553,7 +554,8 @@ def two_radii_check(r1, r2, n=1, lambda_prime=None, k_max=30, bessel_count=60,
     Raises DimensionMismatch, before any work, unless r1, r2 and tol are
     finite and positive, n, k_max and bessel_count are integers, n and k_max
     at least 1, and lambda_prime (when given) has n finite positive
-    components.
+    components; RangeExceeded, also before any work, for a bessel_count
+    outside [1, 100], as bessel_zeros raises it.
     """
     if not (0 < r1 < np.inf and 0 < r2 < np.inf and 0 < tol < np.inf):
         raise DimensionMismatch("radii and tol must be finite and positive")
@@ -562,6 +564,7 @@ def two_radii_check(r1, r2, n=1, lambda_prime=None, k_max=30, bessel_count=60,
                                 f"{n!r}, {k_max!r} and {bessel_count!r}")
     if n < 1 or k_max < 1:
         raise DimensionMismatch("n and k_max must be at least 1")
+    _check_bessel_count(bessel_count)
     anisotropic = False
     if lambda_prime is not None:
         lam = np.atleast_1d(np.asarray(lambda_prime, dtype=float))
@@ -674,24 +677,6 @@ class TwoRadiiReport:
     mode_errors: dict  # ell -> relative L2 reconstruction error
     mode_details: dict  # ell -> {unrecoverable, condition_numbers, recovered_norms}
     overall_error: float
-
-    def to_json_dict(self):
-        details = {}
-        for ell, d in sorted(self.mode_details.items()):
-            details[str(ell)] = {
-                "unrecoverable": list(d["unrecoverable"]),
-                "condition_numbers": {str(k): v for k, v in sorted(d["condition_numbers"].items())},
-                "recovered_norms": {str(k): v for k, v in sorted(d["recovered_norms"].items())},
-            }
-        return {
-            "r1": self.r1,
-            "r2": self.r2,
-            "admissible": self.verdict.admissible_within_bounds,
-            "tolerance": self.verdict.tolerance,
-            "mode_errors": {str(k): v for k, v in sorted(self.mode_errors.items())},
-            "mode_details": details,
-            "overall_error": self.overall_error,
-        }
 
 
 def two_radii_reconstruct(pfield, r1, r2, k_max=20, ell_max=2):

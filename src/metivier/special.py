@@ -42,25 +42,6 @@ def hermite_h(k, x):
     return cur
 
 
-def psi_alpha(alpha, lambda_prime, x):
-    """Scaled Hermite eigenfunction: prod_j lam_j^{1/4} h_{alpha_j}(sqrt(lam_j) x_j).
-
-    L2(R^n)-normalized for every positive lambda_prime.  x has shape (..., n);
-    the result has shape (...).
-    """
-    alpha = np.atleast_1d(np.asarray(alpha, dtype=int))
-    lam = _check_lambda_prime(lambda_prime)
-    if alpha.shape != lam.shape:
-        raise RangeExceeded("alpha and lambda_prime must have equal length")
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1:] != (lam.size,):
-        raise RangeExceeded("x must have trailing dimension n")
-    out = np.ones(x.shape[:-1])
-    for j, (a, l) in enumerate(zip(alpha, lam)):
-        out = out * l**0.25 * hermite_h(int(a), np.sqrt(l) * x[..., j])
-    return out
-
-
 def laguerre_L(k, a, x):
     """Laguerre polynomial L_k^a(x) by the three-term recurrence in k."""
     if k < 0 or k > MAX_LAGUERRE_DEGREE:
@@ -209,9 +190,6 @@ class LaguerreZeroTable:
     zeros: np.ndarray
     residuals: np.ndarray
 
-    def to_csv(self, path):
-        _zeros_to_csv(path, self.zeros, self.residuals)
-
 
 @dataclass(frozen=True)
 class BesselZeroTable:
@@ -220,16 +198,6 @@ class BesselZeroTable:
     order: int
     zeros: np.ndarray
     residuals: np.ndarray
-
-    def to_csv(self, path):
-        _zeros_to_csv(path, self.zeros, self.residuals)
-
-
-def _zeros_to_csv(path, zeros, residuals):
-    with open(path, "w") as fh:
-        fh.write("index,zero,residual\n")
-        for i, (z, r) in enumerate(zip(zeros, residuals)):
-            fh.write(f"{i},{z!r},{r!r}\n")
 
 
 def _laguerre_zero_tables(degrees, a):
@@ -323,6 +291,11 @@ def bessel_j(nu, x):
     return jv(nu, x)
 
 
+def _check_bessel_count(count):
+    if count < 1 or count > 100:
+        raise RangeExceeded("bessel zero count outside [1, 100]")
+
+
 def bessel_zeros(nu, count):
     """First `count` positive zeros of J_nu by bracketing scan plus Brent polish.
 
@@ -336,8 +309,7 @@ def bessel_zeros(nu, count):
     _ZERO_TABLE_MEMO entries deep: a repeat call returns the same table, whose
     arrays are read-only.  A call that raises is not memoized.
     """
-    if count < 1 or count > 100:
-        raise RangeExceeded("bessel zero count outside [1, 100]")
+    _check_bessel_count(count)
     if nu < 0:
         raise RangeExceeded("bessel order must be non-negative")
     return _solve_bessel_zeros(nu, count)

@@ -269,11 +269,6 @@ def symplectic_spectrum(structure, lam):
     return SymplecticSpectrum(np.asarray(lam, dtype=float), mu, a, ortho, conj)
 
 
-def lambda_prime_of(spectrum):
-    """The reduced twist vector of a normal form: lambda' = (mu_1, ..., mu_n)."""
-    return spectrum.mu.copy()
-
-
 def real_from_complex(z):
     """(..., n) complex -> (..., 2n) real with z_j = x_j + i x_{n+j}."""
     z = np.asarray(z, dtype=complex)

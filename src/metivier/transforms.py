@@ -51,7 +51,6 @@ from .errors import (
     DimensionMismatch,
     GridMismatch,
     GridTooCoarse,
-    NotHomogeneous,
     NyquistViolation,
     RangeExceeded,
     TruncationDominates,
@@ -59,7 +58,6 @@ from .errors import (
 )
 from .grids import (
     FieldEvaluator,
-    PeriodicField,
     PolarGrid,
     SampledField,
     _gauss_legendre,
@@ -128,11 +126,11 @@ def _mean_at(field, v, atoms, points, order):
         first = int(np.argmin(finite))
         raise DimensionMismatch(f"point {first} is not finite: {tuple(z[first])}")
     rules = [build_sphere_rule(g.n, r, order) for r, _ in atoms]
-    outer = np.concatenate([mass * rule._factors[0] for (_, mass), rule in zip(atoms, rules)])
+    outer = np.concatenate([mass * rule.outer for (_, mass), rule in zip(atoms, rules)])
     c = real_from_complex(z) @ v  # (P, 2n)
     points, weights = [], []
     for j in range(g.n):
-        xi = np.concatenate([rule._factors[1][j] for rule in rules])  # (A Q, X_j)
+        xi = np.concatenate([rule.coordinates[j] for rule in rules])  # (A Q, X_j)
         shape = (-1, xi.shape[1])
         points.append((z[:, j, None, None] - xi).reshape(shape))
         phase = np.exp(0.5j * (c[:, j, None, None] * xi.real + c[:, g.n + j, None, None] * xi.imag))
@@ -208,9 +206,9 @@ def _full_grid_mean(field, twist, atoms):
     for r, mass in atoms:
         rule = build_sphere_rule(1, r, DEFAULT_SPHERE_ORDER[1])
         k = np.arange(rule.order // 2 + 1)
-        nodes.append(rule.nodes[k, 0])
+        nodes.append(rule.coordinates[0][0, k])
         weights.append(mass * np.where((k == 0) | (2 * k == rule.order), 1.0, 2.0)
-                       * rule.weights[k])
+                       * (rule.outer[0] / rule.order))
     nodes, weights = np.concatenate(nodes), np.concatenate(weights)
     m = ev.modes[0]
     sums = 0.0
@@ -737,111 +735,6 @@ def decompose(field, lambda_prime, k_max, tail_tol=None):
     return spectrum
 
 
-SPECTRUM_VERSION = 2
-
-
-def write_spectrum(spectrum, directory):
-    """Serialize HermiteCoefficients as directory/manifest.json: the grid,
-    lambda_prime, the index pairs, [re, im] of each coefficient,
-    total_energy and metadata.  Floats are written exactly."""
-    import json
-    import os
-
-    from .fieldio import _grid_header
-
-    os.makedirs(directory, exist_ok=True)
-    manifest = {
-        "version": SPECTRUM_VERSION,
-        "kind": "laguerre-spectrum",
-        "grid": _grid_header(spectrum.grid),
-        "lambda_prime": [float(v) for v in spectrum.lambda_prime],
-        "pairs": [[[int(v) for v in a], [int(v) for v in b]] for a, b in spectrum.pairs],
-        "coefficients": [[float(c.real), float(c.imag)] for c in spectrum.coefficients],
-        "total_energy": float(spectrum.total_energy),
-        "metadata": spectrum.metadata,
-    }
-    with open(os.path.join(directory, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, sort_keys=True)
-        fh.write("\n")
-
-
-def read_spectrum(directory):
-    """Inverse of write_spectrum.
-
-    Raises VersionMismatch for a manifest version other than 2 and
-    MalformedFile for any other departure from the layout: a manifest that
-    is not a JSON object, a missing or ill-typed key (pairs a list of
-    [alpha, beta] integer lists, coefficients a list of [re, im] numbers,
-    lambda_prime a list of numbers, total_energy a number, metadata a
-    string), a grid the header cannot describe, an index list that is not n
-    non-negative integers, a repeated pair, a pair whose angular mode
-    beta_j - alpha_j lies outside the grid's band, a coefficient count
-    other than the pair count, a coefficient or total_energy that is not
-    finite (or a negative total_energy), or a lambda_prime that is not one
-    finite positive component per complex coordinate of the grid.
-    """
-    import json
-    import os
-    import sys
-
-    from .errors import MalformedFile, VersionMismatch
-    from .fieldio import _grid_from_header
-
-    path = os.path.join(directory, "manifest.json")
-    try:
-        with open(path, "rb") as fh:
-            manifest = json.loads(fh.read().decode("utf-8"))
-    except (OSError, ValueError, RecursionError) as exc:
-        raise MalformedFile(f"cannot read spectrum manifest {path}: {exc}") from exc
-    if not isinstance(manifest, dict) or manifest.get("kind") != "laguerre-spectrum":
-        raise MalformedFile(f"{path} is not a spectrum manifest")
-    if manifest.get("version") != SPECTRUM_VERSION:
-        raise VersionMismatch(f"unsupported spectrum manifest version in {path}")
-    pairs, coeffs, lam, energy = (manifest.get(key) for key in
-                                  ("pairs", "coefficients", "lambda_prime", "total_energy"))
-
-    def is_number(v):  # type() rather than isinstance(): a JSON true is not a number here
-        return type(v) in (int, float)
-
-    checks = {
-        "pairs": isinstance(pairs, list) and all(
-            isinstance(p, list) and len(p) == 2
-            and all(isinstance(i, list) and all(type(v) is int for v in i) for i in p)
-            for p in pairs
-        ),
-        "coefficients": isinstance(coeffs, list) and all(
-            isinstance(c, list) and len(c) == 2 and all(is_number(v) for v in c) for c in coeffs
-        ),
-        "lambda_prime": isinstance(lam, list) and all(is_number(v) for v in lam),
-        "total_energy": is_number(energy),
-        "metadata": isinstance(manifest.get("metadata"), str),
-    }
-    bad = [key for key, ok in checks.items() if not ok]
-    if bad:
-        raise MalformedFile(f"{path} has missing or ill-typed keys: {', '.join(bad)}")
-    grid = _grid_from_header(manifest.get("grid"))
-    pairs = tuple((tuple(a), tuple(b)) for a, b in pairs)
-    if not all(len(i) == grid.n and min(i) >= 0 for p in pairs for i in p):
-        raise MalformedFile(f"{path} has pairs that are not {grid.n} non-negative indices each")
-    if len(set(pairs)) != len(pairs):
-        raise MalformedFile(f"{path} repeats an index pair")
-    if any(abs(bj - aj) > na // 2 - 1
-           for a, b in pairs for aj, bj, na in zip(a, b, grid.angular_counts)):
-        raise MalformedFile(f"{path} has a pair whose angular mode exceeds the grid's band")
-    if len(coeffs) != len(pairs):
-        raise MalformedFile(f"{path} has {len(coeffs)} coefficients for {len(pairs)} pairs")
-    big = sys.float_info.max
-    if not (all(-big <= v <= big for c in coeffs for v in c) and 0 <= energy <= big):
-        raise MalformedFile(f"{path} has a non-finite coefficient or total_energy")
-    if len(lam) != grid.n or not all(0 < v <= big for v in lam):
-        raise MalformedFile(
-            f"{path} has lambda_prime {lam}; need {grid.n} finite positive components"
-        )
-    return HermiteCoefficients(grid, np.asarray(lam, dtype=float), pairs,
-                               np.array([complex(re, im) for re, im in coeffs], dtype=complex),
-                               float(energy), manifest["metadata"])
-
-
 # below half the largest float: rounding cannot carry a value bounded by
 # this past overflow
 _FINITE_BOUND = np.finfo(float).max / 2
@@ -912,84 +805,6 @@ def mean_eigenvalue(k, lambda_prime, r):
     theta = theta * np.exp(-(s**2) / 4)
     factor = [mean_factor(int(d), lam.size) for d in degrees.ravel()]
     return np.reshape(factor, degrees.shape + (1,) * s.ndim) * theta
-
-
-def m_radialize(field, m_index):
-    """Projection onto the joint angular mode m_index (one integer per complex
-    coordinate): R_m f(z) = (2 pi)^{-n} int f(e^{i theta} z) e^{-i m.theta} d theta,
-    exact on the grid via the per-coordinate discrete Fourier transform."""
-    g = field.grid
-    m = np.atleast_1d(np.asarray(m_index, dtype=int))
-    if m.shape != (g.n,):
-        raise DimensionMismatch(f"m_index must have {g.n} components")
-    fhat = angular_mode_coefficients(field)
-    keep = tuple(i for j in range(g.n)
-                 for i in (slice(None), _mode_index(int(m[j]), g.angular_counts[j])))
-    out = np.zeros_like(fhat)
-    out[keep] = fhat[keep]
-    return field.with_values(values_from_mode_coefficients(g, out))
-
-
-def joint_homogeneity_modes(field):
-    """Energy per joint angular mode: dict (m_1, ..., m_n) -> squared norm share.
-
-    One einsum of the FFT output's float view with itself sums |f^|^2 and
-    contracts the first radial axis with its weights, so no field-sized
-    temporary is made; the other radial axes are contracted after it."""
-    g = field.grid
-    fhat = angular_mode_coefficients(field)
-    v = fhat.view(float).reshape(fhat.shape + (2,))  # (..., re/im)
-    axes = list(range(v.ndim))
-    w = [2 * np.pi * g.radial_weights[j] * g.radial_nodes[j] for j in range(g.n)]
-    p = np.einsum(v, axes, v, axes, w[0], [0], axes[1:-1])
-    for j in range(1, g.n):  # radial axis j follows the j angular axes kept so far
-        p = np.tensordot(w[j], p, axes=([0], [j]))
-    freqs = [np.fft.fftfreq(c, 1.0 / c).astype(int) for c in g.angular_counts]
-    return {tuple(int(f[i]) for f, i in zip(freqs, idx)): float(p[idx])
-            for idx in zip(*np.nonzero(p > 0))}
-
-
-HOMOGENEITY_TOL = 1e-8
-
-
-def homogeneous_projection_expand(field, k, lambda_prime, m=None):
-    """Sparse spectral projection of a jointly homogeneous field.
-
-    When f(e^{i theta} z) = e^{i m.theta} f(z) only the basis functions with
-    beta - alpha = m contribute, so the |beta| = k block reduces to
-
-        f x_lam theta_k = prod_j (2 pi / lam_j)
-                          sum_{|beta| = k} (f, Psi_{beta-m, beta}) Psi_{beta-m, beta}
-
-    with terms where beta - m has a negative component skipped.  m is inferred
-    from the dominant joint angular mode when omitted; raises NotHomogeneous
-    if ||f - R_m f||, by Parseval the energy of the other joint modes, exceeds
-    HOMOGENEITY_TOL * ||f||.  Returns (coefficient dict keyed by (alpha, beta),
-    reconstructed projection field).
-    """
-    g = field.grid
-    lam = np.atleast_1d(np.asarray(lambda_prime, dtype=float))
-    energies = joint_homogeneity_modes(field)
-    if m is None:
-        if not energies:
-            raise NotHomogeneous("zero field has no homogeneity degree")
-        m = max(energies, key=energies.get)
-    m = np.atleast_1d(np.asarray(m, dtype=int))
-    if m.shape != (g.n,):
-        raise DimensionMismatch(f"m must have {g.n} components")
-    fn = np.sqrt(sum(energies.values()))
-    off = np.sqrt(sum(e for mode, e in energies.items() if mode != tuple(m)))
-    if fn > 0 and off > HOMOGENEITY_TOL * fn:
-        raise NotHomogeneous(
-            f"||f - R_m f|| / ||f|| = {off / fn:.3e} for m = {tuple(int(v) for v in m)}"
-        )
-    # the betas of block k, each listed once with alpha = 0
-    pairs = [(tuple(int(v) for v in np.subtract(b, m)), b) for _, b in _block_pairs(g.n, [k], 0)
-             if min(np.subtract(b, m)) >= 0]
-    spectrum = _analyse(field, lam, pairs)
-    prefactor = float(np.prod(2 * np.pi / lam))
-    return (dict(zip(pairs, spectrum.coefficients)),
-            synthesize(replace(spectrum, coefficients=prefactor * spectrum.coefficients)))
 
 
 LAPLACIAN_STEP = 1.0 / 64

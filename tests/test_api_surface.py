@@ -1,5 +1,6 @@
-"""The number of options on the public API, and the one way into and out of
-the special Hermite core, pinned.
+"""The number of options on the public API, the public names that only
+their stated users call, and the one way into and out of the special
+Hermite core, pinned.
 
 A defaulted parameter is an option a caller can set.  Counting them over the
 public functions, methods and dataclass fields of the numerical modules makes
@@ -11,6 +12,7 @@ import dataclasses
 import importlib
 import inspect
 import pathlib
+import re
 
 MODULES = ("grids", "injectivity", "structures", "special", "fieldio", "transforms")
 
@@ -52,11 +54,45 @@ def test_defaulted_parameter_count():
             and obj.__module__ == module.__name__
         )
     assert counts == {"grids": 3, "injectivity": 18, "structures": 2, "special": 0,
-                      "fieldio": 1, "transforms": 5}
-    assert sum(counts.values()) == 29
+                      "fieldio": 1, "transforms": 4}
+    assert sum(counts.values()) == 28
 
 
 SOURCE = pathlib.Path(importlib.import_module("metivier").__file__).parent
+
+# The public functions and classes that no module of the package (outside
+# their own definition) and nothing in perfbench/ refers to, each with the
+# user it serves.  A name that loses its last caller appears here, and needs
+# a stated user or goes.
+UNCALLED = {
+    "hermite_h": "criterion 9: the Hermite functions of the special-function layer",
+    "inner_product": "the grid L2 inner product of the orthonormality checks of Psi_{alpha,beta}",
+    "sample_periodic": "criterion 8: the centre-periodic input of the two-radii theorem",
+    "twisted_mean": "the full-grid n = 1 twisted mean, checked against twisted_mean_at",
+    "two_radii_reconstruct": "criterion 8: the two-radii theorem",
+    "weighted_norm": "the tempered-growth weight of the paper's first result",
+    "write_structure": "writes the structure files that the command line's --structure reads",
+}
+
+
+def test_every_uncalled_public_name_has_a_stated_user():
+    owners = {}  # name -> top-level definitions that refer to it
+    for path in SOURCE.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for statement in ast.parse(path.read_text()).body:
+            owner = getattr(statement, "name", None)
+            for node in ast.walk(statement):
+                name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+                if name is not None:
+                    owners.setdefault(name, set()).add(owner)
+    bench = "\n".join(path.read_text() for path in (SOURCE.parents[1] / "perfbench").glob("*.py"))
+    package = importlib.import_module("metivier")
+    uncalled = {name for name, obj in vars(package).items()
+                if not name.startswith("_") and (inspect.isfunction(obj) or inspect.isclass(obj))
+                and not owners.get(name, set()) - {name}
+                and not re.search(rf"\b{name}\b", bench)}
+    assert uncalled == set(UNCALLED)
 
 
 def _callers(tree, name):

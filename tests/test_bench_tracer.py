@@ -171,7 +171,7 @@ def test_admissibility_builds_one_sphere_rule_per_check_and_samples_no_grid(monk
     # no point: one barycentric row per coordinate node (17 per coordinate)
     # of each of the rule's 9 outer nodes around each of the 6 probes
     assert "grids.FieldEvaluator.points" not in counters
-    _, coordinates = build_sphere_rule(2, 1.0, 16)._factors
+    coordinates = build_sphere_rule(2, 1.0, 16).coordinates
     assert sum(rows) == 2 * 6 * 9 * 17 == sum(6 * w.size for w in coordinates)
     # its evaluator transforms a 4-angle copy of the grid, not the grid: the
     # tracer counts a read and a write per angular axis of the 16 x 4 x 16 x 4

@@ -299,8 +299,7 @@ USAGE_ERRORS = {"DimensionMismatch", "NotSkewSymmetric", "DependentStructureMatr
                 "MalformedFile", "VersionMismatch", "UnsupportedDimension", "OutOfDomain"}
 PRECONDITION_ERRORS = {"SingularPencil", "NonConvergence", "NoUsableRadius",
                        "InadmissibleRadii", "GridTooCoarse", "TruncationDominates",
-                       "NotHomogeneous", "NyquistViolation", "RangeExceeded",
-                       "NonFiniteValue", "GridMismatch"}
+                       "NyquistViolation", "RangeExceeded", "NonFiniteValue", "GridMismatch"}
 
 
 def _subclasses(cls):

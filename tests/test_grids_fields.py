@@ -15,10 +15,11 @@ from metivier.errors import (
     NonFiniteValue,
     VersionMismatch,
 )
-from metivier.fieldio import export_radial_slice_csv, read_field, write_field
+from metivier.fieldio import read_field, write_field
 from metivier.grids import (
     FieldEvaluator,
     SampledField,
+    SphereRule,
     _real_matmul,
     angular_mode_coefficients,
     build_sphere_rule,
@@ -489,7 +490,7 @@ def test_sphere_rule_is_its_factors_written_out(n, order, outer_count, inner_cou
     # node (q, x_1, .., x_n) = (w_1[q, x_1], .., w_n[q, x_n]), weight
     # outer[q] / (X_1 .. X_n), in that order
     rule = build_sphere_rule(n, 1.3, order)
-    outer, coordinates = rule._factors
+    outer, coordinates = rule.outer, rule.coordinates
     assert outer.shape == (outer_count,)
     assert [w.shape for w in coordinates] == [(outer_count, inner_count)] * n
     grid = np.meshgrid(np.arange(outer_count), *[np.arange(inner_count)] * n, indexing="ij")
@@ -509,6 +510,17 @@ def test_sphere_rule_n2_consistency():
     b = np.sum(hi.weights * fn(hi.nodes))
     assert abs(a - b) < 1e-10 * max(1.0, abs(b))
     assert np.all(np.abs(np.abs(lo.nodes[:, 0]) ** 2 + np.abs(lo.nodes[:, 1]) ** 2 - r**2) < 1e-12)
+
+
+def test_sphere_rule_checks_its_factors():
+    rule = build_sphere_rule(2, 1.3, 5)
+    with pytest.raises(DimensionMismatch, match="sum to 1"):
+        SphereRule(2, 1.3, 2 * rule.outer, rule.coordinates, 5)
+    w1, w2 = rule.coordinates
+    off = w2.copy()
+    off[1, 3] *= 1 + 1e-9  # one product node per x_1 leaves |w| = r
+    with pytest.raises(DimensionMismatch, match="lie on"):
+        SphereRule(2, 1.3, rule.outer, (w1, off), 5)
 
 
 def test_field_io_bit_identical_round_trip(tmp_path):
@@ -629,16 +641,6 @@ def test_field_io_deeply_nested_header_is_malformed(tmp_path):
     bad.write_bytes(b"[" * 100000 + b"\n")
     with pytest.raises(MalformedFile):
         read_field(bad)
-
-
-def test_radial_slice_csv(tmp_path):
-    g = polar_grid(1, 8, 8, 4.0)
-    f = sample(lambda z: z[..., 0], g)
-    path = tmp_path / "slice.csv"
-    export_radial_slice_csv(f, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0].startswith("r,")
-    assert len(lines) == 9
 
 
 def test_periodic_field_sampling():

@@ -362,21 +362,24 @@ def test_two_radii_check_anisotropic_best_effort():
     assert not v2.anisotropic_best_effort
 
 
-@pytest.mark.parametrize("kwargs", [
-    {"n": 2, "lambda_prime": (np.nan, 1.0), "k_max": 3},
-    {"n": 2, "lambda_prime": (1.0, np.inf), "k_max": 3},
-    {"k_max": 2.5},
-    {"bessel_count": 2.5},
-    {"n": 1.5},
-], ids=["lambda-nan", "lambda-inf", "k-fraction", "bessel-count-fraction", "n-fraction"])
-def test_two_radii_check_rejects_bad_arguments_before_any_work(monkeypatch, kwargs):
+@pytest.mark.parametrize("kwargs, error", [
+    ({"n": 2, "lambda_prime": (np.nan, 1.0), "k_max": 3}, DimensionMismatch),
+    ({"n": 2, "lambda_prime": (1.0, np.inf), "k_max": 3}, DimensionMismatch),
+    ({"k_max": 2.5}, DimensionMismatch),
+    ({"bessel_count": 2.5}, DimensionMismatch),
+    ({"n": 1.5}, DimensionMismatch),
+    # the class bessel_zeros raises, so the radii command's exit code holds
+    ({"n": 2, "lambda_prime": (1.0, 2.0), "k_max": 100, "bessel_count": 0}, RangeExceeded),
+], ids=["lambda-nan", "lambda-inf", "k-fraction", "bessel-count-fraction", "n-fraction",
+        "bessel-count-zero"])
+def test_two_radii_check_rejects_bad_arguments_before_any_work(monkeypatch, kwargs, error):
     def no_work(*args, **kw):
         raise AssertionError("zeros computed for rejected arguments")
 
     for name in ("_laguerre_zero_tables", "_anisotropic_block_zeros", "laguerre_zeros",
                  "bessel_zeros"):
         monkeypatch.setattr(injectivity, name, no_work)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(error):
         two_radii_check(1.3, 1.0, **kwargs)
 
 
@@ -514,7 +517,8 @@ def _orbit_reference_pool(lam, k_max, r_scan):
     bracket (lo = hi at a scan radius where the average vanishes)."""
     from scipy.optimize import brentq
 
-    outer, coordinates = build_sphere_rule(2, 1.0, 16)._factors
+    rule = build_sphere_rule(2, 1.0, 16)
+    outer, coordinates = rule.outer, rule.coordinates
     moduli = np.stack([np.abs(w[:, 0]) for w in coordinates], axis=1)
     rs = np.linspace(r_scan / 600, r_scan, 600)
     pool = []
@@ -685,9 +689,8 @@ def test_two_radii_reconstruct(g1):
         detail = report.mode_details[ell]
         assert detail["unrecoverable"] == ()
         assert all(c >= 1.0 or c > 0 for c in detail["condition_numbers"].values())
-    d = report.to_json_dict()
-    assert d["admissible"] is True
-    assert d["r1"] == 1.0 and d["r2"] == 2.0
+    assert report.verdict.admissible is True
+    assert report.r1 == 1.0 and report.r2 == 2.0
 
 
 def test_two_radii_reconstruct_rejects_inadmissible():

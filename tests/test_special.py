@@ -8,7 +8,7 @@ import pytest
 from numpy.polynomial.hermite import hermgauss
 from numpy.polynomial.legendre import leggauss
 
-from metivier.errors import NonConvergence, RangeExceeded
+from metivier.errors import RangeExceeded
 from metivier.special import (
     _laguerre_zero_tables,
     bessel_j,
@@ -19,7 +19,6 @@ from metivier.special import (
     laguerre_zeros,
     mean_factor,
     phi_k,
-    psi_alpha,
     psi_alpha_beta,
     special_hermite_1d,
     theta_k,
@@ -121,15 +120,6 @@ def test_diagonal_sum_reproduces_laguerre_kernel():
         )
         want = np.sqrt(lam.prod()) * (2 * np.pi) ** -1.0 * theta_k(k, lam, z2)
         assert np.max(np.abs(diag - want)) < 1e-9
-
-
-def test_psi_alpha_normalized():
-    # scaled Hermite eigenfunctions stay L2-normalized for any positive twist
-    x, w = hermgauss(96)
-    for lam in (0.5, 2.0):
-        vals = psi_alpha((3,), [lam], (x / np.sqrt(lam))[:, None])
-        total = np.sum(w * np.exp(x**2) * vals**2) / np.sqrt(lam)
-        assert total == pytest.approx(1.0, abs=1e-10)
 
 
 def test_theta_scaling_and_value_at_origin():
@@ -256,14 +246,6 @@ def test_laguerre_degree_past_the_bound_raises_before_any_solve(monkeypatch):
             _laguerre_zero_tables(degrees, 0)
     with pytest.raises(RangeExceeded):  # pools range(1, 502)
         two_radii_check(1.3, 1.0, k_max=501)
-
-
-def test_laguerre_zero_table_csv(tmp_path):
-    path = tmp_path / "zeros.csv"
-    laguerre_zeros(3, 0).to_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "index,zero,residual"
-    assert len(lines) == 4
 
 
 def test_bessel_zeros_against_reference():

@@ -15,7 +15,6 @@ from metivier.structures import (
     MetivierStructure,
     builtin_structure,
     complex_from_real,
-    lambda_prime_of,
     metivier_check,
     read_structure,
     real_from_complex,
@@ -117,15 +116,11 @@ def test_quaternionic_spectrum_is_isotropic():
 def test_spectrum_scaling():
     st = builtin_structure("anisotropic")
     lam = np.array([0.9])
+    assert symplectic_spectrum(st, [1.0]).mu == pytest.approx([2.0, 1.0], abs=1e-12)
     mu = symplectic_spectrum(st, lam).mu
     for c in (2.0, -3.5, 0.25):
         mu_c = symplectic_spectrum(st, c * lam).mu
         assert np.max(np.abs(mu_c - abs(c) * mu)) < 1e-8
-
-
-def test_lambda_prime_of():
-    spec = symplectic_spectrum(builtin_structure("anisotropic"), [1.0])
-    assert lambda_prime_of(spec) == pytest.approx([2.0, 1.0], abs=1e-12)
 
 
 def test_singular_pencil():

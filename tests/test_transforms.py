@@ -14,14 +14,11 @@ from metivier.errors import (
     DimensionMismatch,
     GridMismatch,
     GridTooCoarse,
-    MalformedFile,
     NonFiniteValue,
-    NotHomogeneous,
     NyquistViolation,
     RangeExceeded,
     TruncationDominates,
     UnsupportedDimension,
-    VersionMismatch,
 )
 from metivier.grids import (
     FieldEvaluator,
@@ -59,13 +56,9 @@ from metivier.transforms import (
     apply_twisted_laplacian,
     decompose,
     fourier_coefficient_center,
-    homogeneous_projection_expand,
-    joint_homogeneity_modes,
-    m_radialize,
     matrix_coefficient,
     mean_eigenvalue,
     modified_twisted_mean_at,
-    read_spectrum,
     reduced_mean,
     reduced_mean_at,
     spectral_projection,
@@ -74,7 +67,6 @@ from metivier.transforms import (
     twisted_convolution_at,
     twisted_mean,
     twisted_mean_at,
-    write_spectrum,
 )
 
 LAM1 = np.array([1.0])
@@ -371,6 +363,16 @@ def test_pointwise_mean_rejects_bad_input_before_any_work(monkeypatch, mean, n, 
     monkeypatch.setattr(transforms, "FieldEvaluator", None)
     with pytest.raises(error, match=bad):
         mean(f, pts, order)
+
+
+def test_a_high_order_pointwise_mean_never_writes_its_rule_out():
+    # the order-128 n = 2 rule has 65 x 129 x 129 product nodes, 69.5 MB of
+    # flat nodes and weights; the mean reads its 65 x 129 nodes per
+    # coordinate, and its evaluator takes about 2.5 MB
+    f = sample(lambda z: np.exp(-np.sum(np.abs(z) ** 2, axis=-1)), polar_grid(2, 20, 16, 6.0))
+    _, peak = _peak_bytes(lambda: reduced_mean_at(f, [1.0, 2.0], 1.1, [[0.3 + 0.2j, -0.1j]],
+                                                  order=128))
+    assert peak < 10e6
 
 
 # ---------------------------------------------------------------------------
@@ -878,181 +880,11 @@ def test_decompose_tail_guard_sees_energy_outside_the_alpha_bound(g1):
     decompose(sample(lambda z: psi_alpha_beta((3,), (2,), LAM1, z), g1), LAM1, 4, tail_tol=1e-6)
 
 
-def test_spectrum_serialization(tmp_path, g1):
-    spec = decompose(_theta_field(2, LAM1, g1), LAM1, 4)
-    write_spectrum(spec, tmp_path / "spec")
-    back = read_spectrum(tmp_path / "spec")
-    assert back.grid == spec.grid and back.pairs == spec.pairs
-    assert np.array_equal(back.coefficients, spec.coefficients)
-    assert np.array_equal(back.lambda_prime, spec.lambda_prime)
-    assert (back.total_energy, back.metadata) == (spec.total_energy, spec.metadata)
-    assert back.k_max == spec.k_max
-    assert all(np.array_equal(spec.projection(k).values, back.projection(k).values)
-               for k in range(spec.k_max + 1))
-
-
 def test_twisted_convolution_rejects_mismatched_grids():
     f = sample(lambda z: np.exp(-np.abs(z[..., 0]) ** 2), polar_grid(1, 16, 16, 6.0))
     g = sample(lambda z: np.exp(-np.abs(z[..., 0]) ** 2), polar_grid(1, 16, 16, 8.0))
     with pytest.raises(GridMismatch):
         twisted_convolution(f, g, LAM1)
-
-
-def _spectrum_dir(tmp_path):
-    g = polar_grid(1, 16, 16, 6.0)
-    spec = decompose(_theta_field(1, LAM1, g), LAM1, 2)
-    write_spectrum(spec, tmp_path / "spec")
-    return tmp_path / "spec"
-
-
-def _rewrite_manifest(directory, edit):
-    import json
-
-    path = directory / "manifest.json"
-    manifest = json.loads(path.read_text())
-    manifest = edit(manifest)
-    path.write_text(json.dumps(manifest))
-
-
-@pytest.mark.parametrize("key", ["grid", "pairs", "coefficients", "lambda_prime",
-                                 "total_energy", "metadata"])
-def test_read_spectrum_missing_key_is_malformed(tmp_path, key):
-    directory = _spectrum_dir(tmp_path)
-    _rewrite_manifest(directory, lambda m: {k: v for k, v in m.items() if k != key})
-    with pytest.raises(MalformedFile):
-        read_spectrum(directory)
-
-
-@pytest.mark.parametrize("key, value", [
-    ("pairs", {"alpha": [0], "beta": [1]}),
-    ("pairs", [1, 2, 3]),
-    ("pairs", [[["0"], [1]]]),
-    ("pairs", [[[0.0], [1]]]),
-    ("pairs", [[[0]]]),
-    ("pairs", [[[True], [1]]]),
-    ("coefficients", [["1.0", 0.0]]),
-    ("coefficients", [[1.0]]),
-    ("lambda_prime", 1.0),
-    ("lambda_prime", ["1.0"]),
-    ("lambda_prime", [True]),
-    ("coefficients", [[True, 0.0]]),
-    ("total_energy", "2.0"),
-    ("total_energy", False),
-    ("metadata", 0),
-])
-def test_read_spectrum_ill_typed_key_is_malformed(tmp_path, key, value):
-    directory = _spectrum_dir(tmp_path)
-    _rewrite_manifest(directory, lambda m: {**m, key: value})
-    with pytest.raises(MalformedFile):
-        read_spectrum(directory)
-
-
-def _edit_first(key, value):
-    def edit(m):
-        m[key][0] = value
-        return m
-    return edit
-
-
-@pytest.mark.parametrize("edit", [
-    _edit_first("pairs", [[-1], [1]]),
-    _edit_first("pairs", [[0, 0], [1, 0]]),
-    _edit_first("pairs", [[], []]),
-    lambda m: {**m, "pairs": m["pairs"][:1] * 2 + m["pairs"][2:]},
-    _edit_first("pairs", [[0], [40]]),
-    lambda m: {**m, "coefficients": m["coefficients"][:-1]},
-    _edit_first("coefficients", [float("nan"), 0.0]),
-    _edit_first("coefficients", [0.0, float("inf")]),
-    _edit_first("coefficients", [10**400, 0.0]),
-    lambda m: {**m, "total_energy": float("nan")},
-    lambda m: {**m, "total_energy": -1.0},
-], ids=["negative-index", "index-length", "empty-index", "repeated-pair", "mode-beyond-band",
-        "short-coefficients",
-        "nan-coefficient", "inf-coefficient", "overflowing-coefficient", "nan-energy",
-        "negative-energy"])
-def test_read_spectrum_rejects_inconsistent_pairs_and_values(tmp_path, edit):
-    directory = _spectrum_dir(tmp_path)
-    _rewrite_manifest(directory, edit)
-    with pytest.raises(MalformedFile):
-        read_spectrum(directory)
-
-
-@pytest.mark.parametrize("lam", [[], [1.0, 2.0], [0.0], [-1.0], [float("nan")],
-                                 [float("inf")], [10**400]])
-def test_read_spectrum_rejects_twist_inconsistent_with_projections(tmp_path, lam):
-    directory = _spectrum_dir(tmp_path)
-    _rewrite_manifest(directory, lambda m: {**m, "lambda_prime": lam})
-    with pytest.raises(MalformedFile):
-        read_spectrum(directory)
-
-
-@pytest.mark.parametrize("key, value", [
-    ("radial_nodes", [[]]),
-    ("radial_weights", [[1.0]]),
-    ("n", 1e400),
-    ("angular_counts", [6]),
-    ("r_max", "wide"),
-])
-def test_read_spectrum_rejects_bad_grid_header(tmp_path, key, value):
-    directory = _spectrum_dir(tmp_path)
-    _rewrite_manifest(directory, lambda m: {**m, "grid": {**m["grid"], key: value}})
-    with pytest.raises(MalformedFile, match="invalid grid header"):
-        read_spectrum(directory)
-
-
-def test_read_spectrum_version_1_manifest_is_version_mismatch(tmp_path):
-    directory = _spectrum_dir(tmp_path)
-    _rewrite_manifest(directory, lambda m: {
-        "version": 1, "kind": "laguerre-spectrum", "lambda_prime": [1.0], "k_max": 0,
-        "normalized": False, "projections": [{"k": 0, "file": "projection_000.field"}],
-    })
-    with pytest.raises(VersionMismatch):
-        read_spectrum(directory)
-
-
-@pytest.fixture(scope="module")
-def small_manifest(tmp_path_factory):
-    directory = tmp_path_factory.mktemp("spec")
-    write_spectrum(decompose(_theta_field(1, LAM1, polar_grid(1, 8, 16, 6.0)), LAM1, 1),
-                   directory)
-    return (directory / "manifest.json").read_bytes()
-
-
-def test_read_spectrum_every_truncation_is_malformed(tmp_path, small_manifest):
-    directory = tmp_path / "spec"
-    directory.mkdir()
-    # every cut before the final newline loses the closing brace
-    for k in range(len(small_manifest) - 1):
-        (directory / "manifest.json").write_bytes(small_manifest[:k])
-        with pytest.raises(MalformedFile):
-            read_spectrum(directory)
-
-
-@settings(derandomize=True, max_examples=50, deadline=None)
-@given(data=st.data())
-def test_read_spectrum_corruption_gives_a_typed_error(tmp_path_factory, small_manifest, data):
-    raw = small_manifest
-    at = data.draw(st.integers(0, len(raw) - 1))
-    if data.draw(st.booleans()):
-        corrupt = raw[:at]
-    else:
-        corrupt = raw[:at] + bytes([data.draw(st.integers(0, 255))]) + raw[at + 1:]
-    directory = tmp_path_factory.mktemp("corrupt")
-    (directory / "manifest.json").write_bytes(corrupt)
-    try:
-        read_spectrum(directory)
-    except (MalformedFile, VersionMismatch):
-        pass
-
-
-def test_read_spectrum_rejects_non_object_manifest(tmp_path):
-    directory = _spectrum_dir(tmp_path)
-    _rewrite_manifest(directory, lambda m: [m])
-    with pytest.raises(MalformedFile):
-        read_spectrum(directory)
-    (directory / "manifest.json").write_bytes(b'{"kind": "laguerre-spectrum\xff"}')
-    with pytest.raises(MalformedFile):
-        read_spectrum(directory)
 
 
 @seed(2025)
@@ -1079,98 +911,16 @@ def test_hermite_expansion_round_trip(g1):
 
 
 # ---------------------------------------------------------------------------
-# Radialization and homogeneity
+# Homogeneity
 # ---------------------------------------------------------------------------
 
 
-def test_m_radialize_partition_and_idempotence(g1):
-    f = sample(lambda z: (z[..., 0] ** 2 + np.conj(z[..., 0]) + 1)
-               * np.exp(-np.abs(z[..., 0]) ** 2 / 2), g1)
-    parts = [m_radialize(f, [m]) for m in (-1, 0, 2)]
-    total = sum(p.values for p in parts)
-    assert np.max(np.abs(total - f.values)) < 1e-12 * f.max_abs()
-    twice = m_radialize(parts[2], [2])
-    assert np.max(np.abs(twice.values - parts[2].values)) < 1e-13
-    # orthogonal selection: a pure mode is untouched or annihilated
-    assert m_radialize(parts[2], [1]).norm2() < 1e-13
-
-
-def test_m_radialize_r0_is_rotation_invariant(g1):
-    f = sample(lambda z: np.exp(-np.abs(z[..., 0]) ** 2 / 2) * (1 + z[..., 0].real), g1)
-    r0 = m_radialize(f, [0])
-    # constant along every angular fiber
-    spread = np.max(np.abs(r0.values - r0.values[:, :1]))
-    assert spread < 1e-12 * max(r0.max_abs(), 1e-300)
-
-
-def test_m_radialize_joint_modes_n2():
-    g = polar_grid(2, 16, 8, 5.0)
-    f = sample(lambda z: z[..., 0] * np.conj(z[..., 1])
-               * np.exp(-np.sum(np.abs(z) ** 2, axis=-1) / 2), g)
-    keep = m_radialize(f, [1, -1])
-    drop = m_radialize(f, [1, 1])
-    assert keep.with_values(keep.values - f.values).norm2() < 1e-12 * f.norm2()
-    assert drop.norm2() < 1e-12 * f.norm2()
-    modes = joint_homogeneity_modes(f)
-    assert max(modes, key=modes.get) == (1, -1)
-
-
-def test_joint_homogeneity_modes_makes_no_field_sized_temporary():
-    # |f^|^2 is summed from the FFT output's float view; np.abs(fhat) ** 2
-    # allocates two half-field arrays on top of the FFT output
-    g = polar_grid(2, 24, 64, 8.0)
-    rng = np.random.default_rng(16)
-    f = SampledField(g, rng.normal(size=g.shape) + 1j * rng.normal(size=g.shape))
-
-    def old_formula():
-        p = np.abs(angular_mode_coefficients(f)) ** 2
-        for j in range(g.n):
-            p = np.tensordot(2 * np.pi * g.radial_weights[j] * g.radial_nodes[j], p, axes=([0], [j]))
-        return p
-
-    want, old_peak = _peak_bytes(old_formula)
-    got, peak = _peak_bytes(lambda: joint_homogeneity_modes(f))
-    freqs = [np.fft.fftfreq(c, 1.0 / c).astype(int) for c in g.angular_counts]
-    assert len(got) == want.size
-    for (i, k), energy in np.ndenumerate(want):
-        assert got[(freqs[0][i], freqs[1][k])] == pytest.approx(energy, rel=1e-14)
-    assert peak < 1.1 * f.values.nbytes < old_peak
-
-
-def test_m_radialize_nyquist_guard(g1):
-    f = _gauss_field(g1)
-    with pytest.raises(NyquistViolation):
-        m_radialize(f, [g1.angular_counts[0]])
-    with pytest.raises(DimensionMismatch):
-        m_radialize(f, [1, 2])
-
-
-def test_homogeneous_projection_expand(g1):
-    # a 2-homogeneous combination: only Psi_{k-2, k} can contribute
-    f = sample(lambda z: psi_alpha_beta((1,), (3,), LAM1, z)
-               + 0.5 * psi_alpha_beta((2,), (4,), LAM1, z), g1)
-    coeffs, recon = homogeneous_projection_expand(f, 3, LAM1)
-    assert set(coeffs) == {((1,), (3,))}
-    assert coeffs[((1,), (3,))] == pytest.approx(1.0, abs=1e-10)
-    proj = spectral_projection(f, LAM1, 3)
-    err = recon.with_values(recon.values - 2 * np.pi * proj.values).norm2()
-    assert err < 1e-6 * max(2 * np.pi * proj.norm2(), 1e-300)
-    # beta - m with a negative component is skipped
-    coeffs4, _ = homogeneous_projection_expand(f, 1, LAM1, m=[2])
-    assert coeffs4 == {}
-
-
-def test_homogeneous_projection_expand_rejects_mixtures(g1):
-    f = sample(lambda z: (1 + z[..., 0]) * np.exp(-np.abs(z[..., 0]) ** 2 / 2), g1)
-    with pytest.raises(NotHomogeneous):
-        homogeneous_projection_expand(f, 2, LAM1, m=[1])
-
-
 def test_projection_preserves_homogeneity(g1):
+    # f is 1-homogeneous, so its projection keeps angular mode 1 alone
     f = sample(lambda z: z[..., 0] * np.exp(-np.abs(z[..., 0]) ** 2 / 2), g1)
     proj = spectral_projection(f, LAM1, 2)
-    back = m_radialize(proj, [1])
-    assert back.with_values(back.values - proj.values).norm2() < 1e-10 * max(proj.norm2(), 1e-300)
+    fhat = angular_mode_coefficients(proj)  # mode m = 1 at index 1
+    assert np.max(np.abs(np.delete(fhat, 1, axis=1))) < 1e-10 * np.max(np.abs(fhat[:, 1]))
 
 
 # ---------------------------------------------------------------------------
