@@ -26,7 +26,6 @@ from .errors import (
     MetivierError,
     NonConvergence,
     NonFiniteValue,
-    NotHomogeneous,
     NotSkewSymmetric,
     NoUsableRadius,
     NyquistViolation,
@@ -37,7 +36,7 @@ from .errors import (
     UnsupportedDimension,
     VersionMismatch,
 )
-from .fieldio import export_radial_slice_csv, read_field, write_field
+from .fieldio import read_field, write_field
 from .grids import (
     FieldEvaluator,
     PeriodicField,
@@ -80,7 +79,6 @@ from .special import (
     laguerre_zeros,
     mean_factor,
     phi_k,
-    psi_alpha,
     psi_alpha_beta,
     special_hermite_1d,
     theta_k,
@@ -91,7 +89,6 @@ from .structures import (
     SymplecticSpectrum,
     builtin_structure,
     complex_from_real,
-    lambda_prime_of,
     metivier_check,
     read_structure,
     real_from_complex,
@@ -106,9 +103,6 @@ from .transforms import (
     apply_twisted_laplacian,
     decompose,
     fourier_coefficient_center,
-    homogeneous_projection_expand,
-    joint_homogeneity_modes,
-    m_radialize,
     matrix_coefficient,
     mean_eigenvalue,
     modified_twisted_mean_at,
