@@ -61,7 +61,9 @@ class OutOfDomain(MetivierError):
 
 
 class UnsupportedDimension(MetivierError):
-    """The operation is only implemented for n in {1, 2}."""
+    """The operation is implemented only for some n: default grids (n in
+    {1, 2}), the full-grid means and Laplacian (n = 1), and two-radii
+    reconstruction (n = m = 1)."""
 
     exit_code = 1
 

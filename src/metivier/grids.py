@@ -308,19 +308,9 @@ class FieldEvaluator:
     the field's band (relative amplitude >= 1e-13).  Radial direction:
     global barycentric Lagrange interpolation on the Gauss-Legendre nodes;
     a radius within 1e-15 r_max of a node (found by bisection) takes that
-    node's sample exactly.  The interpolation matrix is built once per
-    distinct radius of each coordinate in a chunk of points (points that
-    repeat a coordinate's radius, as a polar grid's nodes do, share its
-    row) and its rows are gathered back to the points; the real matrix of
-    the first coordinate meets the complex coefficients as one real matrix
-    product on their float view.
-
-    That product runs on the gathered rows, once per point: run once per
-    distinct radius, its result would need a gather as large as itself,
-    which costs more than it saves where the radii are mostly distinct (the
-    nodes of a rotated grid).  An axis that keeps a single angular mode m
-    is not summed over: its phase e^{i m beta} is one factor per point,
-    taken out of the remaining sums and applied to the result.
+    node's sample exactly.  The real matrix of the first coordinate meets
+    the complex coefficients as one real matrix product on their float
+    view.
 
     The field is zero beyond r_max (appropriate for the Gaussian-decay
     fields this package integrates): the barycentric formula does not
@@ -423,29 +413,16 @@ class FieldEvaluator:
     def _eval_inside(self, t, beta):
         """Contract the kept coefficients one coordinate at a time: the radial
         interpolation matrix, then each kept mode's phase summed over the
-        coordinate's modes.  The matrix is built once per distinct radius of
-        the coordinate and its rows are gathered back to the points.  A
-        single kept mode m is not summed: m beta joins the points' spin, and
-        e^{i spin} multiplies the result (exactly 1 when every m is 0)."""
-        out, spin = None, 0.0
+        coordinate's modes."""
+        out = None
         for j in range(self.grid.n):
-            radii, point_row = np.unique(t[:, j], return_inverse=True)
-            B = self._radial_matrix(j, radii)
-            # the gathered rows are a temporary, freed as soon as they are
-            # used: kept alive past the next allocations, they put those on
-            # fresh pages (the n = 2 witness then made 6090 minor page faults
-            # instead of 1486)
+            B = self._radial_matrix(j, t[:, j])
             if out is None:  # the coefficients have no points axis yet
-                out = _real_matmul(B[point_row], self.fhat)
+                out = _real_matmul(B, self.fhat)
             else:
-                out = np.einsum("pi...,pi->p...", out, B[point_row])
-            modes = self.modes[j]
-            if modes.size > 1:
-                out = np.einsum("pm...,pm->p...", out, np.exp(1j * beta[:, [j]] * modes))
-            else:
-                out = out[:, 0]
-                spin = spin + modes[0] * beta[:, j]
-        return out * np.exp(1j * spin)
+                out = np.einsum("pi...,pi->p...", out, B)
+            out = np.einsum("pm...,pm->p...", out, np.exp(1j * beta[:, [j]] * self.modes[j]))
+        return out
 
     def _product_sums(self, points, weights):
         """For each row r, the field summed over a product of points, one
@@ -531,8 +508,9 @@ class SphereRule:
 
     `nodes` and `weights` write that product out, in the order of
     (q, x_1, ..., x_n), each time they are read; the pointwise means read
-    the factors alone.  Raises DimensionMismatch unless the outer weights
-    sum to 1 and every product node lies on |w| = r.
+    the factors alone.  Raises DimensionMismatch unless n >= 1, there are n
+    coordinate arrays, each 2-D with Q rows, the outer weights sum to 1 and
+    every product node lies on |w| = r.
     """
 
     n: int
@@ -542,6 +520,12 @@ class SphereRule:
     order: int
 
     def __post_init__(self):
+        if self.n < 1:
+            raise DimensionMismatch(f"a sphere rule needs n >= 1, got {self.n}")
+        if len(self.coordinates) != self.n or any(
+                np.ndim(w) != 2 or len(w) != self.outer.size for w in self.coordinates):
+            raise DimensionMismatch(f"a sphere rule on C^{self.n} needs {self.n} coordinate "
+                                    f"arrays of {self.outer.size} rows each")
         if abs(self.outer.sum() - 1.0) > 1e-13:
             raise DimensionMismatch("sphere rule weights must sum to 1")
         # |w|^2 of a product node is a sum of one |w_j|^2 per coordinate,
@@ -573,28 +557,35 @@ class SphereRule:
 
 
 def build_sphere_rule(n, r, order):
-    """Quadrature for the normalized sphere measure, built as a product over
-    the coordinates (SphereRule).
+    """Quadrature for the normalized sphere measure on |w| = r in C^n, any
+    n >= 1, built as a product over the coordinates (SphereRule).
 
-    n=1: equispaced circle rule with `order` points (exact for trigonometric
-    polynomials of degree < order), one outer weight of 1.  n=2:
-    Hopf-coordinate product rule, Gauss-Legendre in cos(2*eta) (the
-    order // 2 + 1 outer weights) x trapezoid with order + 1 points in both
-    phases, nodes (r cos eta e^{i xi_1}, r sin eta e^{i xi_2}), exact for
-    polynomials in (w, conj w) of total degree <= order.
+    Under that measure the shares t_j = |w_j|^2 / r^2 are uniform on the
+    simplex t_1 + ... + t_n = 1 and the phases of the w_j are uniform and
+    independent of them.  The outer rule is a collapsed (conical) product
+    over the simplex (Stroud 1971): factor i = 0, ..., n - 2 splits the
+    share left after t_1, ..., t_i into s and 1 - s, at the
+    order // 2 + 1 Gauss-Legendre nodes s in [0, 1] with weights times
+    (1 - s)^(n - 2 - i), normalized; at n = 1 it is one node of weight 1.
+    Coordinate j of outer node q is r sqrt(t_j) e^{2 pi i k / (order + 1)},
+    k = 0..order.  The rule is exact for polynomials in (w, conj w) of total
+    degree <= order when n <= order // 2 + 3 (each factor's weighted
+    integrand then has degree below the Gauss-Legendre bound); at n = 2 the
+    nodes are the Hopf coordinates (r cos eta e^{i xi_1}, r sin eta e^{i xi_2}).
     """
     if order < 1 or order > 4096:
         raise DimensionMismatch("sphere rule order must be in [1, 4096]")
     if not 0 < r < np.inf:
         raise DimensionMismatch(f"sphere radius must be finite and positive, got {r}")
-    if n == 1:
-        ang = 2 * np.pi * np.arange(order) / order
-        return SphereRule(1, float(r), np.ones(1), ((r * np.exp(1j * ang))[None, :],), order)
-    if n == 2:
-        u, wu = _gauss_legendre(order // 2 + 1)
-        eta = np.arccos(u) / 2  # u = cos(2 eta)
-        nxi = order + 1
-        e1 = np.exp(1j * (2 * np.pi * np.arange(nxi) / nxi))
-        return SphereRule(2, float(r), wu / wu.sum(),
-                          (r * (np.cos(eta)[:, None] * e1), r * (np.sin(eta)[:, None] * e1)), order)
-    raise UnsupportedDimension("sphere rules implemented for n in {1, 2}")
+    x, wx = _gauss_legendre(order // 2 + 1)
+    s = (1 + x) / 2
+    # t: the shares at each outer node, the last column the share not yet split
+    t, outer = np.ones((1, 1)), np.ones(1)
+    for i in range(n - 1):
+        w = wx * (1 - s) ** (n - 2 - i)
+        split = np.multiply.outer(t[:, -1], np.stack([s, 1 - s], axis=1))  # (Q, m, 2)
+        t = np.concatenate([np.repeat(t[:, :-1], s.size, axis=0), split.reshape(-1, 2)], axis=1)
+        outer = np.multiply.outer(outer, w / w.sum()).ravel()
+    phases = np.exp(1j * (2 * np.pi * np.arange(order + 1) / (order + 1)))
+    return SphereRule(n, float(r), outer,
+                      tuple(r * (np.sqrt(t[:, [j]]) * phases) for j in range(n)), order)

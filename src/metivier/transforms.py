@@ -75,7 +75,9 @@ from .special import (
 )
 from .structures import complex_from_real, normal_form_matrix, real_from_complex, v_lambda
 
-DEFAULT_SPHERE_ORDER = {1: 64, 2: 16}
+# the default sphere rule order per n (build_sphere_rule: X = order + 1
+# phases per coordinate); a dimension without an entry takes the n = 2 order
+DEFAULT_SPHERE_ORDER = {1: 63, 2: 16}
 
 
 def _check_twist(lambda_prime, n):
@@ -108,16 +110,14 @@ def _mean_at(field, v, atoms, points, order):
     the rule's quadrature with the same nodes, weights and interpolant,
     summed one coordinate at a time.  All atoms share one evaluator.
 
-    UnsupportedDimension for n not in {1, 2}, and DimensionMismatch for an
-    order that is not an integer in [1, 4096] (None takes
-    DEFAULT_SPHERE_ORDER) or a non-finite point, naming its index, before
-    any work.
+    Any n >= 1: build_sphere_rule has one construction for every n.
+    DimensionMismatch for an order that is not an integer in [1, 4096]
+    (None takes DEFAULT_SPHERE_ORDER, the n = 2 order where n has no entry)
+    or a non-finite point, naming its index, before any work.
     """
     g = field.grid
-    if g.n not in DEFAULT_SPHERE_ORDER:
-        raise UnsupportedDimension(f"pointwise sphere means are implemented for n in {{1, 2}}, "
-                                   f"got n = {g.n}")
-    order = DEFAULT_SPHERE_ORDER[g.n] if order is None else order
+    if order is None:
+        order = DEFAULT_SPHERE_ORDER.get(g.n, DEFAULT_SPHERE_ORDER[2])
     if not isinstance(order, Integral):
         raise DimensionMismatch(f"sphere rule order must be an integer, got {order!r}")
     z = np.asarray(points, dtype=complex).reshape(-1, g.n)
@@ -158,12 +158,6 @@ def _grid_points(grid):
     return np.stack(np.broadcast_arrays(*axes), axis=-1).reshape(-1, grid.n)
 
 
-# nodes of the folded circle rules contracted at once: four atoms of the
-# default rule, so a measure with many atoms does not grow the barycentric
-# matrix past four times the 2.4 MB of one atom on the default grid
-_MEAN_NODES_PER_PASS = 4 * (DEFAULT_SPHERE_ORDER[1] // 2 + 1)
-
-
 def _full_grid_mean(field, twist, atoms):
     """Full-grid n = 1 mean over the radial measure sum_i w_i (circle of
     radius r_i), atoms the pairs (r_i, w_i), with phase (i/2) twist Im(z conj(w)).
@@ -193,9 +187,9 @@ def _full_grid_mean(field, twist, atoms):
     All atoms share one FieldEvaluator (one angular FFT), one barycentric
     matrix over their folded nodes, one contraction in which each atom's
     weight multiplies its node weights, and one inverse FFT.  The matrix is
-    built in passes of at most _MEAN_NODES_PER_PASS nodes (four atoms), so
-    memory stays bounded for a measure with many atoms.  UnsupportedDimension
-    for n != 1, before any work.
+    built in passes of the folded nodes of at most four atoms, so a measure
+    with many atoms does not grow it past four times the 2.4 MB of one atom
+    on the default grid.  UnsupportedDimension for n != 1, before any work.
     """
     g = field.grid
     if g.n != 1:
@@ -204,16 +198,17 @@ def _full_grid_mean(field, twist, atoms):
     s = g.radial_nodes[0]
     nodes, weights = [], []
     for r, mass in atoms:
-        rule = build_sphere_rule(1, r, DEFAULT_SPHERE_ORDER[1])
-        k = np.arange(rule.order // 2 + 1)
-        nodes.append(rule.coordinates[0][0, k])
-        weights.append(mass * np.where((k == 0) | (2 * k == rule.order), 1.0, 2.0)
-                       * (rule.outer[0] / rule.order))
+        circle = build_sphere_rule(1, r, DEFAULT_SPHERE_ORDER[1]).coordinates[0][0]
+        k = np.arange(circle.size // 2 + 1)
+        nodes.append(circle[k])
+        weights.append(mass * np.where((k == 0) | (2 * k == circle.size), 1.0, 2.0)
+                       / circle.size)
+    per_pass = 4 * k.size  # the folded nodes of four atoms
     nodes, weights = np.concatenate(nodes), np.concatenate(weights)
     m = ev.modes[0]
     sums = 0.0
-    for start in range(0, nodes.size, _MEAN_NODES_PER_PASS):
-        w = nodes[start:start + _MEAN_NODES_PER_PASS]
+    for start in range(0, nodes.size, per_pass):
+        w = nodes[start:start + per_pass]
         u = (s[:, None] - w[None, :]).ravel()  # z - w at the base points z = s, (S K,)
         rho = np.abs(u)
         fm = _real_matmul(ev._radial_matrix(0, rho), ev.fhat)  # (S K, M)

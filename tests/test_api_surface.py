@@ -129,3 +129,36 @@ def test_the_unchecked_field_constructor_has_one_caller():
                for node in ast.walk(fn) if isinstance(node, ast.Attribute)
                and node.attr == "_proven_finite"}
     assert callers == {("transforms", "synthesize")}
+
+
+def _n_branches(fn):
+    """The comparisons of n (a name or an attribute) with integer literals
+    in fn, and its references to UnsupportedDimension, as source text."""
+    def is_n(node):
+        return (isinstance(node, ast.Name) and node.id == "n"
+                or isinstance(node, ast.Attribute) and node.attr == "n")
+
+    def is_int(node):
+        if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+            return any(is_int(e) for e in node.elts)
+        return isinstance(node, ast.Constant) and type(node.value) is int
+
+    found = []
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Compare):
+            sides = [node.left, *node.comparators]
+            if any(map(is_n, sides)) and any(map(is_int, sides)):
+                found.append(ast.unparse(node))
+        elif isinstance(node, ast.Name) and node.id == "UnsupportedDimension":
+            found.append(node.id)
+    return found
+
+
+def test_the_sphere_rule_and_the_pointwise_mean_do_not_branch_on_n():
+    # one construction for every n: no n == 1 / n == 2 cases, and no n that
+    # the pointwise means refuse
+    for module, name in (("grids", "build_sphere_rule"), ("transforms", "_mean_at")):
+        tree = ast.parse((SOURCE / f"{module}.py").read_text())
+        fn = next(node for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name == name)
+        assert _n_branches(fn) == [], f"{module}.{name}"

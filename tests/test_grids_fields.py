@@ -2,6 +2,7 @@
 
 import json
 import tracemalloc
+from math import factorial
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from metivier.grids import (
     FieldEvaluator,
     SampledField,
     SphereRule,
-    _real_matmul,
     angular_mode_coefficients,
     build_sphere_rule,
     default_grid,
@@ -236,7 +236,7 @@ def test_evaluator_n3_reproduces_grid_samples():
 
 
 @pytest.mark.parametrize("n", [1, 2])
-def test_evaluator_rows_per_distinct_radius_match_pointwise_evaluation(n):
+def test_evaluator_batch_matches_pointwise_evaluation(n):
     from metivier.special import psi_alpha_beta
     from metivier.structures import complex_from_real, real_from_complex
 
@@ -246,9 +246,8 @@ def test_evaluator_rows_per_distinct_radius_match_pointwise_evaluation(n):
     ev = FieldEvaluator(f)
     rng = np.random.default_rng(3)
     base = rng.uniform(0.3, 2.5, (2, n)) * np.exp(1j * rng.uniform(0, 2 * np.pi, (2, n)))
-    # sphere-rule shifts as the pointwise means build them: at n = 2 each
-    # coordinate's radius repeats across the nodes around a point; at n = 1
-    # most radii are distinct
+    # sphere-rule shifts: at n = 2 each coordinate's radius repeats across
+    # the nodes around a point; at n = 1 most radii are distinct
     rule = build_sphere_rule(n, 1.1, 8)
     shifts = complex_from_real(real_from_complex(base)[:, None, :]
                                - rule.nodes_real()[None, :, :]).reshape(-1, n)
@@ -267,76 +266,6 @@ def test_evaluator_rows_per_distinct_radius_match_pointwise_evaluation(n):
     assert np.max(np.abs(ev(pts[perm]) - got[perm])) <= 1e-15 * scale
     assert not np.any(ev(past))
     assert np.all(np.isfinite(got)) and np.max(np.abs(got)) > 0.1 * scale
-
-
-def _mode_sums(ev, z):
-    """ev(z) for points z of shape (P, n) in one chunk, computed as the
-    evaluator did before single modes became factors: every coordinate's
-    phase is summed over its kept modes, one or several."""
-    t, beta = np.abs(z), np.angle(z)
-    out = None
-    for j in range(ev.grid.n):
-        radii, row = np.unique(t[:, j], return_inverse=True)
-        B = ev._radial_matrix(j, radii)[row]
-        out = _real_matmul(B, ev.fhat) if out is None else np.einsum("pi...,pi->p...", out, B)
-        out = np.einsum("pm...,pm->p...", out, np.exp(1j * beta[:, [j]] * ev.modes[j]))
-    return out
-
-
-def _sphere_nodes_around(points, n, r, order):
-    """The shifted points at which the pointwise means evaluate a field."""
-    rule = build_sphere_rule(n, r, order)
-    return complex_from_real(real_from_complex(points)[:, None, :]
-                             - rule.nodes_real()[None, :, :]).reshape(-1, n)
-
-
-@pytest.mark.parametrize("case", ["sphere-nodes", "rotated-grid", "radial", "one-mode-per-axis",
-                                  "n1"])
-def test_single_mode_factors_match_the_mode_sums(case):
-    n = 1 if case == "n1" else 2
-    g = polar_grid(n, 24, 16, 7.0)
-    rng = np.random.default_rng(8)
-    probes = rng.uniform(0.3, 2.5, (3, n)) * np.exp(1j * rng.uniform(0, 2 * np.pi, (3, n)))
-    if case == "n1":
-        f = sample(lambda z: psi_alpha_beta((1,), (2,), [1.0], z), g)
-        z = (rng.uniform(0.1, 6.5, 100) * np.exp(1j * rng.uniform(0, 2 * np.pi, 100)))[:, None]
-    elif case == "one-mode-per-axis":
-        f = sample(lambda z: psi_alpha_beta((2, 0), (0, 1), [1.0, 1.0], z), g)
-        z = _sphere_nodes_around(probes, n, 1.1, 8)
-    elif case == "radial":
-        # the one-radius witness's kind of field: mode 0 on both axes
-        f = sample(lambda z: np.exp(-np.sum(np.abs(z) ** 2, axis=-1)), g)
-        z = _sphere_nodes_around(probes, n, 1.1, 8)
-    else:
-        f = sample(lambda z: psi_alpha_beta((1, 0), (0, 2), [1.0, 1.0], z)
-                   + 0.3 * psi_alpha_beta((0, 1), (2, 1), [1.0, 1.0], z), g)
-        if case == "sphere-nodes":
-            z = _sphere_nodes_around(probes, n, 1.1, 8)
-        else:
-            # the nodes of a small grid under a generic rotation: only a node
-            # and its negative can share their radii
-            nodes = np.stack(np.broadcast_arrays(*polar_grid(2, 8, 8, 5.0).coordinate_axes()),
-                             axis=-1).reshape(-1, 2)
-            rotation = np.linalg.qr(rng.normal(size=(4, 4)))[0]
-            z = complex_from_real(real_from_complex(nodes) @ rotation.T)
-    ev = FieldEvaluator(f)
-    assert len(z) <= 4096  # one chunk
-    modes = {"n1": [[1]], "one-mode-per-axis": [[-2], [1]], "radial": [[0], [0]]}
-    if case in modes:
-        assert [m.tolist() for m in ev.modes] == modes[case]
-    else:
-        assert all(m.size > 1 for m in ev.modes)
-    got = ev(z)
-    want = _mode_sums(ev, z)
-    if case in ("n1", "one-mode-per-axis"):
-        # one e^{i (m1 beta1 + m2 beta2)} rounds apart from the product of the
-        # summed phases: the argument reaches 3 pi, about 5 ulp of max|f| here
-        assert np.max(np.abs(got - want)) <= 16 * np.finfo(float).eps * f.max_abs()
-    else:
-        # several modes are summed as before, and mode 0 is a factor of
-        # exactly 1
-        assert np.array_equal(got, want)
-    assert np.max(np.abs(got)) > 0.01 * f.max_abs()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(1, np.nan)])
@@ -476,7 +405,7 @@ def test_norm2_makes_no_field_sized_temporary():
 def test_sphere_rule_circle_moments():
     # n = 1: the rule is the uniform circle measure; angular monomials average
     # to zero and |w|^2 is constant
-    rule = build_sphere_rule(1, 1.3, 64)
+    rule = build_sphere_rule(1, 1.3, 63)
     assert rule.weights.sum() == pytest.approx(1.0, abs=1e-14)
     w = rule.nodes[:, 0]
     for m in range(1, 5):
@@ -485,10 +414,11 @@ def test_sphere_rule_circle_moments():
 
 
 @pytest.mark.parametrize("n, order, outer_count, inner_count", [
-    (1, 64, 1, 64), (1, 7, 1, 7), (2, 16, 9, 17), (2, 5, 3, 6)])
+    (1, 63, 1, 64), (1, 6, 1, 7), (2, 16, 9, 17), (2, 5, 3, 6), (3, 4, 9, 5)])
 def test_sphere_rule_is_its_factors_written_out(n, order, outer_count, inner_count):
     # node (q, x_1, .., x_n) = (w_1[q, x_1], .., w_n[q, x_n]), weight
-    # outer[q] / (X_1 .. X_n), in that order
+    # outer[q] / (X_1 .. X_n), in that order: (order // 2 + 1)^(n - 1) outer
+    # nodes and order + 1 phases per coordinate
     rule = build_sphere_rule(n, 1.3, order)
     outer, coordinates = rule.outer, rule.coordinates
     assert outer.shape == (outer_count,)
@@ -521,6 +451,34 @@ def test_sphere_rule_checks_its_factors():
     off[1, 3] *= 1 + 1e-9  # one product node per x_1 leaves |w| = r
     with pytest.raises(DimensionMismatch, match="lie on"):
         SphereRule(2, 1.3, rule.outer, (w1, off), 5)
+    # one coordinate array for n = 2, of unit moduli: the weights and radii
+    # pass, and its product nodes could not be written out
+    unit = build_sphere_rule(2, 1.0, 5)
+    w = np.exp(1j * np.angle(unit.coordinates[0]))
+    for coordinates in ((w,), (w, w[:, :, None]), (w, w[:-1])):
+        with pytest.raises(DimensionMismatch, match="coordinate arrays"):
+            SphereRule(2, 1.0, unit.outer, coordinates, 5)
+    with pytest.raises(DimensionMismatch, match="n >= 1"):
+        build_sphere_rule(0, 1.0, 5)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_sphere_rule_outer_weights_give_the_dirichlet_moments(n):
+    # the shares t_j = |w_j|^2 / r^2 are uniform on the simplex, whose
+    # moments E[prod t_j^p_j] = (n - 1)! prod p_j! / (|p| + n - 1)! the
+    # order-16 rule integrates exactly up to |p| = 8, and every node's
+    # shares sum to 1
+    rule = build_sphere_rule(n, 1.7, 16)
+    t = np.stack([np.abs(w[:, 0]) ** 2 for w in rule.coordinates], axis=1) / 1.7**2
+    assert np.max(np.abs(t.sum(axis=1) - 1)) < 1e-14
+    for w in rule.coordinates:
+        assert np.ptp(np.abs(w), axis=1).max() < 1e-14
+    for p in np.ndindex(*[9] * n):
+        if sum(p) <= 8:
+            exact = (factorial(n - 1) * np.prod([factorial(q) for q in p])
+                     / factorial(sum(p) + n - 1))
+            assert rule.outer @ np.prod(t ** np.array(p), axis=1) == pytest.approx(
+                exact, rel=1e-13, abs=1e-15), p
 
 
 def test_field_io_bit_identical_round_trip(tmp_path):

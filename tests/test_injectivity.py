@@ -730,21 +730,26 @@ def test_measure_mean_is_the_weighted_sum_of_reduced_means(g1):
 
 def test_measure_mean_at_is_the_weighted_sum_of_pointwise_means(monkeypatch):
     # one evaluator (one angular FFT) and one contraction over every atom's
-    # sphere rule, each atom's weight multiplying its outer weights
-    f = sample(lambda z: np.exp(-np.sum(np.abs(z) ** 2, axis=-1) / 3)
-               * (1 + z[..., 0] - 0.3 * np.conj(z[..., 1]) ** 2), polar_grid(2, 20, 16, 6.0))
+    # sphere rule, each atom's weight multiplying its outer weights; at n = 2
+    # and n = 3
     mu = RadialMeasure([0.7, 1.3, 2.9], [0.2, 0.5, 0.3])
     rng = np.random.default_rng(5)
-    pts = rng.uniform(0.2, 2.0, (4, 2)) * np.exp(1j * rng.uniform(0, 2 * np.pi, (4, 2)))
-    for lam in ([1.0, 2.0], [-1.4, 0.6]):
-        want = sum(w * transforms.reduced_mean_at(f, lam, r, pts) for r, w in mu.atoms)
-        ffts = []
-        fft = grids.angular_mode_coefficients
-        monkeypatch.setattr(grids, "angular_mode_coefficients", lambda g: ffts.append(g) or fft(g))
-        got = injectivity.measure_mean_at(f, mu, lam, pts)
-        monkeypatch.undo()
-        assert len(ffts) == 1
-        assert np.max(np.abs(got - want)) < 1e-14 * f.max_abs()
+    for grid, twists in ((polar_grid(2, 20, 16, 6.0), ([1.0, 2.0], [-1.4, 0.6])),
+                         (polar_grid(3, 10, 8, 5.0), ([1.0, 1.5, -0.5],))):
+        f = sample(lambda z: np.exp(-np.sum(np.abs(z) ** 2, axis=-1) / 3)
+                   * (1 + z[..., 0] - 0.3 * np.conj(z[..., -1]) ** 2), grid)
+        pts = (rng.uniform(0.2, 2.0, (4, grid.n))
+               * np.exp(1j * rng.uniform(0, 2 * np.pi, (4, grid.n))))
+        for lam in twists:
+            want = sum(w * transforms.reduced_mean_at(f, lam, r, pts) for r, w in mu.atoms)
+            ffts = []
+            fft = grids.angular_mode_coefficients
+            monkeypatch.setattr(grids, "angular_mode_coefficients",
+                                lambda g: ffts.append(g) or fft(g))
+            got = injectivity.measure_mean_at(f, mu, lam, pts)
+            monkeypatch.undo()
+            assert len(ffts) == 1
+            assert np.max(np.abs(got - want)) < 1e-14 * f.max_abs()
 
 
 @pytest.mark.parametrize("make, bad", [

@@ -19,7 +19,6 @@ from metivier.errors import (
     NyquistViolation,
     RangeExceeded,
     TruncationDominates,
-    UnsupportedDimension,
     VersionMismatch,
 )
 from metivier.grids import (
@@ -171,7 +170,8 @@ def test_full_grid_mean_peak_memory_stays_below_two_interpolation_matrices(g1):
     # mean: the real product on the coefficients' float view makes no complex
     # copy of it, and it is freed before the mode phases are formed
     f = _psi_sum_field(g1)
-    matrix_bytes = len(g1.radial_nodes[0]) * DEFAULT_SPHERE_ORDER[1] * len(g1.radial_nodes[0]) * 8
+    nodes = DEFAULT_SPHERE_ORDER[1] + 1  # the default circle rule's node count
+    matrix_bytes = len(g1.radial_nodes[0]) * nodes * len(g1.radial_nodes[0]) * 8
     reduced_mean(f, LAM1, 1.7)
     tracemalloc.start()
     try:
@@ -185,8 +185,8 @@ def test_full_grid_mean_peak_memory_stays_below_two_interpolation_matrices(g1):
 def test_full_grid_mean_zero_fill_near_r_max(g1):
     # a field still large at r_max, means over circles that leave the grid:
     # beyond r_max both paths treat the field as zero.  At grid angles that
-    # are multiples of 2 pi / order the order-64 rule maps onto itself under
-    # the rotation, so the two paths sum the same terms.
+    # are multiples of 2 pi / 64 the default 64-node circle rule maps onto
+    # itself under the rotation, so the two paths sum the same terms.
     f = sample(lambda z: np.exp(-np.abs(z[..., 0]) ** 2 / 50) * (1 + np.conj(z[..., 0]) / 4), g1)
     assert np.max(np.abs(f.values[-1])) > 0.05 * f.max_abs()
     step = g1.angular_counts[0] // 64
@@ -194,7 +194,7 @@ def test_full_grid_mean_zero_fill_near_r_max(g1):
     for r in (10.5, 11.9):
         assert np.count_nonzero(np.abs(pts[:, 0]) + r > g1.r_max) > 20
         got = reduced_mean(f, LAM1, r).values.ravel()[idx]
-        want = reduced_mean_at(f, LAM1, r, pts, order=64)
+        want = reduced_mean_at(f, LAM1, r, pts, order=DEFAULT_SPHERE_ORDER[1])
         assert np.max(np.abs(got - want)) < 1e-12 * f.max_abs()
 
 
@@ -222,7 +222,7 @@ def test_full_grid_twisted_mean_matches_pointwise(g1):
                     (builtin_structure("heisenberg:1"), np.array([-1.3])),
                     (scaled, np.array([0.6]))):
         mean = twisted_mean(f, st, lam, 0.9).values.ravel()
-        rule_nodes = twisted_mean_at(f, st, lam, 0.9, pts_rule, order=64)
+        rule_nodes = twisted_mean_at(f, st, lam, 0.9, pts_rule, order=DEFAULT_SPHERE_ORDER[1])
         assert np.max(np.abs(mean[idx_rule] - rule_nodes)) < 1e-12 * f.max_abs()
         high_order = twisted_mean_at(f, st, lam, 0.9, pts, order=1024)
         assert np.max(np.abs(mean[idx] - high_order)) < 1e-8 * f.max_abs()
@@ -351,15 +351,14 @@ def test_factored_sphere_mean_is_the_flat_rule_sum(mean_fields, kind, n, twist, 
     (2, 16.0, "integer", DimensionMismatch),
     (2, -3, "order", DimensionMismatch),
     (2, 4097, "order", DimensionMismatch),
-    (3, None, "n in", UnsupportedDimension),
-    (3, 0, "n in", UnsupportedDimension),
+    (3, 0, "order", DimensionMismatch),
     (2, None, "point 2 ", DimensionMismatch),
-], ids=["order-0", "order-0-n1", "float-order", "negative-order", "large-order", "n3", "n3-order-0",
+], ids=["order-0", "order-0-n1", "float-order", "negative-order", "large-order", "n3-order-0",
         "nonfinite-point"])
 def test_pointwise_mean_rejects_bad_input_before_any_work(monkeypatch, mean, n, order, bad,
                                                           error):
     # a typed error, raised before an evaluator is built: order 0 is not the
-    # default order, and n = 3 has no sphere rule
+    # default order
     f = sample(lambda z: np.exp(-np.sum(np.abs(z) ** 2, axis=-1)), polar_grid(n, 6, 4, 4.0))
     pts = np.full((4, n), 0.3 + 0.2j)
     if bad.startswith("point"):
@@ -367,6 +366,60 @@ def test_pointwise_mean_rejects_bad_input_before_any_work(monkeypatch, mean, n, 
     monkeypatch.setattr(transforms, "FieldEvaluator", None)
     with pytest.raises(error, match=bad):
         mean(f, pts, order)
+
+
+@pytest.mark.parametrize("twisted", [False, True], ids=["reduced", "twisted"])
+def test_pointwise_mean_evaluates_at_n3(twisted):
+    # n = 3 has a sphere rule: at order 4 the factored mean is the flat rule
+    # sum, and the default order evaluates
+    f = sample(lambda z: (1 + z[..., 0] * np.conj(z[..., 2]) - 0.5j * z[..., 1])
+               * np.exp(-np.sum(np.abs(z) ** 2, axis=-1) / 4), polar_grid(3, 10, 8, 5.0))
+    rng = np.random.default_rng(5)
+    pts = rng.uniform(0.2, 1.5, (3, 3)) * np.exp(1j * rng.uniform(0, 2 * np.pi, (3, 3)))
+    if twisted:
+        structure, lam = builtin_structure("heisenberg:3"), np.array([-0.8])
+        v = v_lambda(structure, lam)
+        mean = lambda order: twisted_mean_at(f, structure, lam, 1.2, pts, order=order)
+    else:
+        lam = np.array([1.0, 2.0, 3.0])
+        v = normal_form_matrix(lam)
+        mean = lambda order: reduced_mean_at(f, lam, 1.2, pts, order=order)
+    want = _flat_rule_mean(f, v, 1.2, pts, 4)
+    assert np.max(np.abs(mean(4) - want)) <= 1e-14 * f.max_abs()
+    default = mean(None)
+    assert np.all(np.isfinite(default)) and np.max(np.abs(default)) > 0.01 * f.max_abs()
+
+
+# The n = 3 oracles of the pointwise mean, on a grid whose 16 radial nodes
+# resolve theta_k, k <= 2, to about 1e-7 of its peak.
+GRID_3 = polar_grid(3, 16, 8, 6.0)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_reduced_mean_at_n3_is_the_isotropic_eigenvalue(k):
+    lam = np.array([1.0, 1.0, 1.0])
+    f = sample(lambda z: theta_k(k, lam, z), GRID_3)
+    rng = np.random.default_rng(30 + k)
+    pts = rng.uniform(0.2, 1.2, (4, 3)) * np.exp(1j * rng.uniform(0, 2 * np.pi, (4, 3)))
+    for r in (0.7, 1.5):
+        want = mean_eigenvalue(k, lam, r) * theta_k(k, lam, pts)
+        assert np.max(np.abs(reduced_mean_at(f, lam, r, pts) - want)) < 1e-6 * f.max_abs()
+
+
+def test_reduced_mean_at_n3_scales_each_psi_by_one_constant():
+    # at anisotropic twist the mean of Psi_{a,b} is m_b(r) Psi_{a,b}, one
+    # multiplier per multi-index b, so the ratio does not depend on the point
+    lam = np.array([1.0, 2.0, 3.0])
+    alpha, beta = (1, 0, 0), (0, 1, 1)
+    f = sample(lambda z: psi_alpha_beta(alpha, beta, lam, z), GRID_3)
+    rng = np.random.default_rng(33)
+    pts = rng.uniform(0.3, 1.0, (5, 3)) * np.exp(1j * rng.uniform(0, 2 * np.pi, (5, 3)))
+    psi = psi_alpha_beta(alpha, beta, lam, pts)
+    for r in (0.8, 1.4):
+        mean = reduced_mean_at(f, lam, r, pts)
+        ratio = mean[0] / psi[0]
+        assert abs(ratio) > 0.01
+        assert np.max(np.abs(mean - ratio * psi)) < 1e-5 * f.max_abs()
 
 
 def test_a_high_order_pointwise_mean_never_writes_its_rule_out():
@@ -1149,7 +1202,7 @@ def _unfolded_circle_mean(field, twist, r, idx):
     (1/K) sum_k f(e^{i phi} (s - w_k)) e^{(i/2) twist Im(s conj w_k)} over every
     node w_k of the order-K rule, f evaluated pointwise (zero past r_max)."""
     g = field.grid
-    K = DEFAULT_SPHERE_ORDER[1]
+    K = DEFAULT_SPHERE_ORDER[1] + 1  # the default circle rule's node count
     w = r * np.exp(2j * np.pi * np.arange(K) / K)
     i, j = np.divmod(idx, g.angular_counts[0])
     s, phi = g.radial_nodes[0][i], g.angles(0)[j]
