@@ -14,6 +14,7 @@ accurate, far below the quadrature error budget.
 
 from dataclasses import dataclass
 from functools import lru_cache
+from numbers import Integral
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -569,12 +570,22 @@ def build_sphere_rule(n, r, order):
     (1 - s)^(n - 2 - i), normalized; at n = 1 it is one node of weight 1.
     Coordinate j of outer node q is r sqrt(t_j) e^{2 pi i k / (order + 1)},
     k = 0..order.  The rule is exact for polynomials in (w, conj w) of total
-    degree <= order when n <= order // 2 + 3 (each factor's weighted
-    integrand then has degree below the Gauss-Legendre bound); at n = 2 the
-    nodes are the Hopf coordinates (r cos eta e^{i xi_1}, r sin eta e^{i xi_2}).
+    degree <= order; at n = 2 the nodes are the Hopf coordinates
+    (r cos eta e^{i xi_1}, r sin eta e^{i xi_2}).
+
+    Raises DimensionMismatch unless n and order are integers, order is in
+    [1, 4096], n >= 1, r is finite and positive, and n <= order // 2 + 3:
+    past that bound a factor's weighted integrand exceeds the Gauss-Legendre
+    degree and the rule is not exact (the default order 16 serves n <= 11).
     """
+    if not (isinstance(n, Integral) and isinstance(order, Integral)):
+        raise DimensionMismatch(f"sphere rule n and order must be integers, "
+                                f"got {n!r} and {order!r}")
     if order < 1 or order > 4096:
         raise DimensionMismatch("sphere rule order must be in [1, 4096]")
+    if n > order // 2 + 3:
+        raise DimensionMismatch(f"a sphere rule of order {order} is exact only for n <= "
+                                f"{order // 2 + 3}, got n = {n}")
     if not 0 < r < np.inf:
         raise DimensionMismatch(f"sphere radius must be finite and positive, got {r}")
     x, wx = _gauss_legendre(order // 2 + 1)

@@ -34,9 +34,11 @@ from .grids import SampledField, _gauss_legendre, build_sphere_rule, default_gri
 from .special import (
     MAX_MATRIX_INDEX,
     _check_bessel_count,
-    _check_lambda_prime,
+    _is_isotropic,
     _laguerre_at_degree,
     _laguerre_zero_tables,
+    _positive_twist,
+    _twist,
     bessel_j,
     bessel_zeros,
     laguerre_sequence,
@@ -48,7 +50,6 @@ from .transforms import (
     _analyse,
     _block_pairs,
     _check_degree,
-    _check_twist,
     _conjugate_coordinates,
     _full_grid_mean,
     _mean_at,
@@ -106,7 +107,7 @@ def measure_mean_at(field, mu, lambda_prime, points):
     FieldEvaluator and one contraction over the sphere rules of every atom,
     each atom's weight multiplying its rule's outer weights
     (transforms._mean_at)."""
-    lam = _check_twist(lambda_prime, field.grid.n)
+    lam = _twist(lambda_prime, field.grid.n, "measure_mean_at", DimensionMismatch)
     return _mean_at(field, normal_form_matrix(lam), mu.atoms, points, None)
 
 
@@ -119,7 +120,8 @@ def measure_mean(field, mu, lambda_prime):
     weight multiplies its node weights, and one inverse FFT.
     measure_mean_at is the pointwise oracle.  UnsupportedDimension for
     n != 1."""
-    return _full_grid_mean(field, _check_twist(lambda_prime, field.grid.n)[0], mu.atoms)
+    lam = _twist(lambda_prime, field.grid.n, "measure_mean", DimensionMismatch)
+    return _full_grid_mean(field, lam[0], mu.atoms)
 
 
 @dataclass(frozen=True)
@@ -147,11 +149,12 @@ def _reconstruct(means, lambda_prime, k_max, scalars):
     """Blockwise inversion shared by both reconstructions.
 
     means is a nonempty list of (label, mean field) on one grid
-    (GridMismatch otherwise), k_max an integer in [0, MAX_MATRIX_INDEX]
-    (RangeExceeded otherwise), and scalars(degrees, lam) gives, for each
-    degree k of the array degrees = 0..k_max, the row of scalars by which
-    each mean acts on the degree-k
-    block at the positive twist lam, in the same order.  Each degree is
+    (GridMismatch otherwise), lambda_prime n finite nonzero components
+    (RangeExceeded for a zero or non-finite one), k_max an integer in
+    [0, MAX_MATRIX_INDEX] (RangeExceeded otherwise), and scalars(degrees,
+    lam) gives, for each degree k of the array degrees = 0..k_max, the row
+    of scalars by which each mean acts on the degree-k block at the
+    positive twist lam, in the same order.  Each degree is
     inverted from the mean with the largest |scalar| and recorded under that
     mean's label; degrees whose scalars all fall below
     USABLE_RADIUS_THRESHOLD are unrecoverable (NoUsableRadius if that is all
@@ -170,9 +173,7 @@ def _reconstruct(means, lambda_prime, k_max, scalars):
     """
     template = means[0][1]
     n = template.grid.n
-    lam = np.atleast_1d(np.asarray(lambda_prime, dtype=float))
-    if lam.shape != (n,):
-        raise DimensionMismatch(f"reduced twist must have {n} components")
+    lam = _twist(lambda_prime, n, "reconstruction", RangeExceeded)
     if any(mean.grid != template.grid for _, mean in means):
         raise GridMismatch("the means live on different grids")
     k_max = _check_degree(k_max, MAX_MATRIX_INDEX, "k_max")
@@ -282,10 +283,8 @@ def one_radius_counterexample(l, lambda_prime, n=1, zero_index=0, grid=None):
     if l < 1:
         raise RangeExceeded("counterexample degree must be at least 1")
     # the twist is checked before r = sqrt(2 x0 / lam) is formed
-    lam = _check_lambda_prime(lambda_prime)
-    if lam.shape != (n,):
-        raise DimensionMismatch(f"lambda_prime must have {n} components")
-    if not np.allclose(lam, lam[0], rtol=0, atol=1e-14):
+    lam = _positive_twist(lambda_prime, n, "one_radius_counterexample", RangeExceeded)
+    if not _is_isotropic(lam):
         raise RangeExceeded("one-radius counterexamples require isotropic twist")
     table = laguerre_zeros(l, n - 1)
     if zero_index < 0 or zero_index >= table.zeros.size:
@@ -339,9 +338,7 @@ def weighted_norm(field, spec_or_lambda, p=2):
     """
     g = field.grid
     lam = getattr(spec_or_lambda, "mu", spec_or_lambda)
-    lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    if lam.shape != (g.n,) or np.any(lam <= 0):
-        raise DimensionMismatch(f"need {g.n} positive weight components")
+    lam = _positive_twist(lam, g.n, "weighted_norm", DimensionMismatch)
     p = float(p)
     if not (p >= 1):
         raise DimensionMismatch("p must be in [1, inf]")
@@ -393,10 +390,6 @@ class RadiiVerdict:
     @property
     def admissible(self):
         return self.admissible_within_bounds
-
-    @property
-    def tolerance(self):
-        return self.search_bounds[2]
 
     def to_csv(self, path):
         with open(path, "w") as fh:
@@ -567,10 +560,8 @@ def two_radii_check(r1, r2, n=1, lambda_prime=None, k_max=30, bessel_count=60,
     _check_bessel_count(bessel_count)
     anisotropic = False
     if lambda_prime is not None:
-        lam = np.atleast_1d(np.asarray(lambda_prime, dtype=float))
-        if lam.shape != (n,) or not np.all((0 < lam) & (lam < np.inf)):
-            raise DimensionMismatch(f"lambda_prime must be {n} finite positive components")
-        anisotropic = not np.allclose(lam, lam[0], rtol=0, atol=1e-14)
+        lam = _positive_twist(lambda_prime, n, "two_radii_check", DimensionMismatch)
+        anisotropic = not _is_isotropic(lam)
     target = (r1 / r2) ** 2
     if not anisotropic:
         tables = _laguerre_zero_tables(range(1, k_max + 1), n - 1)
@@ -719,7 +710,7 @@ def two_radii_reconstruct(pfield, r1, r2, k_max=20, ell_max=2):
         if result is not None:
             mode_details[ell] = {
                 "unrecoverable": result.unrecoverable,
-                "condition_numbers": {k: 1.0 / abs(v) for k, v in result.divisor.items()},
+                "condition_numbers": {k: result.condition_number(k) for k in result.divisor},
                 "recovered_norms": dict(result.recovered_norm),
             }
         else:

@@ -18,7 +18,7 @@ from scipy.linalg import eigvalsh_tridiagonal
 from scipy.optimize import brentq
 from scipy.special import jv
 
-from .errors import NonConvergence, RangeExceeded
+from .errors import DimensionMismatch, NonConvergence, RangeExceeded
 
 MAX_HERMITE_DEGREE = 200
 MAX_LAGUERRE_DEGREE = 500
@@ -83,17 +83,36 @@ def phi_k(k, n, z):
     return laguerre_L(k, n - 1, s2 / 2) * np.exp(-s2 / 4)
 
 
-def phi_radial(k, n, s):
-    """Radial profile of phi_k^{n-1} at |z| = s."""
-    s = np.asarray(s, dtype=float)
-    return laguerre_L(k, n - 1, s**2 / 2) * np.exp(-(s**2) / 4)
+def _twist(lambda_prime, n, operation, error):
+    """lambda_prime as a float array of n components, or of at least one
+    when n is None (DimensionMismatch otherwise), each finite and nonzero
+    (error otherwise).  Messages name the operation.
 
-
-def _check_lambda_prime(lambda_prime):
+    The reduced-twist means, twisted convolution, the twisted Laplacian and
+    reconstruction accept a negative component: it conjugates that
+    coordinate.  The special Hermite basis, theta_k, the zero scans and the
+    tempered-growth weight need a positive twist (_positive_twist)."""
     lam = np.atleast_1d(np.asarray(lambda_prime, dtype=float))
-    if np.any(lam <= 0):
-        raise RangeExceeded("lambda_prime components must be strictly positive")
+    if lam.ndim != 1 or lam.size == 0 or n is not None and lam.size != n:
+        raise DimensionMismatch(f"{operation} needs a reduced twist of "
+                                f"{n or 'one or more'} components, got shape {lam.shape}")
+    if not np.all(np.isfinite(lam) & (lam != 0)):
+        raise error(f"{operation} needs finite nonzero reduced twist components, "
+                    f"got {lam.tolist()}")
     return lam
+
+
+def _positive_twist(lambda_prime, n, operation, error):
+    """_twist with every component positive (error otherwise)."""
+    lam = _twist(lambda_prime, n, operation, error)
+    if np.any(lam < 0):
+        raise error(f"{operation} needs positive reduced twist components, got {lam.tolist()}")
+    return lam
+
+
+def _is_isotropic(lam):
+    """Whether the components of a twist are equal, to 1e-14."""
+    return np.allclose(lam, lam[0], rtol=0, atol=1e-14)
 
 
 def theta_k(k, lambda_prime, z):
@@ -101,32 +120,26 @@ def theta_k(k, lambda_prime, z):
 
     z has shape (..., n) complex.
     """
-    lam = _check_lambda_prime(lambda_prime)
+    lam = _positive_twist(lambda_prime, None, "theta_k", RangeExceeded)
     z = np.asarray(z, dtype=complex)
     if z.shape[-1:] != (lam.size,):
         raise RangeExceeded("z must have trailing dimension n")
     return phi_k(k, lam.size, np.sqrt(lam) * z)
 
 
-def _isotropic_lambda_prime(lambda_prime):
-    """lambda_prime as an array; RangeExceeded unless its components are
-    positive and equal (to 1e-14)."""
-    lam = _check_lambda_prime(lambda_prime)
-    if not np.allclose(lam, lam[0], rtol=0, atol=1e-14):
-        raise RangeExceeded("theta_radial requires isotropic lambda_prime")
-    return lam
-
-
 def theta_radial(k, lambda_prime, r):
-    """theta_{k,lam} on the sphere |z| = r for isotropic lambda_prime.
+    """theta_{k,lam} on the sphere |z| = r for isotropic lambda_prime:
+    L_k^{n-1}(s^2 / 2) e^{-s^2 / 4} at s = sqrt(lam) r.
 
     Only meaningful when all components of lambda_prime are equal; theta is
-    not constant on Euclidean spheres otherwise.
+    not constant on Euclidean spheres otherwise (RangeExceeded).
     """
-    lam = _isotropic_lambda_prime(lambda_prime)
-    n = lam.size
-    r = np.asarray(r, dtype=float)
-    return phi_radial(k, n, np.sqrt(lam[0]) * r)
+    lam = _positive_twist(lambda_prime, None, "theta_radial", RangeExceeded)
+    if not _is_isotropic(lam):
+        raise RangeExceeded("theta_radial requires isotropic lambda_prime")
+    # an array even when r is a scalar, as in mean_eigenvalue
+    s = np.asarray(np.sqrt(lam[0]) * np.asarray(r, dtype=float))
+    return laguerre_L(k, lam.size - 1, s**2 / 2) * np.exp(-(s**2) / 4)
 
 
 def _sqrt_fact_ratio(small, big):
@@ -143,8 +156,8 @@ def special_hermite_1d(j, k, lam, z):
     if j < 0 or k < 0 or j > MAX_MATRIX_INDEX or k > MAX_MATRIX_INDEX:
         raise RangeExceeded(f"special hermite indices ({j}, {k}) outside [0, {MAX_MATRIX_INDEX}]")
     lam = float(lam)
-    if lam <= 0:
-        raise RangeExceeded("lam must be strictly positive")
+    if not 0 < lam < np.inf:
+        raise RangeExceeded(f"special_hermite_1d needs finite positive lam, got {lam}")
     w = np.sqrt(lam) * np.asarray(z, dtype=complex)
     r2 = np.abs(w) ** 2
     if k >= j:
@@ -164,7 +177,7 @@ def psi_alpha_beta(alpha, beta, lambda_prime, z):
     """
     alpha = np.atleast_1d(np.asarray(alpha, dtype=int))
     beta = np.atleast_1d(np.asarray(beta, dtype=int))
-    lam = _check_lambda_prime(lambda_prime)
+    lam = _positive_twist(lambda_prime, None, "psi_alpha_beta", RangeExceeded)
     z = np.asarray(z, dtype=complex)
     if not (alpha.shape == beta.shape == lam.shape):
         raise RangeExceeded("alpha, beta, lambda_prime must have equal length")

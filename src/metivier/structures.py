@@ -156,8 +156,8 @@ def read_structure(path):
 def v_lambda(structure, lam):
     """The pencil V_lambda = sum_j lambda_j U^(j)."""
     lam = np.asarray(lam, dtype=float)
-    if lam.shape != (structure.m,):
-        raise DimensionMismatch(f"lambda must have shape ({structure.m},)")
+    if lam.shape != (structure.m,) or not np.all(np.isfinite(lam)):
+        raise DimensionMismatch(f"lambda must be {structure.m} finite components, got {lam}")
     return np.einsum("j,jab->ab", lam, structure.u)
 
 

@@ -69,7 +69,9 @@ from .grids import (
 )
 from .special import (
     MAX_MATRIX_INDEX,
-    _isotropic_lambda_prime,
+    _is_isotropic,
+    _positive_twist,
+    _twist,
     laguerre_sequence,
     mean_factor,
 )
@@ -78,15 +80,6 @@ from .structures import complex_from_real, normal_form_matrix, real_from_complex
 # the default sphere rule order per n (build_sphere_rule: X = order + 1
 # phases per coordinate); a dimension without an entry takes the n = 2 order
 DEFAULT_SPHERE_ORDER = {1: 63, 2: 16}
-
-
-def _check_twist(lambda_prime, n):
-    lam = np.atleast_1d(np.asarray(lambda_prime, dtype=float))
-    if lam.shape != (n,):
-        raise DimensionMismatch(f"reduced twist must have {n} components")
-    if np.any(lam == 0):
-        raise DimensionMismatch("reduced twist components must be nonzero")
-    return lam
 
 
 def _check_degree(k, upper, label):
@@ -111,15 +104,14 @@ def _mean_at(field, v, atoms, points, order):
     summed one coordinate at a time.  All atoms share one evaluator.
 
     Any n >= 1: build_sphere_rule has one construction for every n.
-    DimensionMismatch for an order that is not an integer in [1, 4096]
-    (None takes DEFAULT_SPHERE_ORDER, the n = 2 order where n has no entry)
-    or a non-finite point, naming its index, before any work.
+    DimensionMismatch, before any work, for a non-finite point, naming its
+    index, and (from build_sphere_rule) for an order that is not an integer
+    in [1, 4096] or too low to be exact at n (None takes
+    DEFAULT_SPHERE_ORDER, the n = 2 order where n has no entry).
     """
     g = field.grid
     if order is None:
         order = DEFAULT_SPHERE_ORDER.get(g.n, DEFAULT_SPHERE_ORDER[2])
-    if not isinstance(order, Integral):
-        raise DimensionMismatch(f"sphere rule order must be an integer, got {order!r}")
     z = np.asarray(points, dtype=complex).reshape(-1, g.n)
     finite = np.isfinite(z).all(axis=1)
     if not finite.all():
@@ -149,7 +141,7 @@ def reduced_mean_at(field, lambda_prime, r, points, order=None):
     """Reduced-twist spherical mean at complex points (P, n): the twisted
     mean of the normal-form pencil, whose phase (i/2) x^T U xi is
     (i/2) sum_j lam_j Im(z_j conj(w_j))."""
-    lam = _check_twist(lambda_prime, field.grid.n)
+    lam = _twist(lambda_prime, field.grid.n, "reduced_mean_at", DimensionMismatch)
     return _mean_at(field, normal_form_matrix(lam), [(r, 1.0)], points, order)
 
 
@@ -236,7 +228,8 @@ def reduced_mean(field, lambda_prime, r):
     independent pointwise quadrature oracle.  The n = 2 full-grid mean is
     unsupported; use reduced_mean_at or the eigenfunction identity instead.
     """
-    return _full_grid_mean(field, _check_twist(lambda_prime, field.grid.n)[0], [(r, 1.0)])
+    lam = _twist(lambda_prime, field.grid.n, "reduced_mean", DimensionMismatch)
+    return _full_grid_mean(field, lam[0], [(r, 1.0)])
 
 
 def twisted_mean(field, structure, lam, r):
@@ -262,7 +255,7 @@ def twisted_convolution_at(f, gfield, lambda_prime, points):
     z - w.  Quadratic cost: intended for verification at a few points.
     """
     grid = gfield.grid
-    lam = _check_twist(lambda_prime, grid.n)
+    lam = _twist(lambda_prime, grid.n, "twisted_convolution_at", DimensionMismatch)
     z = np.asarray(points, dtype=complex).reshape(-1, grid.n)
     w = _grid_points(grid)
     qw = grid.quadrature_weights().ravel()
@@ -327,7 +320,7 @@ def twisted_convolution(f, g, lambda_prime):
     grid = f.grid
     if g.grid != grid:
         raise GridMismatch("fields live on different grids")
-    lam = _check_twist(lambda_prime, grid.n)
+    lam = _twist(lambda_prime, grid.n, "twisted_convolution", DimensionMismatch)
     gmax = g.max_abs()
     edge = max(float(np.max(np.abs(np.take(g.values, -1, axis=2 * j)))) for j in range(grid.n))
     if gmax > 0 and edge > truncation_tol * gmax:
@@ -452,12 +445,9 @@ def _axis_tables(grid, lam, index_pairs):
     (NyquistViolation past the angular band); stack is the zero-padded
     (len(band), N_r, most keys of one mode) array of profiles, key i's at
     stack[mode[i], :, slot[i]]; pair_key is the key of each pair.  lam must
-    hold one component per coordinate (DimensionMismatch), each positive
-    (RangeExceeded)."""
-    if lam.shape != (grid.n,):
-        raise DimensionMismatch(f"reduced twist must have {grid.n} components")
-    if np.any(lam <= 0):
-        raise RangeExceeded("spectral analysis requires strictly positive reduced twist")
+    hold one component per coordinate (DimensionMismatch), each finite and
+    positive (RangeExceeded)."""
+    lam = _positive_twist(lam, grid.n, "special Hermite analysis", RangeExceeded)
     ab = np.array(index_pairs, dtype=int).reshape(len(index_pairs), 2, grid.n)
     tables = []
     for j in range(grid.n):
@@ -521,7 +511,7 @@ def _matrix_coefficients(field, index_pairs, lambda_prime, tables=None):
     keys of each pair ends it."""
     g = field.grid
     if tables is None:
-        tables = _axis_tables(g, np.atleast_1d(np.asarray(lambda_prime, dtype=float)), index_pairs)
+        tables = _axis_tables(g, lambda_prime, index_pairs)
     coeffs, energy = field.values, 0.0
     for j in reversed(range(g.n)):
         band, stack, mode, slot, _ = tables[j]
@@ -730,111 +720,6 @@ def decompose(field, lambda_prime, k_max, tail_tol=None):
     return spectrum
 
 
-SPECTRUM_VERSION = 2
-
-
-def write_spectrum(spectrum, directory):
-    """Serialize HermiteCoefficients as directory/manifest.json: the grid,
-    lambda_prime, the index pairs, [re, im] of each coefficient,
-    total_energy and metadata.  Floats are written exactly."""
-    import json
-    import os
-
-    from .fieldio import _grid_header
-
-    os.makedirs(directory, exist_ok=True)
-    manifest = {
-        "version": SPECTRUM_VERSION,
-        "kind": "laguerre-spectrum",
-        "grid": _grid_header(spectrum.grid),
-        "lambda_prime": [float(v) for v in spectrum.lambda_prime],
-        "pairs": [[[int(v) for v in a], [int(v) for v in b]] for a, b in spectrum.pairs],
-        "coefficients": [[float(c.real), float(c.imag)] for c in spectrum.coefficients],
-        "total_energy": float(spectrum.total_energy),
-        "metadata": spectrum.metadata,
-    }
-    with open(os.path.join(directory, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, sort_keys=True)
-        fh.write("\n")
-
-
-def read_spectrum(directory):
-    """Inverse of write_spectrum.
-
-    Raises VersionMismatch for a manifest version other than 2 and
-    MalformedFile for any other departure from the layout: a manifest that
-    is not a JSON object, a missing or ill-typed key (pairs a list of
-    [alpha, beta] integer lists, coefficients a list of [re, im] numbers,
-    lambda_prime a list of numbers, total_energy a number, metadata a
-    string), a grid the header cannot describe, an index list that is not n
-    non-negative integers, a repeated pair, a pair whose angular mode
-    beta_j - alpha_j lies outside the grid's band, a coefficient count
-    other than the pair count, a coefficient or total_energy that is not
-    finite (or a negative total_energy), or a lambda_prime that is not one
-    finite positive component per complex coordinate of the grid.
-    """
-    import json
-    import os
-    import sys
-
-    from .errors import MalformedFile, VersionMismatch
-    from .fieldio import _grid_from_header
-
-    path = os.path.join(directory, "manifest.json")
-    try:
-        with open(path, "rb") as fh:
-            manifest = json.loads(fh.read().decode("utf-8"))
-    except (OSError, ValueError, RecursionError) as exc:
-        raise MalformedFile(f"cannot read spectrum manifest {path}: {exc}") from exc
-    if not isinstance(manifest, dict) or manifest.get("kind") != "laguerre-spectrum":
-        raise MalformedFile(f"{path} is not a spectrum manifest")
-    if manifest.get("version") != SPECTRUM_VERSION:
-        raise VersionMismatch(f"unsupported spectrum manifest version in {path}")
-    pairs, coeffs, lam, energy = (manifest.get(key) for key in
-                                  ("pairs", "coefficients", "lambda_prime", "total_energy"))
-
-    def is_number(v):  # type() rather than isinstance(): a JSON true is not a number here
-        return type(v) in (int, float)
-
-    checks = {
-        "pairs": isinstance(pairs, list) and all(
-            isinstance(p, list) and len(p) == 2
-            and all(isinstance(i, list) and all(type(v) is int for v in i) for i in p)
-            for p in pairs
-        ),
-        "coefficients": isinstance(coeffs, list) and all(
-            isinstance(c, list) and len(c) == 2 and all(is_number(v) for v in c) for c in coeffs
-        ),
-        "lambda_prime": isinstance(lam, list) and all(is_number(v) for v in lam),
-        "total_energy": is_number(energy),
-        "metadata": isinstance(manifest.get("metadata"), str),
-    }
-    bad = [key for key, ok in checks.items() if not ok]
-    if bad:
-        raise MalformedFile(f"{path} has missing or ill-typed keys: {', '.join(bad)}")
-    grid = _grid_from_header(manifest.get("grid"))
-    pairs = tuple((tuple(a), tuple(b)) for a, b in pairs)
-    if not all(len(i) == grid.n and min(i) >= 0 for p in pairs for i in p):
-        raise MalformedFile(f"{path} has pairs that are not {grid.n} non-negative indices each")
-    if len(set(pairs)) != len(pairs):
-        raise MalformedFile(f"{path} repeats an index pair")
-    if any(abs(bj - aj) > na // 2 - 1
-           for a, b in pairs for aj, bj, na in zip(a, b, grid.angular_counts)):
-        raise MalformedFile(f"{path} has a pair whose angular mode exceeds the grid's band")
-    if len(coeffs) != len(pairs):
-        raise MalformedFile(f"{path} has {len(coeffs)} coefficients for {len(pairs)} pairs")
-    big = sys.float_info.max
-    if not (all(-big <= v <= big for c in coeffs for v in c) and 0 <= energy <= big):
-        raise MalformedFile(f"{path} has a non-finite coefficient or total_energy")
-    if len(lam) != grid.n or not all(0 < v <= big for v in lam):
-        raise MalformedFile(
-            f"{path} has lambda_prime {lam}; need {grid.n} finite positive components"
-        )
-    return HermiteCoefficients(grid, np.asarray(lam, dtype=float), pairs,
-                               np.array([complex(re, im) for re, im in coeffs], dtype=complex),
-                               float(energy), manifest["metadata"])
-
-
 # below half the largest float: rounding cannot carry a value bounded by
 # this past overflow
 _FINITE_BOUND = np.finfo(float).max / 2
@@ -891,9 +776,11 @@ def mean_eigenvalue(k, lambda_prime, r):
     one laguerre_sequence, whose recurrence performs the operations of
     laguerre_L, and c_k is mean_factor's, so each entry is bit for bit the
     scalar call's.  The mean acts on a block as one scalar only at isotropic
-    twist; RangeExceeded otherwise, and for a degree outside
+    positive twist; RangeExceeded otherwise, and for a degree outside
     [0, MAX_LAGUERRE_DEGREE]."""
-    lam = _isotropic_lambda_prime(lambda_prime)
+    lam = _positive_twist(lambda_prime, None, "mean_eigenvalue", RangeExceeded)
+    if not _is_isotropic(lam):
+        raise RangeExceeded("mean_eigenvalue requires isotropic lambda_prime")
     degrees = np.asarray(k, dtype=int)
     if np.any(degrees < 0):
         raise RangeExceeded(f"mean degree {degrees.min()} is negative")
@@ -923,7 +810,7 @@ def apply_twisted_laplacian(field, lambda_prime, points=None):
     returns values at the given complex points (P, n).
     """
     g = field.grid
-    lam = _check_twist(lambda_prime, g.n)
+    lam = _twist(lambda_prime, g.n, "apply_twisted_laplacian", DimensionMismatch)
     ev = FieldEvaluator(field)
     if points is None:
         if g.n != 1:

@@ -294,12 +294,12 @@ def test_gauss_legendre_rules_are_built_once_and_read_only(monkeypatch):
 
 
 def test_float_sphere_rule_order_fails_alike_with_a_cold_and_a_warm_memo():
-    # order 16.0 asks leggauss for 9.0 nodes, which it rejects; the typed memo
-    # keeps an int 9 rule from answering for it
+    # order 16.0 is rejected before any Gauss-Legendre rule is asked for, so
+    # an int 16 rule in the memo cannot answer for it
     def outcome():
         try:
             return len(build_sphere_rule(2, 1.0, 16.0).nodes)
-        except TypeError as err:
+        except DimensionMismatch as err:
             return str(err)
 
     grids._gauss_legendre.cache_clear()

@@ -29,7 +29,14 @@ from metivier.injectivity import (
     two_radii_reconstruct,
     weighted_norm,
 )
-from metivier.special import bessel_zeros, laguerre_zeros, psi_alpha_beta, theta_k, theta_radial
+from metivier.special import (
+    bessel_zeros,
+    laguerre_zeros,
+    psi_alpha_beta,
+    special_hermite_1d,
+    theta_k,
+    theta_radial,
+)
 from metivier.structures import builtin_structure, symplectic_spectrum
 from metivier.transforms import mean_eigenvalue, reduced_mean, twisted_mean
 
@@ -762,11 +769,55 @@ def test_measure_mean_at_is_the_weighted_sum_of_pointwise_means(monkeypatch):
     (lambda f: build_sphere_rule(1, np.nan, 8), "nan"),
     (lambda f: build_sphere_rule(1, np.inf, 8), "inf"),
     (lambda f: build_sphere_rule(2, np.nan, 16), "nan"),
+    (lambda f: build_sphere_rule(2, 1.0, 16.5), "integers"),
+    (lambda f: build_sphere_rule(2.5, 1.0, 16), "integers"),
+    (lambda f: build_sphere_rule(5, 1.0, 2), "exact only for n <= 4"),
     (lambda f: RadialMeasure([], [], normalized=False), "nonempty"),
 ], ids=["measure-radius-nan", "measure-radius-inf", "measure-weight-nan",
         "measure-weight-inf", "means-radius-nan", "means-radius-inf", "rule-nan",
-        "rule-inf", "rule-n2-nan", "measure-empty"])
+        "rule-inf", "rule-n2-nan", "rule-float-order", "rule-float-n", "rule-inexact",
+        "measure-empty"])
 def test_bad_radii_and_weights_are_rejected_by_value(g1, make, bad):
     f = sample(lambda z: np.exp(-np.abs(z[..., 0]) ** 2), g1)
     with pytest.raises(DimensionMismatch, match=bad):
         make(f)
+
+
+_POINT = np.array([[0.4 + 0.3j]])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("call, error", [
+    (lambda f, lam: transforms.reduced_mean_at(f, lam, 1.0, _POINT), DimensionMismatch),
+    (lambda f, lam: reduced_mean(f, lam, 1.0), DimensionMismatch),
+    (lambda f, lam: injectivity.measure_mean_at(f, RadialMeasure([1.0], [1.0]), lam, _POINT),
+     DimensionMismatch),
+    (lambda f, lam: measure_mean(f, RadialMeasure([1.0], [1.0]), lam), DimensionMismatch),
+    (lambda f, lam: transforms.twisted_convolution_at(f, f, lam, _POINT), DimensionMismatch),
+    (lambda f, lam: transforms.twisted_convolution(f, f, lam), DimensionMismatch),
+    (lambda f, lam: transforms.apply_twisted_laplacian(f, lam, _POINT), DimensionMismatch),
+    (lambda f, lam: weighted_norm(f, lam), DimensionMismatch),
+    (lambda f, lam: transforms.decompose(f, lam, 2), RangeExceeded),
+    (lambda f, lam: transforms.matrix_coefficient(f, 0, 1, lam), RangeExceeded),
+    (lambda f, lam: transforms.spectral_projection(f, lam, 1), RangeExceeded),
+    (lambda f, lam: theta_k(1, lam, _POINT), RangeExceeded),
+    (lambda f, lam: theta_radial(1, lam, 1.0), RangeExceeded),
+    (lambda f, lam: psi_alpha_beta(0, 1, lam, _POINT), RangeExceeded),
+    (lambda f, lam: special_hermite_1d(0, 1, lam[0], 0.5), RangeExceeded),
+    (lambda f, lam: mean_eigenvalue(1, lam, 1.0), RangeExceeded),
+    (lambda f, lam: reconstruct_from_means({1.0: f}, lam, 4), RangeExceeded),
+    (lambda f, lam: reconstruct_from_measure_mean(f, RadialMeasure([1.0], [1.0]), lam, 4),
+     RangeExceeded),
+    (lambda f, lam: one_radius_counterexample(1, lam), RangeExceeded),
+], ids=["reduced_mean_at", "reduced_mean", "measure_mean_at", "measure_mean",
+        "twisted_convolution_at", "twisted_convolution", "apply_twisted_laplacian",
+        "weighted_norm", "decompose", "matrix_coefficient", "spectral_projection", "theta_k",
+        "theta_radial", "psi_alpha_beta", "special_hermite_1d", "mean_eigenvalue",
+        "reconstruct_from_means", "reconstruct_from_measure_mean",
+        "one_radius_counterexample"])
+def test_non_finite_twists_are_rejected_by_value(g1, call, error, bad):
+    # each operation raises the class it raises for any bad twist, before
+    # any NaN reaches a result or another check
+    f = sample(lambda z: np.exp(-np.abs(z[..., 0]) ** 2), g1)
+    with pytest.raises(error, match="needs finite"):
+        call(f, [bad])

@@ -129,6 +129,14 @@ def test_singular_pencil():
         symplectic_spectrum(st, [1.0, 0.0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_pencil_of_a_non_finite_lambda_is_rejected(bad):
+    st = builtin_structure("product-counterexample")
+    for call in (v_lambda, symplectic_spectrum):
+        with pytest.raises(DimensionMismatch, match="finite"):
+            call(st, [1.0, bad])
+
+
 def test_complexification_round_trip():
     rng = np.random.default_rng(0)
     x = rng.standard_normal((7, 4))
