@@ -106,6 +106,7 @@ from .transforms import (
     matrix_coefficient,
     mean_eigenvalue,
     modified_twisted_mean_at,
+    read_spectrum,
     reduced_mean,
     reduced_mean_at,
     spectral_projection,
@@ -114,6 +115,7 @@ from .transforms import (
     twisted_convolution_at,
     twisted_mean,
     twisted_mean_at,
+    write_spectrum,
 )
 
 __version__ = "0.1.0"

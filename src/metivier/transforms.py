@@ -720,6 +720,111 @@ def decompose(field, lambda_prime, k_max, tail_tol=None):
     return spectrum
 
 
+SPECTRUM_VERSION = 2
+
+
+def write_spectrum(spectrum, directory):
+    """Serialize HermiteCoefficients as directory/manifest.json: the grid,
+    lambda_prime, the index pairs, [re, im] of each coefficient,
+    total_energy and metadata.  Floats are written exactly."""
+    import json
+    import os
+
+    from .fieldio import _grid_header
+
+    os.makedirs(directory, exist_ok=True)
+    manifest = {
+        "version": SPECTRUM_VERSION,
+        "kind": "laguerre-spectrum",
+        "grid": _grid_header(spectrum.grid),
+        "lambda_prime": [float(v) for v in spectrum.lambda_prime],
+        "pairs": [[[int(v) for v in a], [int(v) for v in b]] for a, b in spectrum.pairs],
+        "coefficients": [[float(c.real), float(c.imag)] for c in spectrum.coefficients],
+        "total_energy": float(spectrum.total_energy),
+        "metadata": spectrum.metadata,
+    }
+    with open(os.path.join(directory, "manifest.json"), "w") as fh:
+        json.dump(manifest, fh, sort_keys=True)
+        fh.write("\n")
+
+
+def read_spectrum(directory):
+    """Inverse of write_spectrum.
+
+    Raises VersionMismatch for a manifest version other than 2 and
+    MalformedFile for any other departure from the layout: a manifest that
+    is not a JSON object, a missing or ill-typed key (pairs a list of
+    [alpha, beta] integer lists, coefficients a list of [re, im] numbers,
+    lambda_prime a list of numbers, total_energy a number, metadata a
+    string), a grid the header cannot describe, an index list that is not n
+    non-negative integers, a repeated pair, a pair whose angular mode
+    beta_j - alpha_j lies outside the grid's band, a coefficient count
+    other than the pair count, a coefficient or total_energy that is not
+    finite (or a negative total_energy), or a lambda_prime that is not one
+    finite positive component per complex coordinate of the grid.
+    """
+    import json
+    import os
+    import sys
+
+    from .errors import MalformedFile, VersionMismatch
+    from .fieldio import _grid_from_header
+
+    path = os.path.join(directory, "manifest.json")
+    try:
+        with open(path, "rb") as fh:
+            manifest = json.loads(fh.read().decode("utf-8"))
+    except (OSError, ValueError, RecursionError) as exc:
+        raise MalformedFile(f"cannot read spectrum manifest {path}: {exc}") from exc
+    if not isinstance(manifest, dict) or manifest.get("kind") != "laguerre-spectrum":
+        raise MalformedFile(f"{path} is not a spectrum manifest")
+    if manifest.get("version") != SPECTRUM_VERSION:
+        raise VersionMismatch(f"unsupported spectrum manifest version in {path}")
+    pairs, coeffs, lam, energy = (manifest.get(key) for key in
+                                  ("pairs", "coefficients", "lambda_prime", "total_energy"))
+
+    def is_number(v):  # type() rather than isinstance(): a JSON true is not a number here
+        return type(v) in (int, float)
+
+    checks = {
+        "pairs": isinstance(pairs, list) and all(
+            isinstance(p, list) and len(p) == 2
+            and all(isinstance(i, list) and all(type(v) is int for v in i) for i in p)
+            for p in pairs
+        ),
+        "coefficients": isinstance(coeffs, list) and all(
+            isinstance(c, list) and len(c) == 2 and all(is_number(v) for v in c) for c in coeffs
+        ),
+        "lambda_prime": isinstance(lam, list) and all(is_number(v) for v in lam),
+        "total_energy": is_number(energy),
+        "metadata": isinstance(manifest.get("metadata"), str),
+    }
+    bad = [key for key, ok in checks.items() if not ok]
+    if bad:
+        raise MalformedFile(f"{path} has missing or ill-typed keys: {', '.join(bad)}")
+    grid = _grid_from_header(manifest.get("grid"))
+    pairs = tuple((tuple(a), tuple(b)) for a, b in pairs)
+    if not all(len(i) == grid.n and min(i) >= 0 for p in pairs for i in p):
+        raise MalformedFile(f"{path} has pairs that are not {grid.n} non-negative indices each")
+    if len(set(pairs)) != len(pairs):
+        raise MalformedFile(f"{path} repeats an index pair")
+    if any(abs(bj - aj) > na // 2 - 1
+           for a, b in pairs for aj, bj, na in zip(a, b, grid.angular_counts)):
+        raise MalformedFile(f"{path} has a pair whose angular mode exceeds the grid's band")
+    if len(coeffs) != len(pairs):
+        raise MalformedFile(f"{path} has {len(coeffs)} coefficients for {len(pairs)} pairs")
+    big = sys.float_info.max
+    if not (all(-big <= v <= big for c in coeffs for v in c) and 0 <= energy <= big):
+        raise MalformedFile(f"{path} has a non-finite coefficient or total_energy")
+    if len(lam) != grid.n or not all(0 < v <= big for v in lam):
+        raise MalformedFile(
+            f"{path} has lambda_prime {lam}; need {grid.n} finite positive components"
+        )
+    return HermiteCoefficients(grid, np.asarray(lam, dtype=float), pairs,
+                               np.array([complex(re, im) for re, im in coeffs], dtype=complex),
+                               float(energy), manifest["metadata"])
+
+
 # below half the largest float: rounding cannot carry a value bounded by
 # this past overflow
 _FINITE_BOUND = np.finfo(float).max / 2

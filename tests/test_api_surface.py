@@ -67,10 +67,12 @@ UNCALLED = {
     "hermite_h": "criterion 9: the Hermite functions of the special-function layer",
     "inner_product": "the grid L2 inner product of the orthonormality checks of Psi_{alpha,beta}",
     "matrix_coefficient": "the one-pair (f, Psi_{alpha,beta}) checked against grid quadrature",
+    "read_spectrum": "reads the spectrum manifest that write_spectrum writes",
     "sample_periodic": "criterion 8: the centre-periodic input of the two-radii theorem",
     "twisted_mean": "the full-grid n = 1 twisted mean, checked against twisted_mean_at",
     "two_radii_reconstruct": "criterion 8: the two-radii theorem",
     "weighted_norm": "the tempered-growth weight of the paper's first result",
+    "write_spectrum": "writes a HermiteCoefficients spectrum as one manifest.json",
     "write_structure": "writes the structure files that the command line's --structure reads",
 }
 

@@ -14,10 +14,12 @@ from metivier.errors import (
     DimensionMismatch,
     GridMismatch,
     GridTooCoarse,
+    MalformedFile,
     NonFiniteValue,
     NyquistViolation,
     RangeExceeded,
     TruncationDominates,
+    VersionMismatch,
 )
 from metivier.grids import (
     FieldEvaluator,
@@ -58,6 +60,7 @@ from metivier.transforms import (
     matrix_coefficient,
     mean_eigenvalue,
     modified_twisted_mean_at,
+    read_spectrum,
     reduced_mean,
     reduced_mean_at,
     spectral_projection,
@@ -66,6 +69,7 @@ from metivier.transforms import (
     twisted_convolution_at,
     twisted_mean,
     twisted_mean_at,
+    write_spectrum,
 )
 
 LAM1 = np.array([1.0])
@@ -933,11 +937,181 @@ def test_decompose_tail_guard_sees_energy_outside_the_alpha_bound(g1):
     decompose(sample(lambda z: psi_alpha_beta((3,), (2,), LAM1, z), g1), LAM1, 4, tail_tol=1e-6)
 
 
+def test_spectrum_serialization(tmp_path, g1):
+    spec = decompose(_theta_field(2, LAM1, g1), LAM1, 4)
+    write_spectrum(spec, tmp_path / "spec")
+    back = read_spectrum(tmp_path / "spec")
+    assert back.grid == spec.grid and back.pairs == spec.pairs
+    assert np.array_equal(back.coefficients, spec.coefficients)
+    assert np.array_equal(back.lambda_prime, spec.lambda_prime)
+    assert (back.total_energy, back.metadata) == (spec.total_energy, spec.metadata)
+    assert back.k_max == spec.k_max
+    assert all(np.array_equal(spec.projection(k).values, back.projection(k).values)
+               for k in range(spec.k_max + 1))
+
+
 def test_twisted_convolution_rejects_mismatched_grids():
     f = sample(lambda z: np.exp(-np.abs(z[..., 0]) ** 2), polar_grid(1, 16, 16, 6.0))
     g = sample(lambda z: np.exp(-np.abs(z[..., 0]) ** 2), polar_grid(1, 16, 16, 8.0))
     with pytest.raises(GridMismatch):
         twisted_convolution(f, g, LAM1)
+
+
+def _spectrum_dir(tmp_path):
+    g = polar_grid(1, 16, 16, 6.0)
+    spec = decompose(_theta_field(1, LAM1, g), LAM1, 2)
+    write_spectrum(spec, tmp_path / "spec")
+    return tmp_path / "spec"
+
+
+def _rewrite_manifest(directory, edit):
+    import json
+
+    path = directory / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest = edit(manifest)
+    path.write_text(json.dumps(manifest))
+
+
+@pytest.mark.parametrize("key", ["grid", "pairs", "coefficients", "lambda_prime",
+                                 "total_energy", "metadata"])
+def test_read_spectrum_missing_key_is_malformed(tmp_path, key):
+    directory = _spectrum_dir(tmp_path)
+    _rewrite_manifest(directory, lambda m: {k: v for k, v in m.items() if k != key})
+    with pytest.raises(MalformedFile):
+        read_spectrum(directory)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("pairs", {"alpha": [0], "beta": [1]}),
+    ("pairs", [1, 2, 3]),
+    ("pairs", [[["0"], [1]]]),
+    ("pairs", [[[0.0], [1]]]),
+    ("pairs", [[[0]]]),
+    ("pairs", [[[True], [1]]]),
+    ("coefficients", [["1.0", 0.0]]),
+    ("coefficients", [[1.0]]),
+    ("lambda_prime", 1.0),
+    ("lambda_prime", ["1.0"]),
+    ("lambda_prime", [True]),
+    ("coefficients", [[True, 0.0]]),
+    ("total_energy", "2.0"),
+    ("total_energy", False),
+    ("metadata", 0),
+])
+def test_read_spectrum_ill_typed_key_is_malformed(tmp_path, key, value):
+    directory = _spectrum_dir(tmp_path)
+    _rewrite_manifest(directory, lambda m: {**m, key: value})
+    with pytest.raises(MalformedFile):
+        read_spectrum(directory)
+
+
+def _edit_first(key, value):
+    def edit(m):
+        m[key][0] = value
+        return m
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    _edit_first("pairs", [[-1], [1]]),
+    _edit_first("pairs", [[0, 0], [1, 0]]),
+    _edit_first("pairs", [[], []]),
+    lambda m: {**m, "pairs": m["pairs"][:1] * 2 + m["pairs"][2:]},
+    _edit_first("pairs", [[0], [40]]),
+    lambda m: {**m, "coefficients": m["coefficients"][:-1]},
+    _edit_first("coefficients", [float("nan"), 0.0]),
+    _edit_first("coefficients", [0.0, float("inf")]),
+    _edit_first("coefficients", [10**400, 0.0]),
+    lambda m: {**m, "total_energy": float("nan")},
+    lambda m: {**m, "total_energy": -1.0},
+], ids=["negative-index", "index-length", "empty-index", "repeated-pair", "mode-beyond-band",
+        "short-coefficients",
+        "nan-coefficient", "inf-coefficient", "overflowing-coefficient", "nan-energy",
+        "negative-energy"])
+def test_read_spectrum_rejects_inconsistent_pairs_and_values(tmp_path, edit):
+    directory = _spectrum_dir(tmp_path)
+    _rewrite_manifest(directory, edit)
+    with pytest.raises(MalformedFile):
+        read_spectrum(directory)
+
+
+@pytest.mark.parametrize("lam", [[], [1.0, 2.0], [0.0], [-1.0], [float("nan")],
+                                 [float("inf")], [10**400]])
+def test_read_spectrum_rejects_twist_inconsistent_with_projections(tmp_path, lam):
+    directory = _spectrum_dir(tmp_path)
+    _rewrite_manifest(directory, lambda m: {**m, "lambda_prime": lam})
+    with pytest.raises(MalformedFile):
+        read_spectrum(directory)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("radial_nodes", [[]]),
+    ("radial_weights", [[1.0]]),
+    ("n", 1e400),
+    ("angular_counts", [6]),
+    ("r_max", "wide"),
+])
+def test_read_spectrum_rejects_bad_grid_header(tmp_path, key, value):
+    directory = _spectrum_dir(tmp_path)
+    _rewrite_manifest(directory, lambda m: {**m, "grid": {**m["grid"], key: value}})
+    with pytest.raises(MalformedFile, match="invalid grid header"):
+        read_spectrum(directory)
+
+
+def test_read_spectrum_version_1_manifest_is_version_mismatch(tmp_path):
+    directory = _spectrum_dir(tmp_path)
+    _rewrite_manifest(directory, lambda m: {
+        "version": 1, "kind": "laguerre-spectrum", "lambda_prime": [1.0], "k_max": 0,
+        "normalized": False, "projections": [{"k": 0, "file": "projection_000.field"}],
+    })
+    with pytest.raises(VersionMismatch):
+        read_spectrum(directory)
+
+
+@pytest.fixture(scope="module")
+def small_manifest(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("spec")
+    write_spectrum(decompose(_theta_field(1, LAM1, polar_grid(1, 8, 16, 6.0)), LAM1, 1),
+                   directory)
+    return (directory / "manifest.json").read_bytes()
+
+
+def test_read_spectrum_every_truncation_is_malformed(tmp_path, small_manifest):
+    directory = tmp_path / "spec"
+    directory.mkdir()
+    # every cut before the final newline loses the closing brace
+    for k in range(len(small_manifest) - 1):
+        (directory / "manifest.json").write_bytes(small_manifest[:k])
+        with pytest.raises(MalformedFile):
+            read_spectrum(directory)
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(data=st.data())
+def test_read_spectrum_corruption_gives_a_typed_error(tmp_path_factory, small_manifest, data):
+    raw = small_manifest
+    at = data.draw(st.integers(0, len(raw) - 1))
+    if data.draw(st.booleans()):
+        corrupt = raw[:at]
+    else:
+        corrupt = raw[:at] + bytes([data.draw(st.integers(0, 255))]) + raw[at + 1:]
+    directory = tmp_path_factory.mktemp("corrupt")
+    (directory / "manifest.json").write_bytes(corrupt)
+    try:
+        read_spectrum(directory)
+    except (MalformedFile, VersionMismatch):
+        pass
+
+
+def test_read_spectrum_rejects_non_object_manifest(tmp_path):
+    directory = _spectrum_dir(tmp_path)
+    _rewrite_manifest(directory, lambda m: [m])
+    with pytest.raises(MalformedFile):
+        read_spectrum(directory)
+    (directory / "manifest.json").write_bytes(b'{"kind": "laguerre-spectrum\xff"}')
+    with pytest.raises(MalformedFile):
+        read_spectrum(directory)
 
 
 @seed(2025)
