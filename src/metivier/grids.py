@@ -148,17 +148,20 @@ def _distinct_entries(v):
 
 
 def _checked_values(v, label):
-    """v with its last axis contiguous, after checking that it is finite.
+    """v after checking that it is finite, copied only when its distinct
+    entries (_distinct_entries) are not contiguous along their last axis.
 
-    The float view that norm2 and the check read needs the last axis
-    contiguous, so a flipped or broadcast last axis is copied; a broadcast
-    over the other axes is kept, and its repeated entries are checked once.
-    The check runs in slabs along the first distinct axis, so it makes no
+    The float view that the check and norm2 read needs that axis
+    contiguous.  So a broadcast (stride 0) axis, the last one too, is kept
+    without a copy and its repeated entries are checked once, while a
+    flipped last axis, or a broadcast of a single entry, is copied.  The
+    check runs in slabs along the first distinct axis, so it makes no
     field-sized temporary.
     """
-    if v.strides[-1] != v.itemsize:
-        v = np.ascontiguousarray(v)
     d = _distinct_entries(v)
+    if d.ndim == 0 or d.strides[-1] != v.itemsize:
+        v = np.ascontiguousarray(v)
+        d = _distinct_entries(v)
     rows = max(1, _FINITE_SLAB * d.shape[0] // d.size)
     if not all(np.isfinite(d[i:i + rows].view(float)).all() for i in range(0, len(d), rows)):
         raise NonFiniteValue(label)
@@ -167,16 +170,25 @@ def _checked_values(v, label):
 
 def _rule_energy(grid, values, rows=slice(None)):
     """The grid rule's sum of |f|^2 over the rows `rows` of the first radial
-    axis of values (of the grid's shape, last axis contiguous): one einsum of
-    the real view with itself sums |f|^2 over the angles, with no full-size
+    axis of values (of the grid's shape, kept as _checked_values keeps it):
+    each broadcast (stride 0) axis is read at one index and weighted by the
+    sum of its weights, so a broadcast is not written out.  One einsum of the
+    real view with itself sums |f|^2 over the angles, with no full-size
     temporary, then each radial axis is contracted with its weights, last
     axis first.  The energies of disjoint rows add up to the whole's."""
-    v = values[rows].view(float)
+    values = values[rows]
+    broadcast = [s == 0 for s in values.strides]
+    v = values[tuple(slice(0, 1) if b else slice(None) for b in broadcast)].view(float)
     axes = list(range(v.ndim))
     e = np.einsum(v, axes, v, axes, axes[::2])
     weights = [2 * np.pi / grid.angular_counts[j] * grid.radial_weights[j] * grid.radial_nodes[j]
                for j in range(grid.n)]
     weights[0] = weights[0][rows]
+    for j in range(grid.n):
+        if broadcast[2 * j + 1]:
+            weights[j] = weights[j] * grid.angular_counts[j]
+        if broadcast[2 * j]:
+            weights[j] = weights[j].sum(keepdims=True)
     for w in reversed(weights):
         e = e @ w
     return float(e)
@@ -188,8 +200,10 @@ class SampledField:
 
     `values` may be a read-only broadcast (e.g. np.broadcast_to of a profile
     that is constant along some axes): it is kept without a copy, and the
-    finiteness check and max_abs read each repeated entry once.  Only a last
-    axis that is not contiguous is copied.
+    finiteness check, norm2, max_abs and angular_mode_coefficients read each
+    repeated entry once.  A broadcast last axis is kept too, as long as the
+    distinct entries are contiguous along their own last axis; a flipped
+    last axis is copied (_checked_values).
     """
 
     grid: PolarGrid
@@ -340,7 +354,7 @@ class FieldEvaluator:
         gmax = np.max(amp) or 1.0
         self.modes = []
         for j in range(n):
-            na = self.grid.angular_counts[j]
+            na = fhat.shape[2 * j + 1]  # 1 along a broadcast axis: mode 0 alone
             axis_amp = np.max(amp, axis=tuple(a for a in range(n) if a != j))
             keep = np.flatnonzero(axis_amp >= 1e-13 * gmax)
             if keep.size == 0:
@@ -480,24 +494,37 @@ def _real_matmul(B, c):
 def angular_mode_coefficients(field):
     """Discrete angular Fourier coefficients along every angular axis.
 
-    Returns an array of the same shape as field.values, with angular axes
-    holding mode coefficients in numpy FFT order.
+    Returns an array of the shape of field.values, with angular axes holding
+    mode coefficients in numpy FFT order, except that an angular axis along
+    which the values are a broadcast (stride 0) comes back with length 1,
+    holding mode 0 alone.  The FFT is not run along such an axis: the FFT of
+    a constant line is that constant in mode 0 and exact zeros in the other
+    modes, bit for bit, at the power-of-two angle counts a grid has.
     """
+    values = field.values
+    distinct = values[tuple(slice(0, 1) if a % 2 and s == 0 else slice(None)
+                            for a, s in enumerate(values.strides))]
     fhat = None  # the first FFT allocates the result; the others transform it in place
     for j in range(field.grid.n):
-        # the 1 / (angle count) scaling inside the transform, with no pass of
-        # its own (bit-identical for the power-of-two counts a grid has)
-        fhat = np.fft.fft(field.values if fhat is None else fhat, axis=2 * j + 1, out=fhat,
-                          norm="forward")
-    return fhat
+        if distinct.shape[2 * j + 1] > 1:
+            # the 1 / (angle count) scaling inside the transform, with no pass
+            # of its own (bit-identical for the power-of-two counts a grid has)
+            fhat = np.fft.fft(distinct if fhat is None else fhat, axis=2 * j + 1, out=fhat,
+                              norm="forward")
+    return distinct.copy() if fhat is None else fhat
 
 
 def values_from_mode_coefficients(grid, fhat):
-    """Inverse of angular_mode_coefficients."""
+    """Inverse of angular_mode_coefficients.  A length-1 angular axis of fhat
+    holds mode 0 alone, so the values are constant along it: the result is
+    then a read-only broadcast of the grid's shape."""
     v = None  # the first inverse FFT allocates the result; the others transform it in place
     for j in range(grid.n):
-        v = np.fft.ifft(fhat if v is None else v, axis=2 * j + 1, out=v, norm="forward")
-    return v
+        if fhat.shape[2 * j + 1] > 1:
+            v = np.fft.ifft(fhat if v is None else v, axis=2 * j + 1, out=v, norm="forward")
+    if v is None:
+        v = fhat.astype(complex)
+    return v if v.shape == grid.shape else np.broadcast_to(v, grid.shape)
 
 
 @dataclass(frozen=True)

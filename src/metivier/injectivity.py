@@ -14,7 +14,7 @@ J_{n-1} zeros (the untwisted central mode).
 """
 
 from collections.abc import Mapping
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import reduce
 from numbers import Integral
 
@@ -269,16 +269,12 @@ def one_radius_counterexample(l, lambda_prime, n=1, zero_index=0, grid=None):
     (RangeExceeded otherwise, before any work), where theta_l depends on |z|
     alone: the field is sampled on the radial nodes (|z|^2 summed over the
     coordinates' nodes) and broadcast over the angles.
-    The field is a read-only broadcast that holds one profile per angle of
-    the last coordinate, so no full-grid copy is made (2.4 MB, not 151 MB,
-    on the default n = 2 grid); write_field writes it out in full.
-
-    The residual is computed on a copy of the grid with 4 angles per
-    coordinate, carrying the same radial profile.  This is exact, not an
-    approximation: the angular FFT of a field that is constant in the angles
-    holds the profile in mode 0 and exact zeros elsewhere, at any power-of-two
-    angle count, so the evaluator keeps mode 0 alone and the sphere rule sees
-    the same values as on the full grid.
+    The field is a read-only broadcast of that one radial profile, so no
+    copy over the angles is made (37 KB of distinct entries, not 151 MB, on
+    the default n = 2 grid); write_field writes it out in full.  Its angular
+    mode coefficients are the profile alone, as mode 0 of each broadcast
+    axis (angular_mode_coefficients), so the residual's evaluator runs no
+    angular FFT.
     """
     if l < 1:
         raise RangeExceeded("counterexample degree must be at least 1")
@@ -296,18 +292,13 @@ def one_radius_counterexample(l, lambda_prime, n=1, zero_index=0, grid=None):
     profile = theta_radial(l, lam, np.sqrt(radius2))
     # one angular axis of length 1 after each radial axis, broadcast to a grid
     profile = profile.reshape(tuple(x for s in profile.shape for x in (s, 1)))
-    # the last angular axis written out, as the field's float view needs it
-    # contiguous; the other angular axes stay broadcast
-    row = np.repeat(profile.astype(complex), grid.shape[-1], axis=-1)
-    field = SampledField(grid, np.broadcast_to(row, grid.shape),
+    field = SampledField(grid, np.broadcast_to(profile.astype(complex), grid.shape),
                          metadata=f"laguerre block {l}")
-    few_angles = replace(grid, angular_counts=(4,) * n)
     rng = np.random.default_rng(7)
     pts = rng.uniform(0.2, 0.5 * grid.r_max, (6, n)) * np.exp(
         1j * rng.uniform(0, 2 * np.pi, (6, n))
     )
-    mean = reduced_mean_at(SampledField(few_angles, np.broadcast_to(profile, few_angles.shape)),
-                           lam, r, pts)
+    mean = reduced_mean_at(field, lam, r, pts)
     residual = float(np.max(np.abs(mean)) / np.max(np.abs(profile)))
     return OneRadiusCounterexample(field, r, int(l), lam, residual)
 
@@ -625,9 +616,11 @@ def euclidean_two_radii_invert(mean1, mean2, r1, r2):
     wrho = wq * (g.r_max / 2)
     s = g.radial_nodes[0]
     ws = g.radial_weights[0] * s
-    f1 = angular_mode_coefficients(mean1)
-    f2 = angular_mode_coefficients(mean2)
     na = g.angular_counts[0]
+    # a length-1 (broadcast) mode axis holds mode 0 alone: padded with the
+    # zeros of the other modes, as the FFT of a constant line gives them
+    f1, f2 = (np.pad(fhat, ((0, 0), (0, na - fhat.shape[1])))
+              for fhat in (angular_mode_coefficients(mean1), angular_mode_coefficients(mean2)))
     mnum = np.fft.fftfreq(na, 1.0 / na).astype(int)
     j1 = bessel_j(0, r1 * rho)
     j2 = bessel_j(0, r2 * rho)

@@ -271,7 +271,9 @@ def twisted_convolution_at(f, gfield, lambda_prime, points):
 def _live_modes(g, fhat):
     """Joint angular modes m of a field on grid g, from its angular mode
     coefficients fhat, whose largest amplitude over the radial nodes is at
-    least 1e-13 of the largest over all modes."""
+    least 1e-13 of the largest over all modes.  A length-1 angular axis of
+    fhat (a broadcast, angular_mode_coefficients) is read at index 0, which
+    is mode 0, the only mode it holds."""
     amp = np.abs(fhat).max(axis=tuple(range(0, 2 * g.n, 2)))
     freqs = [np.fft.fftfreq(c, 1.0 / c).astype(int) for c in g.angular_counts]
     live = np.argwhere(amp >= 1e-13 * (amp.max() or 1.0))
@@ -525,7 +527,9 @@ def _matrix_coefficients(field, index_pairs, lambda_prime, tables=None):
         keyed = np.empty((len(mode), count, width), dtype=complex)
         buffer = np.empty(len(band) * rows * width * nr, dtype=complex)  # one slab's band
         for i in range(0, count, rows):
-            slab = blocks[i:i + rows]
+            # a broadcast field's slab written out, so BLAS reads it as it
+            # reads the contiguous field's (a no-op on a contiguous field)
+            slab = np.ascontiguousarray(blocks[i:i + rows])
             h = len(slab)
             cols = h * width * nr
             # a transposed view, which BLAS reads without a copy
@@ -694,14 +698,19 @@ def decompose(field, lambda_prime, k_max, tail_tol=None):
     The Laguerre projections f x_lam theta_k = prod_j (2 pi / lam_j) times
     the block |beta| = k are synthesized on demand by projection(k), and
     synthesize sums the series.  RangeExceeded unless k_max is an integer
-    in [0, MAX_TRUNCATION[n]].  When tail_tol is given, raises
+    in [0, MAX_TRUNCATION[n]]; at an n with no entry there, k_max = 0 alone
+    is supported and k_max >= 1 raises UnsupportedDimension.  When tail_tol
+    is given, raises
     TruncationDominates when the last block still carries more than tail_tol
     of the field's norm, or when the coefficients miss more than tail_tol^2
     of its squared norm (total_energy - captured_energy), as they do for a
     field with energy outside the blocks' alpha bound.
     """
     g = field.grid
-    k_max = _check_degree(k_max, MAX_TRUNCATION.get(g.n, 0), f"truncation for n={g.n}")
+    k_max = _check_degree(k_max, MAX_TRUNCATION.get(g.n, np.inf), f"truncation for n={g.n}")
+    if k_max > 0 and g.n not in MAX_TRUNCATION:
+        raise UnsupportedDimension(f"no truncation bound for n={g.n}: decompose supports "
+                                   f"k_max = 0 alone there, got {k_max}")
     spectrum = _analyse(field, lambda_prime, _block_pairs(g.n, range(k_max + 1)))
     if tail_tol is not None:
         fn = np.sqrt(spectrum.total_energy)

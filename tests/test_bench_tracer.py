@@ -173,12 +173,12 @@ def test_admissibility_builds_one_sphere_rule_per_check_and_samples_no_grid(monk
     assert "grids.FieldEvaluator.points" not in counters
     coordinates = build_sphere_rule(2, 1.0, 16).coordinates
     assert sum(rows) == 2 * 6 * 9 * 17 == sum(6 * w.size for w in coordinates)
-    # its evaluator transforms a 4-angle copy of the grid, not the grid: the
-    # tracer counts a read and a write per angular axis of the 16 x 4 x 16 x 4
-    # complex array
-    four_angles = 16 * 4 * 16 * 4 * np.dtype(complex).itemsize
+    # its evaluator transforms the distinct entries alone, one mode per
+    # broadcast angle: the tracer counts a read and a write per angular axis
+    # of the 16 x 1 x 16 x 1 complex array
+    distinct = 16 * 16 * np.dtype(complex).itemsize
     assert counters["grids.angular_fft.calls"] == 1
-    assert counters["grids.angular_fft.bytes"] <= 2 * grid.n * four_angles
+    assert counters["grids.angular_fft.bytes"] <= 2 * grid.n * distinct
     for (home, attr), fn in originals.items():
         assert getattr(sys.modules[f"metivier.{home}"], attr) is fn
     assert injectivity.build_sphere_rule is originals[("grids", "build_sphere_rule")]

@@ -112,7 +112,7 @@ def test_sample_keeps_a_broadcast_result():
 
 
 def test_sampled_field_accepts_broadcast_and_flipped_values():
-    # a complex broadcast is kept without a copy unless its last axis repeats;
+    # a complex broadcast is kept without a copy, a repeated last axis too;
     # a flipped last axis is copied; the checks read repeated entries once
     rng = np.random.default_rng(3)
     g1 = polar_grid(1, 8, 8, 4.0)
@@ -131,6 +131,7 @@ def test_sampled_field_accepts_broadcast_and_flipped_values():
         assert np.array_equal(f.values, want.values)
         assert f.norm2() == pytest.approx(want.norm2(), rel=1e-15)
         assert f.max_abs() == want.max_abs()
+    assert np.shares_memory(SampledField(g1, cases[0][1]).values, cases[0][1])
     assert np.shares_memory(SampledField(g2, cases[3][1]).values, row)
     for bad in (np.nan, complex(0, np.inf)):
         spoiled = row.copy()
@@ -339,6 +340,28 @@ def test_angular_transforms_allocate_one_field():
     assert np.array_equal(fhat, want)
     assert np.max(np.abs(back - f.values)) < 1e-14 * f.max_abs()
     assert max(fhat_peak, back_peak) < 1.1 * f.values.nbytes
+
+
+@pytest.mark.parametrize("count", [4, 8, 64, 256])
+@pytest.mark.parametrize("n, axes", [(1, (1,)), (2, (1,)), (2, (3,)), (2, (1, 3))],
+                         ids=["n1-axis1", "n2-axis1", "n2-axis3", "n2-both"])
+def test_broadcast_angular_axis_holds_the_exact_mode_zero(count, n, axes):
+    # the FFT of a constant line is that constant in mode 0 and exact zeros
+    # elsewhere at a power-of-two angle count, so a broadcast angular axis
+    # comes back with length 1, bit for bit mode 0 of the full FFT
+    g = polar_grid(n, 3, count, 4.0)
+    rng = np.random.default_rng(count)
+    shape = tuple(1 if a in axes else size for a, size in enumerate(g.shape))
+    values = np.broadcast_to(rng.normal(size=shape) + 1j * rng.normal(size=shape), g.shape)
+    fhat = angular_mode_coefficients(SampledField(g, values))
+    full = np.array(values)
+    for a in range(1, 2 * n, 2):
+        full = np.fft.fft(full, axis=a, norm="forward")
+    assert fhat.shape == shape
+    assert np.array_equal(fhat, full[tuple(slice(0, 1) if a in axes else slice(None)
+                                           for a in range(2 * n))])
+    for a in axes:
+        assert np.all(np.take(full, range(1, count), axis=a) == 0)
 
 
 def test_evaluator_band_is_relative_to_the_field_peak():

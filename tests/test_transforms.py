@@ -19,6 +19,7 @@ from metivier.errors import (
     NyquistViolation,
     RangeExceeded,
     TruncationDominates,
+    UnsupportedDimension,
     VersionMismatch,
 )
 from metivier.grids import (
@@ -915,6 +916,14 @@ def test_decompose_guards(g1):
         decompose(f, LAM1, 41)
     with pytest.raises(TruncationDominates):
         decompose(f, LAM1, 2, tail_tol=1e-8)
+
+
+def test_decompose_names_a_dimension_with_no_truncation_bound():
+    # n = 3 has no MAX_TRUNCATION entry: k_max >= 1 is an unsupported
+    # dimension, not a degree out of range
+    f = sample(lambda z: np.exp(-np.sum(np.abs(z) ** 2, axis=-1)), polar_grid(3, 4, 4, 4.0))
+    with pytest.raises(UnsupportedDimension, match="n=3"):
+        decompose(f, [1.0, 1.0, 1.0], 1)
 
 
 def test_degrees_that_are_not_nonnegative_integers_are_range_errors(g1):
