@@ -583,18 +583,22 @@ def test_one_radius_counterexample_field_is_sampled_theta(n, l, lam, grid):
 
 
 def test_witness_residual_on_four_angles_matches_the_full_grid():
-    # the residual is the sphere-rule mean of the witness field itself on the
-    # default n = 2 grid, with no copy of the grid at fewer angles
+    # the residual is taken on the broadcast witness field, whose angular
+    # axes each hold one mode; on the default n = 2 grid it equals, bit for
+    # bit, the sphere-rule mean of a contiguous copy of the field, which
+    # runs the full angular FFT over every angle
     from metivier.transforms import reduced_mean_at
 
     lam = [1.03, 1.03]
     ce = one_radius_counterexample(1, lam, n=2)
     assert ce.field.grid == default_grid(2)
+    full = ce.field.with_values(np.array(ce.field.values))
+    assert full.values.strides[-1] != 0
     rng = np.random.default_rng(7)
     pts = rng.uniform(0.2, 0.5 * ce.field.grid.r_max, (6, 2)) * np.exp(
         1j * rng.uniform(0, 2 * np.pi, (6, 2)))
-    mean = reduced_mean_at(ce.field, lam, ce.radius, pts)
-    assert ce.mean_residual == np.max(np.abs(mean)) / ce.field.max_abs()
+    mean = reduced_mean_at(full, lam, ce.radius, pts)
+    assert ce.mean_residual == np.max(np.abs(mean)) / full.max_abs()
 
 
 def test_witness_makes_no_full_grid_copy():
